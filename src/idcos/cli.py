@@ -69,8 +69,6 @@ def build_parser():
                        choices=(2, 4, 6))
         p.add_argument("--residual-mode", dest="residual_mode",
                        help="interpolant or oversampled(N)")
-        p.add_argument("--residual-split", dest="residual_split",
-                       choices=("argument", "additive"))
         p.add_argument("--out", dest="out_dir")
         p.add_argument("--name", dest="run_name")
         p.add_argument("--end-time", dest="end_time", type=float)

@@ -43,7 +43,6 @@ class RunConfig:
     dt: float = None             # simulation macro step
     snap_times: tuple = ()
     residual_mode: str = None   # interpolant (default) / oversampled(N); scans default oversampled(13)
-    residual_split: str = "argument"
     out_dir: str = "out"
     run_name: str = None
     # stability scan window
@@ -56,7 +55,7 @@ class RunConfig:
             raise UsageError(f"unknown experiment {self.experiment!r}")
         if self.scheme not in SCHEMES:
             raise UsageError(f"unknown scheme {self.scheme!r}")
-        if self.problem not in tuple(PROBLEM_BUILDERS) + ("custom",):
+        if self.problem not in PROBLEM_BUILDERS:
             raise UsageError(f"unknown problem {self.problem!r}")
         if self.nt_unit not in (None, "substep", "macro"):
             raise UsageError(f"unknown nt unit {self.nt_unit!r}")
@@ -181,8 +180,6 @@ def _write_manifest(cfg, out_dir, t_start, artifacts, extra=None):
 
 
 def _build_problem(cfg):
-    if cfg.problem == "custom":
-        raise UsageError("custom runs are only defined for the simulate experiment")
     builder = PROBLEM_BUILDERS[cfg.problem]
     kwargs = {"order": cfg.order_space}
     if cfg.grid_n is not None:
@@ -215,8 +212,7 @@ def run_convergence(cfg):
         run_nts = nts if metric == "exact" else (nts[0] // 2,) + nts
         M = cfg.M or pick_subintervals(target, run_nts, nt_unit)
         idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
-                            residual_mode=cfg.residual_mode or "interpolant",
-                            residual_split=cfg.residual_split)
+                            residual_mode=cfg.residual_mode or "interpolant")
         ivp = prob.split_ivp(T)
         finals = {}
         for nt in run_nts:
@@ -286,19 +282,6 @@ def run_stability(cfg):
     return scans
 
 
-def _custom_zero_problem(cfg):
-    from .pde2d import CoefficientField, Grid2D, SemiDiscreteSystem
-    from .problems import PDEProblem
-    n = cfg.grid_n or 32
-    grid = Grid2D(x_span=(0.0, 1.0), y_span=(0.0, 1.0), N_x=n, N_y=n,
-                  bc="periodic")
-    system = SemiDiscreteSystem(grid, CoefficientField.constant(grid, 1.0),
-                                order=cfg.order_space)
-    return PDEProblem(name="custom", grid=grid, system=system,
-                      initial=np.zeros(grid.shape), exact=None,
-                      field_names=("u",))
-
-
 def run_simulation(cfg):
     """March a reaction-diffusion run, writing field snapshots at set times.
 
@@ -310,13 +293,12 @@ def run_simulation(cfg):
         raise UsageError("simulate runs need dt and snapshot times")
     t_start = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    prob = _custom_zero_problem(cfg) if cfg.problem == "custom" else _build_problem(cfg)
+    prob = _build_problem(cfg)
     cs = cfg.corrections[0] if cfg.corrections else 0
     target = STEPPER_ORDERS[cfg.scheme] * (1 + cs)
     M = cfg.M or (1 if cs == 0 else max(target, 3))
     idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
-                        residual_mode=cfg.residual_mode or "interpolant",
-                        residual_split=cfg.residual_split)
+                        residual_mode=cfg.residual_mode or "interpolant")
     T = cfg.end_time or max(cfg.snap_times)
     ivp = prob.split_ivp(T)
     u = np.array(prob.initial, copy=True)

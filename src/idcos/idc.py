@@ -12,11 +12,6 @@ previous level and Int(t) is the integral of its residual.  The update
 recovers the error estimate delta_m = Q_m - Int(t_m) and adds it to the
 level.  Each sweep lifts the observable order by the corrector's order until
 the M+1-node quadrature saturates.
-
-An alternative "additive" residual treatment (each operator receives an equal
-share of the pointwise residual as a source term) is available behind
-``IDCConfig.residual_split`` for comparison; the argument form above is the
-default.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +23,7 @@ import numpy as np
 from . import polyint
 from .errors import SolverError, StepperError, UsageError
 from .ode import SplitIVP, Trajectory
-from .polyint import UniformNodeSet, integration_matrix, lagrange_eval, partial_integral
+from .polyint import UniformNodeSet, lagrange_eval, partial_integral
 from .steppers import (DEFAULT_NEWTON, NewtonConfig, STEPPER_ORDERS, get_stepper,
                        solve_substep)
 
@@ -37,7 +32,7 @@ _OVERSAMPLED_RE = re.compile(r"oversampled\((\d+)\)$")
 
 def parse_residual_mode(mode):
     """Normalize a residual mode string: 'interpolant' or 'oversampled(N)'."""
-    if mode in ("interpolant", "interpolant-exact"):
+    if mode == "interpolant":
         return ("interpolant", None)
     m = _OVERSAMPLED_RE.match(mode)
     if m:
@@ -63,14 +58,11 @@ class IDCConfig:
     M: int = None
     newton: NewtonConfig = field(default_factory=NewtonConfig)
     residual_mode: str = "interpolant"
-    residual_split: str = "argument"  # or "additive"
 
     def __post_init__(self):
         if self.corrections < 0:
             raise UsageError("number of corrections cannot be negative")
         parse_residual_mode(self.residual_mode)
-        if self.residual_split not in ("argument", "additive"):
-            raise UsageError(f"unknown residual split {self.residual_split!r}")
         if isinstance(self.correctors, (list, tuple)):
             if len(self.correctors) != self.corrections:
                 raise UsageError("need one corrector name per correction sweep")
@@ -150,26 +142,11 @@ def predict(problem, nodes, u0, cfg):
 def residual_integrals(level, problem, mode="interpolant"):
     """Integrals of the level's residual from t0 to each node t_{m+1}.
 
-    The residual is the derivative of the interpolated solution minus the
-    right-hand side on it; its integral needs no differentiation:
-    value jump minus quadrature of the cached rhs values.
+    These are the node values of ``ErrorProblem.shift``, the integrals the
+    correction sweeps use.
     """
-    kind, n_over = parse_residual_mode(mode)
-    nodes = level.nodes
-    u0 = level.values[0]
-    if kind == "interpolant":
-        gamma = integration_matrix(nodes).gamma
-        f_nodes = level.total_rhs()
-        flat = f_nodes.reshape(nodes.M + 1, -1)
-        out = []
-        for m in range(nodes.M):
-            quad = (nodes.times[m + 1] - nodes.t0) * (gamma[m] @ flat)
-            out.append(level.values[m + 1] - u0 - quad.reshape(u0.shape))
-        return np.stack(out)
-    fine, g_fine = _oversampled_rhs(level, problem, n_over)
-    return np.stack([
-        level.values[m + 1] - u0 - partial_integral(fine, g_fine, nodes.times[m + 1])
-        for m in range(nodes.M)])
+    ep = ErrorProblem(problem, level, residual_mode=mode)
+    return np.stack([ep.shift(t) for t in level.nodes.times[1:]])
 
 
 def _oversampled_rhs(level, problem, n_interior):
@@ -203,31 +180,18 @@ class _CorrectionOperator:
     def __call__(self, t, w):
         ep = self.ep
         if self.homogeneous is not None:
-            out = self.homogeneous(t, w - ep.shift(t) if ep.split == "argument" else w)
-        else:
-            u_base = ep.interpolant(t)
-            arg = u_base + w - ep.shift(t) if ep.split == "argument" else u_base + w
-            out = np.asarray(ep.base.operators[self.nu](t, arg)) - ep.f_at_interpolant(self.nu, t)
-        if ep.split == "additive":
-            out = out - ep.residual_share(t)
-        return out
+            return self.homogeneous(t, w - ep.shift(t))
+        arg = ep.interpolant(t) + w - ep.shift(t)
+        return np.asarray(ep.base.operators[self.nu](t, arg)) - ep.f_at_interpolant(self.nu, t)
 
     def solve_implicit(self, t, alpha, rhs, guess=None, newton=DEFAULT_NEWTON):
         ep = self.ep
         if self.solve_hom is not None:
-            if ep.split == "argument":
-                rhs_adj = rhs - alpha * self.homogeneous(t, ep.shift(t))
-            else:
-                rhs_adj = rhs - alpha * ep.residual_share(t)
+            rhs_adj = rhs - alpha * self.homogeneous(t, ep.shift(t))
             return self.solve_hom(t, alpha, rhs_adj, guess=guess, newton=newton)
         # substitute z = offset + w, solve the base problem's sub-step for z
-        if ep.split == "argument":
-            offset = ep.interpolant(t) - ep.shift(t)
-            source = np.zeros_like(offset)
-        else:
-            offset = ep.interpolant(t)
-            source = ep.residual_share(t)
-        rhs_z = rhs + offset - alpha * (ep.f_at_interpolant(self.nu, t) + source)
+        offset = ep.interpolant(t) - ep.shift(t)
+        rhs_z = rhs + offset - alpha * ep.f_at_interpolant(self.nu, t)
         g = offset + (guess if guess is not None else np.zeros_like(offset))
         z = solve_substep(ep.base, self.nu, t, alpha, rhs_z, guess=g, newton=newton)
         return z - offset
@@ -236,16 +200,13 @@ class _CorrectionOperator:
 class ErrorProblem:
     """The error equation of one correction sweep, posed as a split IVP."""
 
-    def __init__(self, problem, level, residual_mode="interpolant",
-                 residual_split="argument"):
+    def __init__(self, problem, level, residual_mode="interpolant"):
         kind, n_over = parse_residual_mode(residual_mode)
         self.base = problem
         self.level = level
-        self.split = residual_split
         self._ups = {}
         self._shift = {}
         self._feval = {}
-        self._share = {}
         if kind == "oversampled":
             self._quad_nodes, self._quad_values = _oversampled_rhs(level, problem, n_over)
         else:
@@ -274,32 +235,14 @@ class ErrorProblem:
                 self.base.operators[nu](t, self.interpolant(t)))
         return self._feval[nu, t]
 
-    def residual_share(self, t):
-        """Each operator's share of the residual source in additive mode.
-
-        The sub-interval's residual integral enters as a uniform source
-        density r_m / (h * num_operators); every scheme's sub-flows then
-        consume exactly the cell's residual integral.  A stage time on a cell
-        boundary belongs to the cell it closes.
-        """
-        if t not in self._share:
-            nodes = self.level.nodes
-            m = int(np.clip(np.floor(nodes.local(t) - 1e-9), 0, nodes.M - 1))
-            r_cell = self.shift(nodes.times[m + 1]) - self.shift(nodes.times[m])
-            self._share[t] = r_cell / (nodes.h * self.base.num_operators)
-        return self._share[t]
-
 
 def correct_once(problem, level, sweep_index, cfg):
     """One correction sweep: march the error equation, add the recovered error."""
     if sweep_index < 1:
         raise UsageError("sweep index is 1-based")
-    ep = ErrorProblem(problem, level, residual_mode=cfg.residual_mode,
-                      residual_split=cfg.residual_split)
+    ep = ErrorProblem(problem, level, residual_mode=cfg.residual_mode)
     name = cfg.corrector_name(sweep_index)
-    override = None
-    if cfg.residual_split == "argument":
-        override = getattr(problem, "corrector_overrides", {}).get(name)
+    override = problem.corrector_overrides.get(name)
     stepper = None if override is not None else get_stepper(name)
     nodes = level.nodes
     times = nodes.times
@@ -315,10 +258,7 @@ def correct_once(problem, level, sweep_index, cfg):
             raise StepperError(
                 f"correction sweep {sweep_index} failed on sub-interval {m}: {exc}",
                 node=m, time=times[m], sweep=sweep_index) from exc
-        if cfg.residual_split == "argument":
-            deltas.append(w - ep.shift(times[m + 1]))
-        else:
-            deltas.append(w.copy())
+        deltas.append(w - ep.shift(times[m + 1]))
     values = level.values + np.stack(deltas)
     return IDCLevelResult(nodes=nodes, values=values,
                           rhs_values=_cache_rhs(problem, nodes, values),

@@ -538,71 +538,6 @@ def _intermediate_x_walls(system, t, dt):
     return walls
 
 
-@dataclass(frozen=True)
-class HalfStepLineOperator:
-    """J = (dt/2) * L for one direction, exposed per line and as field action."""
-
-    op: object
-    dt: float
-
-    def apply(self, U):
-        return 0.5 * self.dt * self.op.apply_homogeneous(0.0, U)
-
-    def line_matrix(self, j):
-        return 0.5 * self.dt * self.op.line_matrix(j)
-
-    def solve(self, rhs):
-        """Solve (I - J) X = rhs."""
-        return self.op.solve_homogeneous(0.0, 0.5 * self.dt, rhs)
-
-
-def assemble_J(system, dt):
-    """The two half-step banded line operators of the factored sweep."""
-    if system.components != 1:
-        raise UsageError("line operators are defined for scalar problems")
-    return (HalfStepLineOperator(system.op_x, dt),
-            HalfStepLineOperator(system.op_y, dt))
-
-
-class _HomogeneousVariant:
-    """A directional operator with its boundary contribution zeroed."""
-
-    def __init__(self, op):
-        self._op = op
-
-    def __call__(self, t, U):
-        return self._op.apply_homogeneous(t, U)
-
-    def apply_homogeneous(self, t, U):
-        return self._op.apply_homogeneous(t, U)
-
-    def boundary_contribution(self, t):
-        return np.zeros(self._op.grid.shape)
-
-    def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
-        return self._op.solve_homogeneous(t, alpha, rhs)
-
-    solve_homogeneous = solve_implicit
-
-
-def error_problem_bc(system):
-    """Operators as seen by correction sweeps: Dirichlet walls become zero.
-
-    The error equation's operators are differences of identical affine maps,
-    so the known-boundary terms cancel; periodic operators are unchanged.
-    """
-    out = []
-    for op in system.operators():
-        if isinstance(op, DirectionalDiffusionOperator) and op.grid.bc == "dirichlet":
-            out.append(_HomogeneousVariant(op))
-        elif isinstance(op, ComponentWiseOperator) and system.grid.bc == "dirichlet":
-            out.append(ComponentWiseOperator(
-                [None if sub is None else _HomogeneousVariant(sub) for sub in op.ops]))
-        else:
-            out.append(op)
-    return tuple(out)
-
-
 def write_field_snapshot(path, grid, field, names=("u",)):
     """Snapshot CSV: x,y,u[,v] rows, row-major with y as the outer loop."""
     field = np.asarray(field)
@@ -614,4 +549,4 @@ def write_field_snapshot(path, grid, field, names=("u",)):
         for j, y in enumerate(ys):
             for i, x in enumerate(xs):
                 vals = ",".join(repr(float(field[c, j, i])) for c in range(field.shape[0]))
-                fh.write(f"{x!r},{y!r},{vals}\n")
+                fh.write(f"{float(x)!r},{float(y)!r},{vals}\n")

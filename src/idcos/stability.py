@@ -240,7 +240,7 @@ def write_field_csv(path, scan):
         fh.write("re,im,abs_amp\n")
         for j, y in enumerate(im):
             for i, x in enumerate(re):
-                fh.write(f"{x!r},{y!r},{scan.amp[i, j]!r}\n")
+                fh.write(f"{float(x)!r},{float(y)!r},{float(scan.amp[i, j])!r}\n")
 
 
 def write_contour_csv(path, scan):
@@ -249,4 +249,4 @@ def write_contour_csv(path, scan):
         fh.write("re,im,segment_id\n")
         for seg_id, line in enumerate(scan.contours or ()):
             for x, y in line:
-                fh.write(f"{x!r},{y!r},{seg_id}\n")
+                fh.write(f"{float(x)!r},{float(y)!r},{seg_id}\n")

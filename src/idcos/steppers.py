@@ -27,15 +27,12 @@ class NewtonConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_iters: int = 50
-    jacobian_mode: str = "exact"  # "exact" (use supplied jacobians) or "fd"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise UsageError("Newton tolerances must be positive")
         if self.max_iters < 1:
             raise UsageError("Newton needs at least one iteration")
-        if self.jacobian_mode not in ("exact", "fd"):
-            raise UsageError(f"unknown jacobian mode {self.jacobian_mode!r}")
 
 
 DEFAULT_NEWTON = NewtonConfig()
@@ -115,7 +112,7 @@ def solve_substep(problem, index, t, alpha, rhs, guess, newton=DEFAULT_NEWTON):
     def residual(x):
         return x - alpha * np.asarray(op(t, x)) - rhs
 
-    jac_f = problem.jacobian_for(index) if newton.jacobian_mode == "exact" else None
+    jac_f = problem.jacobian_for(index)
 
     def jacobian(x):
         if jac_f is not None:
@@ -382,7 +379,7 @@ def _joint_implicit_stage(problem, tableau, implicit, i, t, dt, B, guess, newton
         n = np.asarray(x).size
         J = np.eye(n)
         for nu, tn, alpha in terms:
-            jac_f = problem.jacobian_for(nu) if newton.jacobian_mode == "exact" else None
+            jac_f = problem.jacobian_for(nu)
             if jac_f is not None:
                 Jf = np.asarray(jac_f(tn, x))
             else:

@@ -1,0 +1,110 @@
+import csv
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from idcos.cli import main
+from idcos.harness import RunConfig, run_convergence, run_simulation, run_stability
+
+
+def read_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def assert_all_floats(path):
+    """Every cell below the header parses as a Python float."""
+    rows = read_rows(path)
+    assert len(rows) > 1
+    for row in rows[1:]:
+        for cell in row:
+            float(cell)
+
+
+def manifest(out_dir, name):
+    with open(os.path.join(out_dir, f"{name}_run.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestRunConvergence:
+    def test_tiny_ladder(self, tmp_path):
+        cfg = RunConfig(problem="example1", scheme="adi", grid_n=8, nt_list=(2, 4),
+                        corrections=(0, 1), out_dir=str(tmp_path))
+        report = run_convergence(cfg)
+        assert [(r[0], r[1]) for r in report.rows] == [(0, 2), (0, 4), (1, 2), (1, 4)]
+        assert all(np.isfinite(r[2]) for r in report.rows)
+        csv_path = tmp_path / "example1_adi_convergence.csv"
+        rows = read_rows(csv_path)
+        assert rows[0] == ["correction", "Nt", "error", "order"]
+        assert len(rows) == 5
+        info = manifest(tmp_path, cfg.name)
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert info["artifacts"][csv_path.name]["sha256"] == digest
+        assert info["failures"] == []
+        assert info["metric"] == "exact"
+
+
+class TestRunSimulation:
+    def test_fhn_snapshot(self, tmp_path):
+        cfg = RunConfig(experiment="simulate", problem="fhn", grid_n=8,
+                        corrections=(1,), dt=0.005, snap_times=(0.01,),
+                        end_time=0.01, out_dir=str(tmp_path))
+        summaries = run_simulation(cfg)
+        assert len(summaries) == 1
+        assert np.isfinite(summaries[0]["min"]).all()
+        assert np.isfinite(summaries[0]["max"]).all()
+        snap = tmp_path / "fhn_lietrotter_t0.01.csv"
+        rows = read_rows(snap)
+        assert rows[0] == ["x", "y", "u", "v"]
+        assert len(rows) == 1 + 8 * 8
+        assert_all_floats(snap)
+
+
+class TestRunStability:
+    def test_tiny_scan(self, tmp_path):
+        cfg = RunConfig(experiment="stability", scheme="strang", corrections=(0, 1),
+                        resolution=(5, 5), out_dir=str(tmp_path))
+        scans = run_stability(cfg)
+        assert [s.corrections for s in scans] == [0, 1]
+        for cs in (0, 1):
+            field = tmp_path / f"{cfg.name}_cs{cs}_field.csv"
+            contour = tmp_path / f"{cfg.name}_cs{cs}_contour.csv"
+            assert len(read_rows(field)) == 1 + 25
+            assert_all_floats(field)
+            assert_all_floats(contour)
+        assert set(manifest(tmp_path, cfg.name)["artifacts"]) == {
+            f"{cfg.name}_cs{cs}_{kind}.csv" for cs in (0, 1)
+            for kind in ("field", "contour")}
+
+
+class TestCli:
+    def test_tiny_run_succeeds(self, tmp_path, capsys):
+        code = main(["convergence", "--problem", "example1", "--scheme", "adi",
+                     "--grid", "8", "--nt", "2,4", "--corrections", "0",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "orders" in capsys.readouterr().out
+
+    def test_unknown_problem(self, tmp_path):
+        assert main(["convergence", "--problem", "nope",
+                     "--out", str(tmp_path)]) == 2
+
+    def test_snapshot_not_multiple_of_dt(self, tmp_path):
+        assert main(["simulate", "--problem", "fhn", "--grid", "8",
+                     "--corrections", "0", "--dt", "0.005",
+                     "--snap-times", "0.0123", "--out", str(tmp_path)]) == 2
+
+    def test_removed_residual_split_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--residual-split", "argument",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_removed_residual_split_key(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nproblem = example1\nresidual_split = argument\n")
+        assert main(["convergence", "--config", str(ini),
+                     "--out", str(tmp_path)]) == 2

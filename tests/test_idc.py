@@ -237,13 +237,6 @@ class TestIdcSolve:
             out[mode] = float(idc_solve(p, 4, cfg).final_state)
         assert out["interpolant"] == pytest.approx(out["oversampled(13)"], abs=1e-13)
 
-    def test_additive_split_also_lifts(self):
-        p = scalar_problem(dtype=LD)
-        cfg = IDCConfig(corrections=2, predictor="lie-trotter", M=3,
-                        residual_split="additive")
-        slope = global_slope(p, cfg, [5, 10, 20, 40, 80], lambda t: np.exp(-t))
-        assert slope == pytest.approx(3.0, abs=0.25)
-
     def test_error_annotation(self):
         def bad(t, u):
             return u * np.inf

@@ -4,11 +4,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from idcos.errors import NewtonError, UsageError
-from idcos.idc import IDCConfig, idc_solve
+from idcos.idc import ErrorProblem, IDCConfig, idc_solve, predict
 from idcos.pde2d import (CoefficientField, DirectionalDiffusionOperator, Grid2D,
                          PointwiseSourceOperator, SemiDiscreteSystem, adi_pde_step,
-                         assemble_J, error_problem_bc, pointwise_reaction_solve)
-from idcos.problems import example1, fhn, schnakenberg
+                         pointwise_reaction_solve)
+from idcos.polyint import UniformNodeSet
+from idcos.problems import example1, example2, fhn, schnakenberg
 
 QUAD_ROOT = (-1.0 + np.sqrt(1.4)) / 0.2
 
@@ -54,32 +55,8 @@ def example1_system(n=21):
 class TestAssembleJ:
     def test_unit_coefficient_rows(self):
         sys1 = example1_system()
-        J1, J2 = assemble_J(sys1, dt=0.2)
         Ax = sys1.op_x.stencil2.matrix
-        assert np.allclose(J1.line_matrix(3).toarray(), 0.1 * Ax.toarray())
-
-    def test_zero_dt(self):
-        sys1 = example1_system()
-        J1, _ = assemble_J(sys1, dt=0.0)
-        assert J1.line_matrix(0).nnz == 0 or np.all(J1.line_matrix(0).data == 0)
-
-    def test_manufactured_laplacian(self):
-        # (2/dt)*(J1+J2) u + boundary terms approximates the Laplacian of
-        # (1-y)exp(x), which equals the function itself
-        errs, hs = [], []
-        for n in (15, 30, 60):
-            prob = example1(N=n)
-            sysN = prob.system
-            u = prob.exact(0.0)
-            dt = 0.4
-            J1, J2 = assemble_J(sysN, dt)
-            lap = (2.0 / dt) * (J1.apply(u) + J2.apply(u)) \
-                + sysN.op_x.boundary_contribution(0.0) \
-                + sysN.op_y.boundary_contribution(0.0)
-            errs.append(np.max(np.abs(lap - u)))
-            hs.append(prob.grid.dx)
-        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-        assert slope == pytest.approx(6.0, abs=0.4)
+        assert np.allclose(sys1.op_x.line_matrix(3).toarray(), Ax.toarray())
 
 
 class TestDirectionalOperator:
@@ -210,28 +187,44 @@ class TestADIStep:
             adi_pde_step(prob.system, 0.0, 0.1, prob.initial)
 
 
+def adi_error_problem(prob, T=0.1, M=3):
+    """The error equation of the first correction sweep after an ADI
+    prediction over one macro step."""
+    ivp = prob.split_ivp(T)
+    nodes = UniformNodeSet(t0=0.0, h=T / M, M=M)
+    level = predict(ivp, nodes, prob.initial, IDCConfig(predictor="adi", M=M))
+    return ErrorProblem(ivp, level)
+
+
 class TestErrorProblemBC:
     def test_dirichlet_contributions_zeroed(self):
-        prob = example1(N=10)
-        ops = error_problem_bc(prob.system)
-        for op in ops:
-            for t in (0.0, 0.3, 1.7):
-                assert np.max(np.abs(op.boundary_contribution(t))) == 0.0
+        # G(t, Q) vanishes at Q = shift(t): no wall term leaks into the
+        # error equation, at node times or between them
+        ep = adi_error_problem(example1(N=10))
+        nodes = ep.level.nodes
+        for t in (*nodes.times, nodes.t0 + 0.5 * nodes.h):
+            for op in ep.ivp.operators:
+                assert np.max(np.abs(op(t, ep.shift(t)))) == 0.0
 
     def test_homogeneous_variant_matches_linear_action(self):
         prob = example1(N=10)
-        ops = error_problem_bc(prob.system)
+        ep = adi_error_problem(prob)
         rng = np.random.default_rng(2)
         w = rng.normal(size=prob.grid.shape)
-        full = prob.system.op_x
-        assert np.allclose(ops[0](0.4, w), full.apply_homogeneous(0.4, w))
+        t = ep.level.nodes.times[1]
+        G_x = ep.ivp.operators[0]
+        assert np.allclose(G_x(t, w),
+                           prob.system.op_x.apply_homogeneous(t, w - ep.shift(t)))
 
     def test_periodic_unchanged(self):
-        from idcos.problems import example2
         prob = example2(N=10)
-        ops = error_problem_bc(prob.system)
-        assert ops[0] is prob.system.op_x
-        assert ops[1] is prob.system.op_y
+        ep = adi_error_problem(prob)
+        rng = np.random.default_rng(3)
+        rhs = rng.normal(size=prob.grid.shape)
+        t, alpha = ep.level.nodes.times[2], 0.02
+        for op in ep.ivp.operators:
+            x = op.solve_implicit(t, alpha, rhs)
+            assert np.max(np.abs(x - alpha * op(t, x) - rhs)) <= 1e-10
 
 
 class TestPointwiseSolve:
