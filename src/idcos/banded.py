@@ -1,9 +1,15 @@
-"""Banded line systems with cached LU factors.
+"""Stacks of banded line systems with cached LU factors.
 
 Grid-line operators from the finite-difference stencils are banded with
-bandwidths at most six.  Periodic lines carry a handful of wrap entries in
-the corners; they are handled as a banded core plus a low-rank correction
-(Woodbury identity) so line solves stay O(n).
+bandwidths at most six.  A ``BandedMatrix`` holds L independent lines of
+length n: L = 1 is one matrix shared by every right-hand side (constant
+coefficients), L > 1 gives each line its own matrix (variable
+coefficients).  The L lines are factored as one band of length L*n by a
+single LAPACK gbtrf; no entry couples two lines, so partial pivoting stays
+inside each line and every line gets the factor it would get on its own.
+Periodic lines carry a handful of wrap entries in the corners; each line is
+handled as a banded core plus a low-rank correction (Woodbury identity) so
+line solves stay O(n).
 """
 
 import numpy as np
@@ -14,81 +20,89 @@ from .errors import LinearSolveError, UsageError
 
 
 class BandedMatrix:
-    """A factored banded matrix, optionally with a low-rank wrap correction."""
+    """L factored banded lines, each optionally with a low-rank wrap correction.
 
-    def __init__(self, ab, kl, ku, wrap_cols=None, wrap_U=None, matvec_matrix=None):
-        self.n = ab.shape[1]
+    ``ab`` holds the lines in LAPACK band storage, shape (L, kl + ku + 1, n);
+    ``wrap_U`` holds the wrap entries of columns ``wrap_cols``, shape (L, n, r).
+    """
+
+    def __init__(self, ab, kl, ku, wrap_cols=None, wrap_U=None):
+        self.lines, rows, self.n = ab.shape
         self.kl = kl
         self.ku = ku
-        self._matrix = matvec_matrix
         gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
         self._gbtrs = gbtrs
         # gbtrf wants kl extra rows on top for fill-in
-        work = np.zeros((2 * kl + ku + 1, self.n), dtype=ab.dtype, order="F")
-        work[kl:, :] = ab
+        work = np.zeros((kl + rows, self.lines * self.n), dtype=ab.dtype, order="F")
+        work[kl:, :] = ab.transpose(1, 0, 2).reshape(rows, -1)
         lu, piv, info = gbtrf(work, kl, ku)
-        if info != 0:
+        if info > 0:
+            raise LinearSolveError(f"banded LU factorization failed: line "
+                                   f"{(info - 1) // self.n} is singular")
+        if info < 0:
             raise LinearSolveError(f"banded LU factorization failed (info={info})")
         self._lu = lu
         self._piv = piv
         self._wrap = None
         if wrap_cols is not None and len(wrap_cols):
+            # Woodbury: x = y - Z C^-1 y[wrap_cols] with Z = core^-1 U and
+            # capacitance C = I + Z[wrap_cols]; each line's Z C^-1 comes
+            # from one batched LU solve of its r x r system C^T W^T = Z^T
             Z = self._solve_core(wrap_U)
-            cap = np.eye(len(wrap_cols), dtype=ab.dtype) + Z[wrap_cols, :]
+            cap = np.eye(len(wrap_cols)) + Z[:, wrap_cols, :]
             try:
-                cap_lu = scipy.linalg.lu_factor(cap)
-            except scipy.linalg.LinAlgError as exc:
+                W = np.linalg.solve(cap.transpose(0, 2, 1), Z.transpose(0, 2, 1))
+            except np.linalg.LinAlgError as exc:
                 raise LinearSolveError("singular wrap correction") from exc
-            self._wrap = (np.asarray(wrap_cols), Z, cap_lu)
+            self._wrap = (wrap_cols, W.transpose(0, 2, 1))
 
     @classmethod
     def from_sparse(cls, A):
-        """Build from a sparse line matrix; far-corner entries become the wrap."""
-        A = sp.csr_matrix(A)
-        n = A.shape[0]
-        if A.shape[0] != A.shape[1]:
-            raise UsageError("line matrices must be square")
-        coo = A.tocoo()
-        off = coo.col - coo.row
-        cut = n // 2
-        in_band = np.abs(off) <= cut
-        kl = int(max(0, (-off[in_band]).max(initial=0)))
-        ku = int(max(0, off[in_band].max(initial=0)))
-        ab = np.zeros((kl + ku + 1, n), dtype=coo.data.dtype)
-        wrap_vals = {}
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            if abs(j - i) <= cut:
-                ab[ku + i - j, j] += v
-            else:
-                wrap_vals[(i, j)] = wrap_vals.get((i, j), 0.0) + v
-        wrap_cols = sorted({j for _, j in wrap_vals})
-        wrap_U = None
-        if wrap_cols:
-            col_index = {j: k for k, j in enumerate(wrap_cols)}
-            wrap_U = np.zeros((n, len(wrap_cols)), dtype=ab.dtype)
-            for (i, j), v in wrap_vals.items():
-                wrap_U[i, col_index[j]] += v
-        return cls(ab, kl, ku, wrap_cols=np.asarray(wrap_cols, dtype=int),
-                   wrap_U=wrap_U, matvec_matrix=A)
+        """Build from sparse line matrices stacked as an (L*n, n) matrix, line l
+        in rows l*n to l*n + n - 1; far-corner entries become the wrap."""
+        A = sp.coo_matrix(A, copy=True)
+        rows, n = A.shape
+        if n == 0 or rows % n:
+            raise UsageError("line matrices must be square, stacked as (L*n, n)")
+        A.sum_duplicates()
+        line, i = np.divmod(A.row, n)
+        j = A.col
+        off = j - i
+        band = np.abs(off) <= n // 2
+        kl = int(max(0, (-off[band]).max(initial=0)))
+        ku = int(max(0, off[band].max(initial=0)))
+        ab = np.zeros((rows // n, kl + ku + 1, n), dtype=A.dtype)
+        ab[line[band], ku - off[band], j[band]] = A.data[band]
+        wrap_cols, wrap_col = np.unique(j[~band], return_inverse=True)
+        wrap_U = np.zeros((rows // n, n, len(wrap_cols)), dtype=A.dtype)
+        wrap_U[line[~band], i[~band], wrap_col] = A.data[~band]
+        return cls(ab, kl, ku, wrap_cols=wrap_cols, wrap_U=wrap_U)
 
-    def _solve_core(self, b):
+    def _solve_core(self, B):
+        """Banded solve of an (L, n, m) stack, m right-hand sides per line."""
         x, info = self._gbtrs(self._lu, self.kl, self.ku,
-                              np.asarray(b, order="F"), self._piv)
+                              np.asarray(B.reshape(-1, B.shape[2]), order="F"),
+                              self._piv)
         if info != 0:
             raise LinearSolveError(f"banded solve failed (info={info})")
-        return x
+        return x.reshape(B.shape)
 
     def solve(self, b):
-        """Solve A x = b for one vector (n,) or a batch (n, k)."""
+        """Solve for one vector (n,) or a batch (n, k).
+
+        With one line every column is solved against it; with L lines the
+        batch has k = L columns and column k is line k's right-hand side.
+        """
         b = np.asarray(b)
         single = b.ndim == 1
-        x = self._solve_core(b if not single else b[:, None])
+        B = b[:, None] if single else b
+        n, k = B.shape
+        if self.lines > 1 and k != self.lines:
+            raise UsageError(f"{self.lines} lines need one right-hand side "
+                             f"each, got {k}")
+        X = self._solve_core(B.reshape(n, self.lines, -1).transpose(1, 0, 2))
         if self._wrap is not None:
-            cols, Z, cap_lu = self._wrap
-            x = x - Z @ scipy.linalg.lu_solve(cap_lu, x[cols, :])
-        return x[:, 0] if single else x
-
-    def matvec(self, x):
-        if self._matrix is None:
-            raise UsageError("matrix was built without an explicit matvec form")
-        return self._matrix @ x
+            cols, W = self._wrap
+            X = X - W @ X[:, cols, :]
+        X = X.transpose(1, 0, 2).reshape(n, k)
+        return X[:, 0] if single else X

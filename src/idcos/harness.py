@@ -4,7 +4,8 @@ Each driver consumes a RunConfig, writes deterministic CSV artifacts plus a
 run manifest (config echo, wall time, artifact checksums) into the output
 directory, and returns its in-memory result.  Floats are written with
 round-trip repr formatting so identical configurations produce byte-identical
-artifacts.
+artifacts when each runs in a fresh process; after other runs in the same
+process a few stability-scan cells can differ in their last digits.
 """
 
 from dataclasses import dataclass, field, asdict, replace

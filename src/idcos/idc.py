@@ -17,6 +17,7 @@ the M+1-node quadrature saturates.
 from dataclasses import dataclass, field
 import re
 import warnings
+import weakref
 
 import numpy as np
 
@@ -171,7 +172,9 @@ class _CorrectionOperator:
     """
 
     def __init__(self, error_problem, nu):
-        self.ep = error_problem
+        # weak: the problem holds its operators, and a strong reference back
+        # would keep each sweep's caches alive until the cyclic collector runs
+        self.ep = weakref.proxy(error_problem)
         self.nu = nu
         base = error_problem.base.operators[nu]
         self.homogeneous = getattr(base, "apply_homogeneous", None)

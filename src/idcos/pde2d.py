@@ -5,7 +5,9 @@ in non-divergence form  a*u_xx + a_x*u_x + a*u_yy + a_y*u_y + s,  with the
 coefficient derivatives supplied analytically.  The x-direction terms, the
 y-direction terms and the pointwise source become the split operators; the
 direction operators carry exact banded line Jacobians, so every implicit
-sub-step reduces to independent line solves.
+sub-step reduces to independent line solves: one ``BandedMatrix`` per
+direction and step size, holding a single shared line for constant
+coefficients and one line per grid line otherwise.
 
 Fields are stored row-major with y as the outer index, shape (N_y, N_x);
 multi-component states prepend the component axis.  x-direction line solves
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .banded import BandedMatrix
 from .errors import NewtonError, UsageError
@@ -106,35 +107,13 @@ class CoefficientField:
         return cls(a=full, a_x=zero, a_y=zero)
 
 
-class _SharedLineSolver:
-    """All lines share one banded matrix (constant coefficients)."""
-
-    def __init__(self, matrix):
-        self.bm = BandedMatrix.from_sparse(matrix)
-
-    def solve(self, lines):
-        # lines: (n_lines, n) with each row one line system's rhs
-        return self.bm.solve(lines.T).T
-
-
-class _StackedLineSolver:
-    """Per-line matrices stacked into one block-diagonal sparse LU."""
-
-    def __init__(self, matrices):
-        self.n_lines = len(matrices)
-        self.n = matrices[0].shape[0]
-        self.lu = splu(sp.block_diag(matrices, format="csc"))
-
-    def solve(self, lines):
-        return self.lu.solve(lines.reshape(-1)).reshape(self.n_lines, self.n)
-
-
 class DirectionalDiffusionOperator:
     """One direction's diffusion terms:  a * (d2 u) + slope * (d1 u) + boundary.
 
     ``slope`` is the coefficient's own derivative along this axis (a_x for the
-    x-direction).  Implicit solves (I - alpha*L) factor once per alpha and are
-    reused; the boundary contribution is the only time-dependent piece.
+    x-direction).  Implicit solves (I - alpha*L) factor all lines once per
+    alpha and are reused; the boundary contribution is the only
+    time-dependent piece.
     """
 
     def __init__(self, grid, axis, coeff, order=6, boundary=None):
@@ -212,37 +191,28 @@ class DirectionalDiffusionOperator:
 
     # -- implicit solves ---------------------------------------------------
 
-    def line_matrix(self, j):
-        """Sparse line operator L_j for line index j (a y-row for axis x)."""
-        n = self.stencil2.n
-        if np.isscalar(self.a):
-            mat = self.a * self.stencil2.matrix
-            if self.has_slope:
-                mat = mat + self.slope * self.stencil1.matrix
-            return mat
-        if self.axis == "x":
-            a_line, s_line = self.a[j, :], np.asarray(self.slope)[j, :] if self.has_slope else None
-        else:
-            a_line = self.a[:, j]
-            s_line = np.asarray(self.slope)[:, j] if self.has_slope else None
-        mat = sp.diags(a_line) @ self.stencil2.matrix
+    def line_matrices(self, lines):
+        """Sparse line operators L_j of the given line indices (y-rows for
+        axis x), stacked into one (len(lines) * n, n) matrix."""
+        def along(field):
+            field = np.broadcast_to(field, self.grid.shape)
+            return sp.diags((field if self.axis == "x" else field.T)[lines].ravel())
+
+        mat = along(self.a) @ sp.vstack([self.stencil2.matrix] * len(lines))
         if self.has_slope:
-            mat = mat + sp.diags(s_line) @ self.stencil1.matrix
+            mat = mat + along(self.slope) @ sp.vstack([self.stencil1.matrix] * len(lines))
         return mat
 
     def _solver(self, alpha):
+        """The factored lines (I - alpha*L): one shared line for constant
+        coefficients, otherwise every line of this direction."""
         key = float(alpha)
         solver = self._solvers.get(key)
         if solver is None:
-            n = self.stencil2.n
-            eye = sp.eye(n, format="csr")
-            if self.constant:
-                solver = _SharedLineSolver(eye - alpha * self.line_matrix(0))
-            else:
-                n_lines = self.grid.N_y if self.axis == "x" else self.grid.N_x
-                solver = _StackedLineSolver(
-                    [sp.csc_matrix(eye - alpha * self.line_matrix(j))
-                     for j in range(n_lines)])
+            n_lines = self.grid.N_y if self.axis == "x" else self.grid.N_x
+            lines = np.arange(1 if self.constant else n_lines)
+            eye = sp.vstack([sp.eye(self.stencil2.n, format="csr")] * len(lines))
+            solver = BandedMatrix.from_sparse(eye - alpha * self.line_matrices(lines))
             self._solvers[key] = solver
         return solver
 
@@ -250,8 +220,8 @@ class DirectionalDiffusionOperator:
         """Solve (I - alpha*L) X = rhs with no boundary terms."""
         solver = self._solver(alpha)
         if self.axis == "x":
-            return solver.solve(rhs)
-        return solver.solve(rhs.T).T
+            return solver.solve(rhs.T).T
+        return solver.solve(rhs)
 
     def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
         """Solve X - alpha*f(t, X) = rhs including the boundary contribution."""

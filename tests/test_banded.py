@@ -63,13 +63,37 @@ class TestBandedMatrix:
         with pytest.raises(LinearSolveError):
             BandedMatrix.from_sparse(A)
 
-    def test_matvec(self):
-        rng = np.random.default_rng(9)
-        A = random_banded(rng, 12, 1, 1)
-        bm = BandedMatrix.from_sparse(A)
-        x = rng.normal(size=12)
-        assert np.allclose(bm.matvec(x), A @ x)
-
     def test_non_square(self):
         with pytest.raises(UsageError):
             BandedMatrix.from_sparse(sp.csr_matrix(np.ones((3, 4))))
+
+
+class TestStackedLines:
+    @pytest.mark.parametrize("build", [
+        lambda rng, n: random_banded(rng, n, 3, 2),
+        lambda rng, n: random_periodic(rng, n, 3),
+    ], ids=["banded", "periodic"])
+    def test_each_line_matches_its_dense_solve(self, build):
+        rng = np.random.default_rng(11)
+        n, lines = 23, 5
+        mats = [build(rng, n) for _ in range(lines)]
+        bm = BandedMatrix.from_sparse(sp.vstack(mats))
+        assert bm.lines == lines
+        B = rng.normal(size=(n, lines))
+        X = bm.solve(B)
+        for k, A in enumerate(mats):
+            assert np.max(np.abs(X[:, k] - np.linalg.solve(A.toarray(), B[:, k]))) \
+                <= 1e-12 * np.max(np.abs(X[:, k]))
+
+    def test_zero_line_is_singular(self):
+        rng = np.random.default_rng(12)
+        mats = [random_banded(rng, 10, 1, 1), sp.csr_matrix((10, 10)),
+                random_banded(rng, 10, 1, 1)]
+        with pytest.raises(LinearSolveError, match="line 1"):
+            BandedMatrix.from_sparse(sp.vstack(mats))
+
+    def test_needs_one_column_per_line(self):
+        rng = np.random.default_rng(13)
+        bm = BandedMatrix.from_sparse(sp.vstack([random_banded(rng, 8, 1, 1)] * 3))
+        with pytest.raises(UsageError):
+            bm.solve(rng.normal(size=(8, 2)))

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +263,23 @@ class TestErrorProblem:
         level = predict(p, nodes, np.array(1.0), IDCConfig())
         ep = ErrorProblem(p, level)
         assert np.max(np.abs(ep.shift(nodes.t0))) == 0.0
+
+    def test_freed_without_cyclic_collector(self):
+        # the sweep's caches go with the problem, not at the next gc pass
+        p = scalar_problem()
+        nodes = UniformNodeSet(t0=0.0, h=0.2, M=3)
+        level = predict(p, nodes, np.array(1.0), IDCConfig())
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ep = ErrorProblem(p, level)
+            ep.ivp.operators[0](0.1, ep.shift(0.1))
+            ref = weakref.ref(ep)
+            del ep
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_correction_operator_vanishes_on_interpolated_solution(self):
         # G evaluated along Q = shift is identically zero

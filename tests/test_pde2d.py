@@ -56,7 +56,7 @@ class TestAssembleJ:
     def test_unit_coefficient_rows(self):
         sys1 = example1_system()
         Ax = sys1.op_x.stencil2.matrix
-        assert np.allclose(sys1.op_x.line_matrix(3).toarray(), Ax.toarray())
+        assert np.allclose(sys1.op_x.line_matrices([3]).toarray(), Ax.toarray())
 
 
 class TestDirectionalOperator:
@@ -68,13 +68,18 @@ class TestDirectionalOperator:
         x = op.solve_implicit(0.3, 0.05, rhs)
         assert np.max(np.abs(x - 0.05 * op(0.3, x) - rhs)) <= 1e-10
 
-    def test_variable_coefficient_solve(self):
-        g = Grid2D((-1, 1), (-1, 1), 14, 14, bc="periodic")
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+    def test_variable_coefficient_solve(self, bc, axis):
+        g = Grid2D((-1, 1), (-1, 1), 14, 14, bc=bc)
         coeff = CoefficientField.from_callables(
             g, a=lambda x, y: 2.0 + np.sin(np.pi * (x + y)),
             a_x=lambda x, y: np.pi * np.cos(np.pi * (x + y)),
             a_y=lambda x, y: np.pi * np.cos(np.pi * (x + y)))
-        op = DirectionalDiffusionOperator(g, "y", coeff, order=4)
+        boundary = None if bc == "periodic" else \
+            (lambda x, y, t: np.cos(x) * np.exp(y) + t)
+        op = DirectionalDiffusionOperator(g, axis, coeff, order=4, boundary=boundary)
+        assert not op.constant
         rng = np.random.default_rng(1)
         rhs = rng.normal(size=g.shape)
         x = op.solve_implicit(0.0, 0.01, rhs)
@@ -108,7 +113,7 @@ def unfactored_cn_step(system, t, dt, field):
     grid = system.grid
     nx, ny = grid.N_x, grid.N_y
     opx, opy = system.op_x, system.op_y
-    Lx = sp.block_diag([opx.line_matrix(j) for j in range(ny)], format="csr")
+    Lx = sp.block_diag([opx.line_matrices([j]) for j in range(ny)], format="csr")
 
     def apply_Ly(U):
         return opy.apply_homogeneous(t, U)
