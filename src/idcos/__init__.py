@@ -2,16 +2,15 @@
 
 from .errors import (EvaluationError, LinearSolveError, NewtonError, PoleError,
                      SolverError, StepperError, UnsupportedSchemeError, UsageError)
-from .idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_solve,
-                  predict, residual_integrals, solve_macro_interval)
+from .idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_march,
+                  idc_solve, predict, residual_integrals, solve_macro_interval)
 from .ode import (DiagonalLinearOperator, MatrixLinearOperator, SplitIVP,
                   Trajectory, ZeroOperator, eval_split_rhs)
 from .polyint import (DifferentiationMatrix, IntegrationMatrix, UniformNodeSet,
                       differentiation_matrix, integration_matrix, lagrange_eval,
                       partial_integral, sobolev_norm)
-from .steppers import (ButcherTableauARK, NewtonConfig, adi_step, adi_tableau,
-                       ark_step, get_stepper, lie_trotter_step, lie_trotter_tableau,
-                       newton_solve, strang_step, strang_tableau)
+from .steppers import (NewtonConfig, adi_step, get_stepper, lie_trotter_step,
+                       newton_solve, strang_step)
 from .banded import BandedMatrix
 from .stencils import StencilOperator, build_stencil, fd_weights
 from .pde2d import (CoefficientField, DirectionalDiffusionOperator, Grid2D,

@@ -17,9 +17,9 @@ import time
 import numpy as np
 
 from .errors import SolverError, UsageError
-from .idc import IDCConfig, solve_macro_interval, idc_solve
+from .idc import IDCConfig, idc_march, idc_solve
 from .pde2d import write_field_snapshot
-from .polyint import MAX_SUBINTERVALS, UniformNodeSet
+from .polyint import MAX_SUBINTERVALS
 from .problems import PROBLEM_BUILDERS
 from .stability import StabilityScan, scan_region, write_contour_csv, write_field_csv
 from .steppers import STEPPER_ORDERS
@@ -283,15 +283,39 @@ def run_stability(cfg):
     return scans
 
 
+def _snapshot_steps(cfg):
+    """Map each snapshot's macro-step index round(t/dt) to its time."""
+    if not cfg.dt > 0:
+        raise UsageError(f"simulation step must be positive, got dt={cfg.dt}")
+    steps = {}
+    for t_snap in sorted(cfg.snap_times):
+        if t_snap < 0:
+            raise UsageError(f"snapshot time {t_snap} is negative")
+        if cfg.end_time is not None and t_snap > cfg.end_time:
+            raise UsageError(f"snapshot time {t_snap} is after end time {cfg.end_time}")
+        n = round(t_snap / cfg.dt)
+        if abs(n * cfg.dt - t_snap) > 1e-9 * max(1.0, t_snap):
+            raise UsageError(f"snapshot time {t_snap} is not a multiple of dt={cfg.dt}")
+        if n in steps:
+            raise UsageError(f"snapshot times {steps[n]} and {t_snap} fall on one step")
+        steps[n] = t_snap
+    return steps
+
+
 def run_simulation(cfg):
     """March a reaction-diffusion run, writing field snapshots at set times.
 
-    dt is the macro step; a non-finite field aborts with the offending time
-    and node.  Returns per-snapshot (time, min, max) summaries.
+    dt is the macro step: one pass of ``idc_march`` runs up to the last
+    snapshot, and a snapshot at time t is written after step round(t/dt)
+    (t = 0 writes the initial field).  Snapshot times must be distinct,
+    non-negative multiples of dt no later than end_time.  A non-finite field
+    aborts with the offending time and node.  Returns per-snapshot
+    (time, min, max) summaries.
     """
     cfg = with_table_defaults(cfg)
     if cfg.dt is None or not cfg.snap_times:
         raise UsageError("simulate runs need dt and snapshot times")
+    steps = _snapshot_steps(cfg)
     t_start = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
     prob = _build_problem(cfg)
@@ -300,26 +324,10 @@ def run_simulation(cfg):
     M = cfg.M or (1 if cs == 0 else max(target, 3))
     idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
                         residual_mode=cfg.residual_mode or "interpolant")
-    T = cfg.end_time or max(cfg.snap_times)
-    ivp = prob.split_ivp(T)
-    u = np.array(prob.initial, copy=True)
-    t = 0.0
     artifacts = {}
     summaries = []
-    for t_snap in sorted(cfg.snap_times):
-        n_steps = round((t_snap - t) / cfg.dt)
-        if abs(n_steps * cfg.dt - (t_snap - t)) > 1e-9 * max(1.0, t_snap):
-            raise UsageError(f"snapshot time {t_snap} is not a multiple of dt={cfg.dt}")
-        for n in range(n_steps):
-            nodes = UniformNodeSet(t0=t, h=cfg.dt / M, M=M)
-            level = solve_macro_interval(ivp, nodes, u, idc_cfg)
-            u = level.final_state
-            t = t + cfg.dt
-            if not np.isfinite(u).all():
-                flat_index = int(np.argmin(np.isfinite(u).ravel()))
-                node = np.unravel_index(flat_index, u.shape)
-                raise SolverError(
-                    f"non-finite field at t={t} node {node}")
+
+    def snapshot(t_snap, u):
         path = os.path.join(cfg.out_dir, f"{cfg.name}_t{t_snap:.6g}.csv")
         write_field_snapshot(path, prob.grid, u, names=prob.field_names)
         comp = u if u.ndim == 3 else u[None]
@@ -329,6 +337,20 @@ def run_simulation(cfg):
         artifacts[os.path.basename(path)] = {"sha256": _sha256(path),
                                              "min": summaries[-1]["min"],
                                              "max": summaries[-1]["max"]}
+
+    if 0 in steps:
+        snapshot(steps[0], prob.initial)
+    last = max(steps)
+    if last:
+        march = idc_march(prob.split_ivp(steps[last]), last, idc_cfg)
+        for n, (nodes, level) in enumerate(march, start=1):
+            u = level.final_state
+            if not np.isfinite(u).all():
+                flat_index = int(np.argmin(np.isfinite(u).ravel()))
+                node = tuple(int(i) for i in np.unravel_index(flat_index, u.shape))
+                raise SolverError(f"non-finite field at t={nodes.t_end} node {node}")
+            if n in steps:
+                snapshot(steps[n], u)
     _write_manifest(cfg, cfg.out_dir, t_start, artifacts,
                     extra={"snapshots": summaries})
     return summaries

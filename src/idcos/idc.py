@@ -276,26 +276,28 @@ def solve_macro_interval(problem, nodes, u0, cfg):
     return level
 
 
-def idc_solve(problem, macro_steps, cfg, keep="macro"):
-    """Integrate the problem over its time span with N uniform macro steps.
+def idc_march(problem, macro_steps, cfg):
+    """Iterate (nodes, level) over N uniform macro steps of the time span.
 
-    keep  -- 'macro' records macro-node states, 'subnodes' every sub-node,
-             'final' only the end state.
+    Step n covers [t0 + n*H, t0 + (n+1)*H] and starts from the final state of
+    step n-1; its level is the last correction level.  The step count is
+    checked, and the order-saturation warning given, when this is called;
+    a failed step raises StepperError annotated with its ``macro_step``.
     """
     if macro_steps < 1:
         raise UsageError("need at least one macro step")
-    if keep not in ("macro", "subnodes", "final"):
-        raise UsageError(f"unknown keep mode {keep!r}")
     M = cfg.resolved_M()
     if cfg.target_order() > M + 1:
         warnings.warn(
             f"requested order {cfg.target_order()} exceeds M+1={M + 1}; "
             "the order will saturate at the quadrature accuracy", stacklevel=2)
+    return _march(problem, macro_steps, cfg, M)
+
+
+def _march(problem, macro_steps, cfg, M):
     t0, t1 = problem.t_span
     H = (t1 - t0) / macro_steps
     u = np.asarray(problem.initial_state)
-    times = [t0]
-    states = [u]
     for n in range(macro_steps):
         nodes = UniformNodeSet(t0=t0 + n * H, h=H / M, M=M)
         try:
@@ -304,13 +306,29 @@ def idc_solve(problem, macro_steps, cfg, keep="macro"):
             exc.macro_step = n
             raise
         u = level.final_state
+        yield nodes, level
+
+
+def idc_solve(problem, macro_steps, cfg, keep="macro"):
+    """Integrate the problem over its time span with N uniform macro steps.
+
+    Collects the steps of ``idc_march`` into a Trajectory:
+    keep  -- 'macro' records macro-node states, 'subnodes' every sub-node,
+             'final' only the end state.
+    """
+    if keep not in ("macro", "subnodes", "final"):
+        raise UsageError(f"unknown keep mode {keep!r}")
+    steps = idc_march(problem, macro_steps, cfg)
+    times = [problem.t_span[0]]
+    states = [np.asarray(problem.initial_state)]
+    for nodes, level in steps:
         if keep == "subnodes":
             times.extend(nodes.times[1:])
             states.extend(level.values[1:])
         elif keep == "macro":
             times.append(nodes.t_end)
-            states.append(u)
+            states.append(level.final_state)
     if keep == "final":
-        times.append(t0 + macro_steps * H)
-        states.append(u)
+        times.append(nodes.t_end)
+        states.append(level.final_state)
     return Trajectory(times=np.asarray(times), states=np.stack(states))

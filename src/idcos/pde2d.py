@@ -277,9 +277,13 @@ class PointwiseSourceOperator:
     def solve_implicit(self, t, alpha, rhs, guess=None, newton=DEFAULT_NEWTON):
         x = np.array(rhs if guess is None else guess, copy=True, dtype=float)
         target = None
-        for _ in range(newton.max_iters):
+        for it in range(newton.max_iters):
             r = x - alpha * np.asarray(self.source(t, x)) - rhs
             norm = float(np.max(np.abs(r)))
+            if not np.isfinite(norm):
+                raise NewtonError(
+                    f"pointwise Newton residual is non-finite after {it} iterations",
+                    iterations=it, residual_norm=norm, last_iterate=x, time=t)
             if target is None:
                 target = newton.abs_tol + newton.rel_tol * norm
             if norm <= target:
@@ -295,7 +299,7 @@ class PointwiseSourceOperator:
                 b = np.moveaxis(r, 0, -1)[..., None]
                 delta = np.linalg.solve(A, b)[..., 0]
                 x = x - np.moveaxis(delta, -1, 0)
-        worst = np.unravel_index(np.argmax(np.abs(r)), r.shape)
+        worst = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(r)), r.shape))
         raise NewtonError(
             f"pointwise Newton stalled at node {worst} (residual {norm:.3e})",
             iterations=newton.max_iters, residual_norm=norm, time=t)

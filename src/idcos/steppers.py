@@ -1,15 +1,12 @@
-"""One-step splitting integrators and the additive-RK tableau machinery.
-
-The named steppers implement, verbatim:
+"""One-step splitting integrators, one definition per scheme.
 
 * ``lie_trotter_step``  -- backward Euler on each operator in sequence,
 * ``strang_step``       -- the palindromic half/full/half trapezoidal sweep,
-* ``adi_step``          -- the Peaceman-Rachford two-half-step update,
+* ``adi_step``          -- the Peaceman-Rachford two-half-step update.
 
-and ``ark_step`` drives any lower-triangular additive Butcher tableau.  Each
-implicit sub-step solves  x - alpha*f_nu(t*, x) = rhs,  dispatched to the
-operator's own ``solve_implicit`` when it has one and to Newton otherwise.
-Steppers are stateless; all state lives in the arguments.
+Each implicit sub-step solves  x - alpha*f_nu(t*, x) = rhs,  dispatched to
+the operator's own ``solve_implicit`` when it has one and to Newton
+otherwise.  Steppers are stateless; all state lives in the arguments.
 """
 
 from dataclasses import dataclass
@@ -129,17 +126,16 @@ def solve_substep(problem, index, t, alpha, rhs, guess, newton=DEFAULT_NEWTON):
         raise
 
 
-def lie_trotter_step(problem, t, dt, u, newton=DEFAULT_NEWTON, operator_order=None):
+def lie_trotter_step(problem, t, dt, u, newton=DEFAULT_NEWTON):
     """Sequential backward Euler over the operators (first order).
 
     Each sub-problem  x - dt*f_nu(t+dt, x) = previous  is solved in operator
-    index order unless a different order is requested.
+    index order.
     """
     if not dt > 0:
         raise UsageError(f"step size must be positive, got dt={dt}")
-    order = range(problem.num_operators) if operator_order is None else operator_order
     x = np.asarray(u)
-    for nu in order:
+    for nu in range(problem.num_operators):
         x = solve_substep(problem, nu, t + dt, dt, x, guess=x, newton=newton)
     return x
 
@@ -195,199 +191,6 @@ def adi_step(problem, t, dt, u, newton=DEFAULT_NEWTON):
     mid = solve_substep(problem, 0, th, half, rhs1, guess=u, newton=newton)
     rhs2 = mid + half * np.asarray(problem.operators[0](th, mid))
     return solve_substep(problem, 1, t + dt, half, rhs2, guess=mid, newton=newton)
-
-
-class ButcherTableauARK:
-    """Per-operator coefficient arrays (c, a, b) of a p-stage additive RK method.
-
-    Shapes: c is (L, p), a is (L, p, p) lower triangular, b is (L, p).
-    The c entries are the evaluation times taken from the splitting update
-    equations; for differential splitting they legitimately differ from the
-    per-operator row sums (that deviation is the splitting).  ``row_sum_defect``
-    reports the largest such deviation over entries that are actually used.
-    """
-
-    def __init__(self, c, a, b):
-        self.c = np.asarray(c, dtype=float)
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        if self.c.ndim != 2 or self.b.shape != self.c.shape:
-            raise UsageError("c and b must both have shape (num_operators, stages)")
-        L, p = self.c.shape
-        if self.a.shape != (L, p, p):
-            raise UsageError(f"a must have shape ({L}, {p}, {p}), got {self.a.shape}")
-        for nu in range(L):
-            if np.any(np.triu(self.a[nu], k=1) != 0):
-                raise UnsupportedSchemeError(
-                    "only lower-triangular (diagonally implicit) tableaux are supported")
-        # which stage values feed operator nu anywhere (a columns or b weights)
-        self._used = np.zeros((L, p), dtype=bool)
-        for nu in range(L):
-            self._used[nu] = (self.a[nu] != 0).any(axis=0) | (self.b[nu] != 0)
-
-    @property
-    def num_operators(self):
-        return self.c.shape[0]
-
-    @property
-    def stages(self):
-        return self.c.shape[1]
-
-    def row_sum_defect(self):
-        """max |sum_j a[nu,i,j] - c[nu,i]| over used stage entries."""
-        defect = 0.0
-        sums = self.a.sum(axis=2)
-        for nu in range(self.num_operators):
-            used = self._used[nu]
-            if used.any():
-                defect = max(defect, float(np.max(np.abs(sums[nu, used] - self.c[nu, used]))))
-        return defect
-
-
-def lie_trotter_tableau(num_operators=2):
-    """Tableau of the sequential backward-Euler sweep: L+1 stages.
-
-    Stage 1 is the step's initial value; stage nu+1 is the state after the
-    backward-Euler solve of operator nu, all evaluated at the step end.
-    """
-    L = num_operators
-    p = L + 1
-    c = np.ones((L, p))
-    c[:, 0] = 0.0
-    a = np.zeros((L, p, p))
-    b = np.zeros((L, p))
-    for nu in range(L):
-        a[nu, nu + 1:, nu + 1] = 1.0
-        b[nu, nu + 1] = 1.0
-        c[nu, :nu + 1] = 0.0
-    return ButcherTableauARK(c, a, b)
-
-
-def strang_tableau(num_operators=3):
-    """Tableau of the palindromic trapezoidal sweep (6 stages).
-
-    For two operators the middle-operator block is dropped; stage 4 then
-    simply copies stage 3 and carries the second evaluation time of f_2.
-    """
-    q = 0.25
-    c3 = [[0, 0.5, 0, 0, 0.5, 1],
-          [0, 0.5, 1, 0, 0.5, 0],
-          [0, 0, 0, 1, 0, 0]]
-    a1 = [[0, 0, 0, 0, 0, 0],
-          [q, q, 0, 0, 0, 0],
-          [q, q, 0, 0, 0, 0],
-          [q, q, 0, 0, 0, 0],
-          [q, q, 0, 0, 0, 0],
-          [q, q, 0, 0, q, q]]
-    a2 = [[0, 0, 0, 0, 0, 0],
-          [0, 0, 0, 0, 0, 0],
-          [0, q, q, 0, 0, 0],
-          [0, q, q, 0, 0, 0],
-          [0, q, q, q, q, 0],
-          [0, q, q, q, q, 0]]
-    a3 = [[0, 0, 0, 0, 0, 0],
-          [0, 0, 0, 0, 0, 0],
-          [0, 0, 0, 0, 0, 0],
-          [0, 0, 0.5, 0.5, 0, 0],
-          [0, 0, 0.5, 0.5, 0, 0],
-          [0, 0, 0.5, 0.5, 0, 0]]
-    b = [[q, q, 0, 0, q, q],
-         [0, q, q, q, q, 0],
-         [0, 0, 0.5, 0.5, 0, 0]]
-    if num_operators == 3:
-        return ButcherTableauARK(c3, [a1, a2, a3], b)
-    if num_operators == 2:
-        return ButcherTableauARK(c3[:2], [a1, a2], b[:2])
-    raise UnsupportedSchemeError(
-        f"palindromic tableau exists for 2 or 3 operators, not {num_operators}")
-
-
-def adi_tableau():
-    """Tableau of the Peaceman-Rachford update (3 stages, 2 operators)."""
-    c = [[0, 0.5, 1],
-         [0, 0.5, 1]]
-    a1 = [[0, 0, 0],
-          [0, 0.5, 0],
-          [0, 1, 0]]
-    a2 = [[0, 0, 0],
-          [0.5, 0, 0],
-          [0.5, 0, 0.5]]
-    b = [[0, 1, 0],
-         [0.5, 0, 0.5]]
-    return ButcherTableauARK(c, [a1, a2], b)
-
-
-def ark_step(tableau, problem, t, dt, u, newton=DEFAULT_NEWTON):
-    """One step of the additive RK method defined by the tableau.
-
-    Lower-triangular stages are solved in sequence; a stage that is implicit
-    in exactly one operator goes through that operator's sub-step solver, and
-    a stage coupling several operators implicitly falls back to a joint
-    Newton solve with dense Jacobians.
-    """
-    if tableau.num_operators != problem.num_operators:
-        raise UsageError(
-            f"tableau has {tableau.num_operators} operators, "
-            f"problem has {problem.num_operators}")
-    L, p = tableau.num_operators, tableau.stages
-    u = np.asarray(u)
-    F = [[None] * p for _ in range(L)]
-    stage = u
-    for i in range(p):
-        B = np.array(u, copy=True).astype(np.result_type(u.dtype, float), copy=False)
-        for nu in range(L):
-            for j in range(i):
-                w = tableau.a[nu, i, j]
-                if w != 0.0:
-                    B = B + (dt * w) * F[nu][j]
-        implicit = [nu for nu in range(L) if tableau.a[nu, i, i] != 0.0]
-        if not implicit:
-            stage = B
-        elif len(implicit) == 1:
-            nu = implicit[0]
-            stage = solve_substep(problem, nu, t + tableau.c[nu, i] * dt,
-                                  dt * tableau.a[nu, i, i], B, guess=stage,
-                                  newton=newton)
-        else:
-            stage = _joint_implicit_stage(problem, tableau, implicit, i, t, dt,
-                                          B, guess=stage, newton=newton)
-        for nu in range(L):
-            if tableau._used[nu, i]:
-                F[nu][i] = np.asarray(
-                    problem.operators[nu](t + tableau.c[nu, i] * dt, stage))
-    out = np.array(u, copy=True).astype(np.result_type(u.dtype, float), copy=False)
-    for nu in range(L):
-        for i in range(p):
-            w = tableau.b[nu, i]
-            if w != 0.0:
-                out = out + (dt * w) * F[nu][i]
-    return out
-
-
-def _joint_implicit_stage(problem, tableau, implicit, i, t, dt, B, guess, newton):
-    # stage implicit in several operators at once: joint dense Newton
-    terms = [(nu, t + tableau.c[nu, i] * dt, dt * tableau.a[nu, i, i])
-             for nu in implicit]
-
-    def residual(x):
-        r = x - B
-        for nu, tn, alpha in terms:
-            r = r - alpha * np.asarray(problem.operators[nu](tn, x))
-        return r
-
-    def jacobian(x):
-        n = np.asarray(x).size
-        J = np.eye(n)
-        for nu, tn, alpha in terms:
-            jac_f = problem.jacobian_for(nu)
-            if jac_f is not None:
-                Jf = np.asarray(jac_f(tn, x))
-            else:
-                Jf = fd_jacobian(lambda y, nu=nu, tn=tn: np.asarray(problem.operators[nu](tn, y)), x)
-            J = J - alpha * Jf
-        return J
-
-    return newton_solve(residual, jacobian, guess, newton)
 
 
 _STEPPERS = {

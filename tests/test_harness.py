@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -6,8 +7,12 @@ import os
 import numpy as np
 import pytest
 
+from idcos import harness
 from idcos.cli import main
+from idcos.errors import SolverError
 from idcos.harness import RunConfig, run_convergence, run_simulation, run_stability
+from idcos.pde2d import write_field_snapshot
+from idcos.problems import fhn
 
 
 def read_rows(path):
@@ -62,6 +67,39 @@ class TestRunSimulation:
         assert len(rows) == 1 + 8 * 8
         assert_all_floats(snap)
 
+    def test_initial_and_intermediate_snapshots(self, tmp_path):
+        runs = {"all": (0.0, 0.005, 0.01), "last": (0.01,)}
+        for name, snaps in runs.items():
+            run_simulation(RunConfig(experiment="simulate", problem="fhn", grid_n=8,
+                                     corrections=(1,), dt=0.005, snap_times=snaps,
+                                     out_dir=str(tmp_path / name)))
+        prob = fhn(N=8)
+        write_field_snapshot(tmp_path / "initial.csv", prob.grid, prob.initial,
+                             names=prob.field_names)
+        all_dir = tmp_path / "all"
+        assert (all_dir / "fhn_lietrotter_t0.csv").read_bytes() == \
+            (tmp_path / "initial.csv").read_bytes()
+        assert (all_dir / "fhn_lietrotter_t0.005.csv").exists()
+        assert (all_dir / "fhn_lietrotter_t0.01.csv").read_bytes() == \
+            (tmp_path / "last" / "fhn_lietrotter_t0.01.csv").read_bytes()
+
+    def test_overflow_names_time_and_node(self, tmp_path, monkeypatch):
+        build = harness.PROBLEM_BUILDERS["example2"]
+
+        def huge(**kwargs):
+            prob = build(**kwargs)
+            return dataclasses.replace(prob, initial=prob.initial * 1e308)
+
+        monkeypatch.setitem(harness.PROBLEM_BUILDERS, "example2", huge)
+        cfg = RunConfig(experiment="simulate", problem="example2", scheme="adi",
+                        grid_n=8, corrections=(0,), dt=0.01, snap_times=(0.02,),
+                        out_dir=str(tmp_path))
+        with pytest.raises(SolverError, match=r"non-finite field at t=0\.01 node") as err:
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_simulation(cfg)
+        assert str(err.value).endswith("node (0, 0)")
+        assert not (tmp_path / "example2_adi_t0.02.csv").exists()
+
 
 class TestRunStability:
     def test_tiny_scan(self, tmp_path):
@@ -96,6 +134,15 @@ class TestCli:
         assert main(["simulate", "--problem", "fhn", "--grid", "8",
                      "--corrections", "0", "--dt", "0.005",
                      "--snap-times", "0.0123", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("dt,snaps", [
+        ("0.005", "-0.005"), ("0.005", "0.015"), ("0.005", "0.005,0.005"),
+        ("0", "0.005")], ids=["negative", "after-end", "duplicate", "zero-dt"])
+    def test_bad_snapshot_times(self, tmp_path, dt, snaps):
+        assert main(["simulate", "--problem", "fhn", "--grid", "8",
+                     "--corrections", "0", "--dt", dt, "--end-time", "0.01",
+                     "--snap-times", snaps, "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_removed_residual_split_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from idcos.errors import StepperError, UsageError
-from idcos.idc import (ErrorProblem, IDCConfig, correct_once, idc_solve, predict,
-                       residual_integrals, solve_macro_interval)
+from idcos.idc import (ErrorProblem, IDCConfig, correct_once, idc_march, idc_solve,
+                       predict, residual_integrals, solve_macro_interval)
 from idcos.ode import DiagonalLinearOperator, SplitIVP, ZeroOperator
 from idcos.polyint import UniformNodeSet
 from idcos.steppers import NewtonConfig
@@ -229,6 +229,17 @@ class TestIdcSolve:
         assert len(sub) == 13
         assert len(final) == 2
         assert final.final_state == macro.final_state
+
+    def test_march_steps_and_eager_checks(self):
+        p = scalar_problem()
+        cfg = IDCConfig(corrections=1, predictor="lie-trotter", M=3)
+        steps = list(idc_march(p, 4, cfg))
+        assert [nodes.t0 for nodes, _ in steps] == [0.0, 0.25, 0.5, 0.75]
+        assert steps[-1][1].final_state == idc_solve(p, 4, cfg, keep="final").final_state
+        with pytest.raises(UsageError):
+            idc_march(p, 0, cfg)  # raised by the call, before any step runs
+        with pytest.raises(UsageError):
+            idc_solve(p, 4, cfg, keep="all")
 
     def test_residual_modes_agree_for_linear(self):
         p = scalar_problem()

@@ -271,10 +271,20 @@ class TestPointwiseSolve:
             return 2.0 * x
 
         from idcos.steppers import NewtonConfig
-        with pytest.raises(NewtonError):
+        with pytest.raises(NewtonError, match=r"node \(0, 0\)"):
             op = PointwiseSourceOperator(source, jac)
             op.solve_implicit(0.0, 10.0, np.full((3, 3), 5.0),
                               newton=NewtonConfig(max_iters=4))
+
+    def test_infinite_residual_raises(self):
+        # one node's source is infinite; the other node's residual is finite
+        def source(t, x):
+            return np.where([[True, False]], np.inf, -x * x)
+
+        op = PointwiseSourceOperator(source, lambda t, x: -2.0 * x)
+        with pytest.raises(NewtonError) as err:
+            op.solve_implicit(0.3, 0.1, np.ones((1, 2)))
+        assert err.value.time == 0.3
 
 
 class TestMulticomponent:

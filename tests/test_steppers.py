@@ -3,9 +3,8 @@ import pytest
 
 from idcos.errors import LinearSolveError, NewtonError, UnsupportedSchemeError
 from idcos.ode import DiagonalLinearOperator, MatrixLinearOperator, SplitIVP, ZeroOperator
-from idcos.steppers import (NewtonConfig, adi_step, adi_tableau, ark_step,
-                            lie_trotter_step, lie_trotter_tableau, newton_solve,
-                            strang_step, strang_tableau)
+from idcos.steppers import (NewtonConfig, adi_step, lie_trotter_step, newton_solve,
+                            strang_step)
 
 QUAD_ROOT = (-1.0 + np.sqrt(1.4)) / 0.2  # root of x + 0.1 x^2 = 1 in (0, 1)
 
@@ -104,13 +103,6 @@ class TestLieTrotter:
         out = lie_trotter_step(p, 0.0, 0.1, np.array(1.0))
         assert out == pytest.approx(QUAD_ROOT, abs=1e-10)
 
-    def test_operator_order_matters_nonlinearly(self):
-        p = SplitIVP(operators=(lambda t, u: -u * u, lambda t, u: -0.5 * u),
-                     initial_state=np.array(1.0), t_span=(0.0, 1.0))
-        a = lie_trotter_step(p, 0.0, 0.2, np.array(1.0))
-        b = lie_trotter_step(p, 0.0, 0.2, np.array(1.0), operator_order=(1, 0))
-        assert a != b
-
 
 class TestStrang:
     def test_trapezoid_factors(self):
@@ -185,78 +177,6 @@ class TestADI:
     def test_wrong_operator_count(self):
         with pytest.raises(UnsupportedSchemeError):
             adi_step(zero_problem(3), 0.0, 0.1, np.zeros(3))
-
-
-class TestTableaux:
-    def test_lie_tableau_matches_step(self):
-        p = scalar_problem(-0.7, -0.25)
-        tab = lie_trotter_tableau(2)
-        a = ark_step(tab, p, 0.0, 0.1, np.array(1.0))
-        b = lie_trotter_step(p, 0.0, 0.1, np.array(1.0))
-        assert abs(a - b) <= 1e-12
-
-    def test_lie_tableau_three_operators(self):
-        p = scalar_problem(-0.3, -0.2, -0.4)
-        tab = lie_trotter_tableau(3)
-        a = ark_step(tab, p, 0.0, 0.2, np.array(1.0))
-        b = lie_trotter_step(p, 0.0, 0.2, np.array(1.0))
-        assert abs(a - b) <= 1e-12
-
-    def test_strang_tableau_matches_step(self):
-        p = scalar_problem(-0.4, -0.3, -0.3)
-        tab = strang_tableau(3)
-        a = ark_step(tab, p, 0.0, 0.1, np.array(1.0))
-        b = strang_step(p, 0.0, 0.1, np.array(1.0))
-        assert abs(a - b) <= 1e-12
-
-    def test_strang_tableau_drops_third_operator(self):
-        p3 = scalar_problem(-0.4, -0.3, 0.0)
-        p2 = scalar_problem(-0.4, -0.3)
-        a = ark_step(strang_tableau(3), p3, 0.0, 0.1, np.array(1.0))
-        b = ark_step(strang_tableau(2), p2, 0.0, 0.1, np.array(1.0))
-        assert abs(a - b) <= 1e-13
-        c = strang_step(p2, 0.0, 0.1, np.array(1.0))
-        assert abs(a - c) <= 1e-12
-
-    def test_adi_tableau_matches_step(self):
-        p = scalar_problem(-0.8, -0.35)
-        a = ark_step(adi_tableau(), p, 0.0, 0.2, np.array(1.0))
-        b = adi_step(p, 0.0, 0.2, np.array(1.0))
-        assert abs(a - b) <= 1e-12
-
-    def test_adi_row_sums_consistent(self):
-        assert adi_tableau().row_sum_defect() == 0.0
-
-    def test_zero_weights_identity(self):
-        tab = adi_tableau()
-        tab_zero = tab.__class__(tab.c, tab.a, np.zeros_like(tab.b))
-        p = scalar_problem(-0.5, -0.5)
-        out = ark_step(tab_zero, p, 0.0, 0.3, np.array(2.0))
-        assert out == pytest.approx(2.0)
-
-    def test_non_lower_triangular_rejected(self):
-        c = [[0.0, 1.0]]
-        a = [[[0.0, 1.0], [0.0, 0.0]]]
-        b = [[0.5, 0.5]]
-        with pytest.raises(UnsupportedSchemeError):
-            from idcos.steppers import ButcherTableauARK
-            ButcherTableauARK(c, a, b)
-
-    def test_joint_implicit_stage(self):
-        # one stage implicit in both operators at once: x = u + dt/2 (A1+A2) x
-        from idcos.steppers import ButcherTableauARK
-        rng = np.random.default_rng(1)
-        A1, A2 = rng.normal(size=(2, 3, 3))
-        tab = ButcherTableauARK(c=[[0.5], [0.5]], a=[[[0.5]], [[0.5]]],
-                                b=[[1.0], [1.0]])
-        p = SplitIVP(operators=(MatrixLinearOperator(A1), MatrixLinearOperator(A2)),
-                     initial_state=np.zeros(3), t_span=(0.0, 1.0))
-        u = rng.normal(size=3)
-        dt = 0.1
-        out = ark_step(tab, p, 0.0, dt, u)
-        S = np.linalg.solve(np.eye(3) - 0.5 * dt * (A1 + A2), u)
-        ref = u + dt * (A1 + A2) @ S
-        assert np.max(np.abs(out - ref)) <= 1e-12
 
 
 class TestOrders:
