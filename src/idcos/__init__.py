@@ -15,7 +15,7 @@ from .banded import BandedMatrix
 from .stencils import StencilOperator, build_stencil, fd_weights
 from .pde2d import (CoefficientField, DirectionalDiffusionOperator, Grid2D,
                     PointwiseSourceOperator, SemiDiscreteSystem, adi_pde_step,
-                    pointwise_reaction_solve, write_field_snapshot)
+                    write_field_snapshot)
 from .problems import (PDEProblem, PROBLEM_BUILDERS, example1, example2, example3,
                        fhn, schnakenberg)
 from .stability import (StabilityScan, amplification, amplification_field,

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .banded import BandedMatrix
-from .errors import NewtonError, UsageError
+from .errors import LinearSolveError, NewtonError, UsageError
 from .ode import SplitIVP
 from .steppers import DEFAULT_NEWTON
 from .stencils import build_stencil
@@ -263,10 +263,16 @@ class PointwiseSourceOperator:
     """A source acting node-by-node, solved by vectorized per-node Newton.
 
     ``jacobian(t, U)`` returns ds/du per node: shape (N_y, N_x) for scalar
-    states or (c, c, N_y, N_x) for c components.
+    states or (2, 2, N_y, N_x) for two components, the only counts supported.
+    Each Newton step divides by the pivot 1 - alpha*J, or solves every node's
+    2x2 block I - alpha*J by Cramer's rule on whole fields.  A zero or
+    non-finite pivot or determinant raises ``LinearSolveError`` naming the
+    time and the first such node.
     """
 
     def __init__(self, source, jacobian, components=1):
+        if components not in (1, 2):
+            raise UsageError(f"pointwise sources take 1 or 2 components, not {components!r}")
         self.source = source
         self.source_jacobian = jacobian
         self.components = components
@@ -290,31 +296,23 @@ class PointwiseSourceOperator:
                 return x
             J = np.asarray(self.source_jacobian(t, x))
             if self.components == 1:
-                x = x - r / (1.0 - alpha * J)
-            else:
-                c = self.components
-                A = -alpha * np.transpose(J, (2, 3, 0, 1)).copy()
-                idx = np.arange(c)
-                A[..., idx, idx] += 1.0
-                b = np.moveaxis(r, 0, -1)[..., None]
-                delta = np.linalg.solve(A, b)[..., 0]
-                x = x - np.moveaxis(delta, -1, 0)
+                det, num = 1.0 - alpha * J, r
+            else:  # Cramer's rule on every node's 2x2 block
+                a11, a12 = 1.0 - alpha * J[0, 0], -alpha * J[0, 1]
+                a21, a22 = -alpha * J[1, 0], 1.0 - alpha * J[1, 1]
+                det = a11 * a22 - a12 * a21
+                num = np.stack([a22 * r[0] - a12 * r[1], a11 * r[1] - a21 * r[0]])
+            singular = (det == 0) | ~np.isfinite(det)
+            if singular.any():
+                node = tuple(int(i) for i in np.unravel_index(np.argmax(singular),
+                                                              singular.shape))
+                raise LinearSolveError(
+                    f"singular pointwise Newton block at t={t} node {node}")
+            x = x - num / det
         worst = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(r)), r.shape))
         raise NewtonError(
             f"pointwise Newton stalled at node {worst} (residual {norm:.3e})",
             iterations=newton.max_iters, residual_norm=norm, time=t)
-
-
-def pointwise_reaction_solve(source, jacobian, t, dt, u, scheme="backward-euler",
-                             components=1, newton=DEFAULT_NEWTON):
-    """One implicit sub-step of u' = s(t, u) at every node independently."""
-    op = PointwiseSourceOperator(source, jacobian, components=components)
-    if scheme == "backward-euler":
-        return op.solve_implicit(t + dt, dt, u, guess=u, newton=newton)
-    if scheme == "trapezoid":
-        rhs = u + 0.5 * dt * np.asarray(source(t, u))
-        return op.solve_implicit(t + dt, 0.5 * dt, rhs, guess=u, newton=newton)
-    raise UsageError(f"unknown pointwise scheme {scheme!r}")
 
 
 class SemiDiscreteSystem:
@@ -513,14 +511,13 @@ def _intermediate_x_walls(system, t, dt):
 
 
 def write_field_snapshot(path, grid, field, names=("u",)):
-    """Snapshot CSV: x,y,u[,v] rows, row-major with y as the outer loop."""
-    field = np.asarray(field)
+    """Snapshot CSV: x,y,u[,v] rows of float reprs, y as the outer loop."""
+    field = np.asarray(field, dtype=float)
     if field.ndim == 2:
         field = field[None, :, :]
-    xs, ys = grid.xs, grid.ys
+    xs = [repr(x) for x in grid.xs.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y," + ",".join(names[:field.shape[0]]) + "\n")
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                vals = ",".join(repr(float(field[c, j, i])) for c in range(field.shape[0]))
-                fh.write(f"{float(x)!r},{float(y)!r},{vals}\n")
+        for y, rows in zip(grid.ys.tolist(), field.transpose(1, 0, 2)):
+            cells = [xs, [repr(y)] * len(xs)] + [list(map(repr, r)) for r in rows.tolist()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

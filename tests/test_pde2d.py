@@ -3,13 +3,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from idcos.errors import NewtonError, UsageError
+from idcos.errors import LinearSolveError, NewtonError, UsageError
 from idcos.idc import ErrorProblem, IDCConfig, idc_solve, predict
 from idcos.pde2d import (CoefficientField, DirectionalDiffusionOperator, Grid2D,
                          PointwiseSourceOperator, SemiDiscreteSystem, adi_pde_step,
-                         pointwise_reaction_solve)
+                         write_field_snapshot)
 from idcos.polyint import UniformNodeSet
 from idcos.problems import example1, example2, fhn, schnakenberg
+from idcos.steppers import DEFAULT_NEWTON
 
 QUAD_ROOT = (-1.0 + np.sqrt(1.4)) / 0.2
 
@@ -232,19 +233,45 @@ class TestErrorProblemBC:
             assert np.max(np.abs(x - alpha * op(t, x) - rhs)) <= 1e-10
 
 
+def lapack_step(J, alpha, r):
+    """Per-node np.linalg.solve of (I - alpha*J) d = r, J of shape (2, 2, ...)."""
+    A = np.eye(2) - alpha * np.moveaxis(J, (0, 1), (-2, -1))
+    return np.moveaxis(np.linalg.solve(A, np.moveaxis(r, 0, -1)[..., None])[..., 0], -1, 0)
+
+
+def newton_reference(op, t, alpha, rhs, newton=DEFAULT_NEWTON):
+    """The pointwise Newton loop with each node's block solved by LAPACK."""
+    x = rhs.copy()
+    target = None
+    for _ in range(newton.max_iters):
+        r = x - alpha * op(t, x) - rhs
+        norm = np.max(np.abs(r))
+        if target is None:
+            target = newton.abs_tol + newton.rel_tol * norm
+        if norm <= target:
+            return x
+        x = x - lapack_step(op.source_jacobian(t, x), alpha, r)
+    raise AssertionError("reference Newton did not converge")
+
+
+def linear_source(J):
+    """Source s(u) = J u with a fixed (2, 2, N_y, N_x) per-node Jacobian."""
+    return PointwiseSourceOperator(lambda t, U: np.einsum("ij...,j...->i...", J, U),
+                                   lambda t, U: J, components=2)
+
+
 class TestPointwiseSolve:
     def test_zero_source(self):
         u = np.full((4, 4), 1.5)
-        out = pointwise_reaction_solve(lambda t, x: np.zeros_like(x),
-                                       lambda t, x: np.zeros_like(x),
-                                       0.0, 0.1, u)
+        op = PointwiseSourceOperator(lambda t, x: np.zeros_like(x),
+                                     lambda t, x: np.zeros_like(x))
+        out = op.solve_implicit(0.1, 0.1, u, guess=u)
         assert np.array_equal(out, u)
 
     def test_quadratic_backward_euler(self):
         u = np.ones((3, 5))
-        out = pointwise_reaction_solve(lambda t, x: -x * x,
-                                       lambda t, x: -2.0 * x,
-                                       0.0, 0.1, u)
+        op = PointwiseSourceOperator(lambda t, x: -x * x, lambda t, x: -2.0 * x)
+        out = op.solve_implicit(0.1, 0.1, u, guess=u)
         assert np.allclose(out, QUAD_ROOT, atol=1e-10)
 
     def test_fhn_origin_fixed_point(self):
@@ -257,9 +284,9 @@ class TestPointwiseSolve:
     def test_trapezoid_mode(self):
         lam = -2.0
         u = np.full((2, 2), 1.0)
-        out = pointwise_reaction_solve(lambda t, x: lam * x,
-                                       lambda t, x: np.full_like(x, lam),
-                                       0.0, 0.1, u, scheme="trapezoid")
+        op = PointwiseSourceOperator(lambda t, x: lam * x,
+                                     lambda t, x: np.full_like(x, lam))
+        out = op.solve_implicit(0.1, 0.05, u + 0.05 * lam * u, guess=u)
         ref = (1 + 0.05 * lam) / (1 - 0.05 * lam)
         assert np.allclose(out, ref, atol=1e-13)
 
@@ -285,6 +312,51 @@ class TestPointwiseSolve:
         with pytest.raises(NewtonError) as err:
             op.solve_implicit(0.3, 0.1, np.ones((1, 2)))
         assert err.value.time == 0.3
+
+    def test_closed_form_matches_lapack(self):
+        # a linear source converges in one step to (I - alpha*J)^-1 rhs
+        rng = np.random.default_rng(7)
+        J = rng.normal(size=(2, 2, 6, 5))
+        rhs = rng.normal(size=(2, 6, 5))
+        alpha = 0.1
+        A = np.eye(2) - alpha * np.moveaxis(J, (0, 1), (-2, -1))
+        assert np.max(np.linalg.cond(A)) < 10.0
+        out = linear_source(J).solve_implicit(0.0, alpha, rhs)
+        ref = lapack_step(J, alpha, rhs)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("build, alpha", [(fhn, 0.01), (schnakenberg, 0.001)])
+    def test_reaction_matches_lapack_newton(self, build, alpha):
+        prob = build(N=16)
+        rng = np.random.default_rng(11)
+        rhs = prob.initial + 0.1 * rng.normal(size=prob.initial.shape)
+        op = prob.system.op_source
+        out = op.solve_implicit(0.2, alpha, rhs)
+        ref = newton_reference(op, 0.2, alpha, rhs)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(out - rhs)) > 1e-4
+
+    def test_singular_block_names_node(self):
+        # I - alpha*J is singular at nodes (1, 2) and (2, 0): the first is named
+        J = np.zeros((2, 2, 3, 4))
+        J[0, 0, 1, 2] = J[1, 1, 2, 0] = 2.0
+        with pytest.raises(LinearSolveError, match=r"t=0\.3 node \(1, 2\)$"):
+            linear_source(J).solve_implicit(0.3, 0.5, np.ones((2, 3, 4)))
+
+    def test_zero_scalar_pivot_names_node(self):
+        J = np.zeros((3, 4))
+        J[2, 1] = 2.0
+        op = PointwiseSourceOperator(lambda t, x: J * x, lambda t, x: J)
+        with pytest.raises(LinearSolveError, match=r"t=0\.3 node \(2, 1\)$"):
+            op.solve_implicit(0.3, 0.5, np.ones((3, 4)))
+
+    def test_component_count(self):
+        with pytest.raises(UsageError, match="1 or 2 components"):
+            PointwiseSourceOperator(lambda t, x: x, lambda t, x: x, components=3)
+        grid = Grid2D((0, 1), (0, 1), 8, 8, bc="periodic")
+        with pytest.raises(UsageError, match="1 or 2 components"):
+            SemiDiscreteSystem(grid, (1.0, 1.0, 1.0), order=2, source=lambda t, x: x,
+                               source_jacobian=lambda t, x: x, components=3)
 
 
 class TestMulticomponent:
@@ -318,3 +390,20 @@ class TestIdcOnPde:
             errs.append(np.max(np.abs(out - ref)))
         slope = np.log(errs[0] / errs[-1]) / np.log(4.0)
         assert slope == pytest.approx(4.0, abs=0.5)
+
+
+class TestFieldSnapshot:
+    @pytest.mark.parametrize("shape", [(2, 5, 7), (5, 7)])
+    def test_matches_per_cell_format(self, tmp_path, shape):
+        grid = Grid2D((-0.3, 1.1), (0.7, 2.9), N_x=7, N_y=5)
+        field = np.random.default_rng(5).normal(size=shape) * 10.0 ** np.arange(7)
+        field.flat[3] = 1e-320
+        names = ("u", "v")
+        write_field_snapshot(tmp_path / "out.csv", grid, field, names=names)
+        cells = field if field.ndim == 3 else field[None]
+        lines = ["x,y," + ",".join(names[:len(cells)])]
+        for j, y in enumerate(grid.ys):
+            for i, x in enumerate(grid.xs):
+                vals = ",".join(repr(float(c[j, i])) for c in cells)
+                lines.append(f"{float(x)!r},{float(y)!r},{vals}")
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
