@@ -1,14 +1,13 @@
 """High order time integration: integral deferred correction over operator splitting."""
 
-from .errors import (EvaluationError, LinearSolveError, NewtonError, PoleError,
-                     SolverError, StepperError, UnsupportedSchemeError, UsageError)
+from .errors import (LinearSolveError, NewtonError, PoleError, SolverError,
+                     StepperError, UnsupportedSchemeError, UsageError)
 from .idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_march,
-                  idc_solve, predict, residual_integrals, solve_macro_interval)
+                  idc_solve, predict, solve_macro_interval)
 from .ode import (DiagonalLinearOperator, MatrixLinearOperator, SplitIVP,
-                  Trajectory, ZeroOperator, eval_split_rhs)
-from .polyint import (DifferentiationMatrix, IntegrationMatrix, UniformNodeSet,
-                      differentiation_matrix, integration_matrix, lagrange_eval,
-                      partial_integral, sobolev_norm)
+                  Trajectory, ZeroOperator)
+from .polyint import (IntegrationMatrix, UniformNodeSet, integration_matrix,
+                      lagrange_eval, partial_integral)
 from .steppers import (NewtonConfig, adi_step, get_stepper, lie_trotter_step,
                        newton_solve, strang_step)
 from .banded import BandedMatrix

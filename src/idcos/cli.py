@@ -11,6 +11,7 @@ import sys
 
 from .errors import SolverError, UsageError
 from .harness import RunConfig, run_convergence, run_simulation, run_stability
+from .steppers import STEPPER_ORDERS
 
 _INT_TUPLE_FIELDS = {"corrections", "nt_list", "resolution"}
 _FLOAT_TUPLE_FIELDS = {"snap_times", "re_range", "im_range"}
@@ -58,7 +59,7 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file with a [run] section")
         p.add_argument("--problem")
-        p.add_argument("--scheme", choices=("lie-trotter", "strang", "adi"))
+        p.add_argument("--scheme", choices=tuple(STEPPER_ORDERS))
         p.add_argument("--corrections", help="comma separated, e.g. 0,1,2")
         p.add_argument("--nt", dest="nt_list", help="time step ladder, comma separated")
         p.add_argument("--nt-unit", dest="nt_unit", choices=("substep", "macro"))

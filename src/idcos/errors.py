@@ -9,15 +9,6 @@ class UnsupportedSchemeError(UsageError):
     """Scheme/configuration combination the library deliberately does not support."""
 
 
-class EvaluationError(RuntimeError):
-    """A right-hand-side evaluation produced non-finite values."""
-
-    def __init__(self, message, operator_index=None, time=None):
-        super().__init__(message)
-        self.operator_index = operator_index
-        self.time = time
-
-
 class SolverError(RuntimeError):
     """Base class for failures inside implicit solves and time steppers."""
 

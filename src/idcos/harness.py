@@ -24,8 +24,6 @@ from .problems import PROBLEM_BUILDERS
 from .stability import StabilityScan, scan_region, write_contour_csv, write_field_csv
 from .steppers import STEPPER_ORDERS
 
-SCHEMES = ("lie-trotter", "strang", "adi")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -54,7 +52,7 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in ("convergence", "stability", "simulate"):
             raise UsageError(f"unknown experiment {self.experiment!r}")
-        if self.scheme not in SCHEMES:
+        if self.scheme not in STEPPER_ORDERS:
             raise UsageError(f"unknown scheme {self.scheme!r}")
         if self.problem not in PROBLEM_BUILDERS:
             raise UsageError(f"unknown problem {self.problem!r}")
@@ -139,10 +137,6 @@ class ConvergenceReport:
 
     def orders_for(self, correction):
         return [r[3] for r in self.rows if r[0] == correction and np.isfinite(r[3])]
-
-    def finest_order(self, correction):
-        orders = self.orders_for(correction)
-        return orders[-1] if orders else float("nan")
 
 
 def _float_repr(x):

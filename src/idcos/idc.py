@@ -140,16 +140,6 @@ def predict(problem, nodes, u0, cfg):
                           sweep=0)
 
 
-def residual_integrals(level, problem, mode="interpolant"):
-    """Integrals of the level's residual from t0 to each node t_{m+1}.
-
-    These are the node values of ``ErrorProblem.shift``, the integrals the
-    correction sweeps use.
-    """
-    ep = ErrorProblem(problem, level, residual_mode=mode)
-    return np.stack([ep.shift(t) for t in level.nodes.times[1:]])
-
-
 def _oversampled_rhs(level, problem, n_interior):
     """Total rhs sampled on a finer uniform grid over the macro interval."""
     nodes = level.nodes

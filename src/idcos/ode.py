@@ -7,21 +7,18 @@ additionally provide
 ``solve_implicit(t, alpha, rhs, guess, newton)``
     returning x with  x - alpha*f(t, x) = rhs.  Steppers use this fast path
     when present (direct division for diagonal operators, banded line solves
-    for discretized diffusion); otherwise they fall back to Newton.
-
-``jacobian(t, u)``
-    df/du as a dense matrix on the flattened state, consumed by Newton.
+    for discretized diffusion); otherwise they fall back to Newton with a
+    finite-difference Jacobian.
 
 States are numpy arrays of any shape and any scalar kind; complex states are
 used by the linear stability scans and run through the same code paths.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, PoleError, UsageError
+from .errors import PoleError, UsageError
 
 
 @dataclass(frozen=True)
@@ -31,8 +28,6 @@ class SplitIVP:
     operators: tuple
     initial_state: np.ndarray
     t_span: tuple
-    jacobians: Optional[tuple] = None
-    rhs_total: Optional[Callable] = None
     # optional specialized one-step methods, keyed by scheme name; used by
     # the IDC prediction step (e.g. the factored ADI sweep for linear PDEs)
     predictor_overrides: dict = field(default_factory=dict)
@@ -48,51 +43,17 @@ class SplitIVP:
         t0, t1 = self.t_span
         if not t1 > t0:
             raise UsageError(f"time span must have positive length, got {self.t_span}")
-        if self.jacobians is not None:
-            object.__setattr__(self, "jacobians", tuple(self.jacobians))
-            if len(self.jacobians) != self.num_operators:
-                raise UsageError("need one jacobian entry (or None) per operator")
 
     @property
     def num_operators(self):
         return len(self.operators)
 
     def f_total(self, t, u):
-        """Sum of all operator evaluations (or the user-supplied total)."""
-        if self.rhs_total is not None:
-            return np.asarray(self.rhs_total(t, u))
+        """Sum of all operator evaluations."""
         total = np.asarray(self.operators[0](t, u)).copy()
         for op in self.operators[1:]:
             total = total + op(t, u)
         return total
-
-    def jacobian_for(self, index):
-        """Jacobian evaluator for a 0-based operator index, or None."""
-        if self.jacobians is not None and self.jacobians[index] is not None:
-            return self.jacobians[index]
-        return getattr(self.operators[index], "jacobian", None)
-
-
-def eval_split_rhs(problem, nu, t, u):
-    """Evaluate operator f_nu.  nu is 1-based, matching the f_1..f_L naming.
-
-    Raises UsageError for an out-of-range index and EvaluationError if the
-    operator returns non-finite values.
-    """
-    if not 1 <= nu <= problem.num_operators:
-        raise UsageError(
-            f"operator index {nu} out of range 1..{problem.num_operators}")
-    u = np.asarray(u)
-    if u.shape != problem.initial_state.shape:
-        raise UsageError(
-            f"state shape {u.shape} does not match problem shape "
-            f"{problem.initial_state.shape}")
-    out = np.asarray(problem.operators[nu - 1](t, u))
-    if not np.isfinite(out).all():
-        raise EvaluationError(
-            f"operator {nu} returned non-finite values at t={t}",
-            operator_index=nu, time=t)
-    return out
 
 
 @dataclass(frozen=True)
@@ -124,28 +85,25 @@ class Trajectory:
 class DiagonalLinearOperator:
     """f(t, u) = lam * u with scalar or elementwise (possibly complex) lam.
 
-    The implicit solve is direct division; a vanishing factor 1 - alpha*lam
-    is reported as a pole rather than ground through Newton.
+    The implicit solve is direct division.  A vanishing factor 1 - alpha*lam
+    raises PoleError when ``strict``; otherwise that element comes back inf
+    or nan, which lets a grid of decoupled lambda values be solved in one
+    pass with each pole confined to its own cell.
     """
 
-    def __init__(self, lam):
+    def __init__(self, lam, strict=True):
         self.lam = lam if np.isscalar(lam) else np.asarray(lam)
+        self.strict = strict
 
     def __call__(self, t, u):
         return self.lam * u
 
-    def jacobian(self, t, u):
-        flat = np.ravel(np.asarray(u))
-        lam = np.broadcast_to(self.lam, np.shape(u)) if not np.isscalar(self.lam) else self.lam
-        return np.diag(np.broadcast_to(lam, flat.shape).ravel()) if not np.isscalar(self.lam) \
-            else np.eye(flat.size, dtype=np.result_type(self.lam, flat.dtype)) * self.lam
-
     def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
         factor = 1.0 - alpha * self.lam
-        bad = np.abs(factor) < 1e-300
-        if np.any(bad):
+        if self.strict and np.any(np.abs(factor) < 1e-300):
             raise PoleError(f"implicit factor vanished: 1 - alpha*lam = 0 at alpha={alpha}")
-        return rhs / factor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return rhs / factor
 
 
 class ZeroOperator:
@@ -153,10 +111,6 @@ class ZeroOperator:
 
     def __call__(self, t, u):
         return np.zeros_like(u)
-
-    def jacobian(self, t, u):
-        n = np.asarray(u).size
-        return np.zeros((n, n))
 
     def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
         return np.array(rhs, copy=True)
@@ -170,9 +124,6 @@ class MatrixLinearOperator:
 
     def __call__(self, t, u):
         return self.A @ u
-
-    def jacobian(self, t, u):
-        return self.A
 
     def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
         n = self.A.shape[0]

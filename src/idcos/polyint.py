@@ -1,8 +1,8 @@
-"""Lagrange interpolation, quadrature and differentiation on uniform nodes.
+"""Lagrange interpolation and quadrature on uniform nodes.
 
-Everything here works on M+1 equispaced nodes t_m = t0 + m*h.  Weights are
-generated in exact rational arithmetic and stored as floats, which keeps the
-matrices reproducible and exact on polynomials up to degree M.  Uniform-node
+Everything here works on M+1 equispaced nodes t_m = t0 + m*h.  Quadrature
+weights are generated in exact rational arithmetic and stored as floats, which
+keeps them reproducible and exact on polynomials up to degree M.  Uniform-node
 interpolation degrades quickly beyond moderate M (Runge phenomenon), so M is
 capped at MAX_SUBINTERVALS.
 """
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
-import warnings
 
 import numpy as np
 
@@ -63,15 +62,6 @@ class IntegrationMatrix:
     gamma: np.ndarray
 
 
-@dataclass(frozen=True)
-class DifferentiationMatrix:
-    """D[m,n] = s-th derivative of the n-th cardinal function at node m."""
-
-    M: int
-    order: int
-    D: np.ndarray
-
-
 def _cardinal_coefficients(M):
     """Exact coefficients (ascending powers) of the Lagrange cardinals on 0..M."""
     cards = []
@@ -101,10 +91,6 @@ def _poly_antiderivative(coeffs):
     return [Fraction(0)] + [c / (k + 1) for k, c in enumerate(coeffs)]
 
 
-def _poly_derivative(coeffs):
-    return [c * k for k, c in enumerate(coeffs)][1:]
-
-
 @lru_cache(maxsize=None)
 def _gamma_table(M):
     cards = _cardinal_coefficients(M)
@@ -115,19 +101,6 @@ def _gamma_table(M):
             gamma[m, j] = float(_poly_eval(anti[j], Fraction(m + 1)) / (m + 1))
     gamma.setflags(write=False)
     return gamma
-
-
-@lru_cache(maxsize=None)
-def _derivative_table(M, s):
-    cards = _cardinal_coefficients(M)
-    for _ in range(s):
-        cards = [_poly_derivative(c) for c in cards]
-    D = np.empty((M + 1, M + 1))
-    for m in range(M + 1):
-        for n in range(M + 1):
-            D[m, n] = float(_poly_eval(cards[n], Fraction(m)))
-    D.setflags(write=False)
-    return D
 
 
 @lru_cache(maxsize=None)
@@ -173,16 +146,13 @@ def _cardinal_row(M, tau):
 def lagrange_eval(nodes, values, t):
     """Evaluate the degree-M interpolant of the node values at time t.
 
-    t may lie up to one sub-step outside the node range; that mild
-    extrapolation is allowed but flagged with a warning.
+    t must lie in the node range [t0, t_end]; the interpolant is never
+    extrapolated.
     """
     vals = _stack_values(nodes, values)
     tau = nodes.local(t)
-    if tau < -1.0 - 1e-12 or tau > nodes.M + 1.0 + 1e-12:
-        raise UsageError(
-            f"t={t} is more than one sub-step outside [{nodes.t0}, {nodes.t_end}]")
     if tau < -1e-12 or tau > nodes.M + 1e-12:
-        warnings.warn(f"extrapolating interpolant to t={t}", stacklevel=2)
+        raise UsageError(f"t={t} outside the node range [{nodes.t0}, {nodes.t_end}]")
     row = _cardinal_row(nodes.M, tau)
     return np.tensordot(row, vals, axes=(0, 0))
 
@@ -216,49 +186,3 @@ def partial_integral(nodes, values, t_upper):
     rows = np.stack([_cardinal_row(nodes.M, tau) for tau in taus])
     weights = (0.5 * tau_up * nodes.h) * (gw @ rows)
     return np.tensordot(weights, vals, axes=(0, 0))
-
-
-@lru_cache(maxsize=None)
-def _derivative_coefficients(M):
-    coeffs = np.zeros((M + 1, M + 1))
-    for j, card in enumerate(_cardinal_coefficients(M)):
-        der = _poly_derivative(card)
-        coeffs[j, :len(der)] = [float(c) for c in der]
-    coeffs.setflags(write=False)
-    return coeffs
-
-
-def lagrange_derivative_eval(nodes, values, t):
-    """First derivative of the degree-M interpolant at time t."""
-    vals = _stack_values(nodes, values)
-    tau = nodes.local(t)
-    if tau < -1e-12 or tau > nodes.M + 1e-12:
-        raise UsageError(f"t={t} outside the node range [{nodes.t0}, {nodes.t_end}]")
-    coeffs = _derivative_coefficients(nodes.M)
-    powers = tau ** np.arange(nodes.M + 1)
-    row = (coeffs @ powers) / nodes.h
-    return np.tensordot(row, vals, axes=(0, 0))
-
-
-def differentiation_matrix(nodes, s):
-    """Matrix mapping node values to s-th derivatives of their interpolant."""
-    if not 1 <= s <= nodes.M:
-        raise UsageError(f"derivative order s={s} must satisfy 1 <= s <= M={nodes.M}")
-    D = _derivative_table(nodes.M, s) / nodes.h**s
-    return DifferentiationMatrix(M=nodes.M, order=s, D=D)
-
-
-def sobolev_norm(nodes, values, S):
-    """Discrete Sobolev norm: sum over s=0..S of the max norm of D_s applied to the data.
-
-    The s=0 term is the plain max norm of the data itself.
-    """
-    if not 0 <= S <= nodes.M:
-        raise UsageError(f"smoothness degree S={S} must satisfy 0 <= S <= M={nodes.M}")
-    vals = _stack_values(nodes, values)
-    flat = vals.reshape(nodes.M + 1, -1)
-    total = np.abs(flat).max()
-    for s in range(1, S + 1):
-        D = differentiation_matrix(nodes, s).D
-        total += np.abs(D @ flat).max()
-    return float(total)

@@ -5,48 +5,26 @@ operators (lambda/2 each), integrated over a single macro step of length one.
 The magnitude of u(1) as a function of complex lambda is the amplification
 field; its unit level set bounds the stability region.
 
-The scalar problem is solved with direct division rather than Newton, so a
-whole grid of lambda values can be scanned in one vectorized run.
+The scalar problem is solved by DiagonalLinearOperator's direct division
+rather than Newton, so a whole grid of lambda values can be scanned in one
+vectorized run; in its lenient mode a pole gives inf in its own cell only.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import PoleError, UsageError
+from .errors import StepperError, UsageError
 from .idc import IDCConfig, idc_solve
-from .ode import SplitIVP
+from .ode import DiagonalLinearOperator, SplitIVP
 from .steppers import NewtonConfig
 
 DEFAULT_RESIDUAL_MODE = "oversampled(13)"
 
 
-class _HalfLambdaOperator:
-    """f(t, u) = (lam/2) * u, elementwise over a grid of lambda values.
-
-    In lenient mode a vanishing implicit factor produces inf in that cell
-    instead of aborting the scan; cells never couple, so poles stay local.
-    """
-
-    def __init__(self, lam, strict=True):
-        self.half_lam = 0.5 * np.asarray(lam)
-        self.strict = strict
-
-    def __call__(self, t, u):
-        return self.half_lam * u
-
-    def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
-        factor = 1.0 - alpha * self.half_lam
-        if self.strict and np.any(np.abs(factor) < 1e-300):
-            raise PoleError(
-                f"implicit factor 1 - alpha*lambda/2 vanished at alpha={alpha}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return rhs / factor
-
-
 def _dahlquist_problem(lam, strict=True):
     lam = np.asarray(lam, dtype=complex)
-    op = _HalfLambdaOperator(lam, strict=strict)
+    op = DiagonalLinearOperator(0.5 * lam, strict=strict)
     return SplitIVP(operators=(op, op),
                     initial_state=np.ones_like(lam),
                     t_span=(0.0, 1.0))
@@ -61,7 +39,8 @@ def _config(scheme, corrections, M, residual_mode):
 def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDUAL_MODE):
     """u(1) after one macro step on the split test problem u' = lambda*u.
 
-    Raises PoleError when an implicit stage factor is singular.
+    Raises StepperError, caused by a PoleError, when an implicit stage
+    factor is singular.
     """
     problem = _dahlquist_problem(np.asarray([lam], dtype=complex), strict=True)
     cfg = _config(scheme, corrections, M, residual_mode)
@@ -73,11 +52,13 @@ def amplification_field(lams, scheme, corrections, M=None,
                         residual_mode=DEFAULT_RESIDUAL_MODE):
     """Vectorized |amplification| over an array of lambda values.
 
-    Pole cells come back as inf.
+    Pole cells come back as inf, without a floating-point warning; cells
+    never couple, so a pole stays in its own cell.
     """
     problem = _dahlquist_problem(lams, strict=False)
     cfg = _config(scheme, corrections, M, residual_mode)
-    traj = idc_solve(problem, 1, cfg, keep="final")
+    with np.errstate(invalid="ignore"):  # inf * 0 downstream of a pole cell
+        traj = idc_solve(problem, 1, cfg, keep="final")
     amp = np.abs(traj.final_state)
     amp[~np.isfinite(amp)] = np.inf
     return amp
@@ -98,9 +79,15 @@ class StabilityScan:
     contours: tuple = None
 
     def axes(self):
+        """The re and im sample points; a malformed window raises UsageError."""
+        if len(self.re_range) != 2 or len(self.im_range) != 2:
+            raise UsageError("scan ranges need two values each, got "
+                             f"re {self.re_range} and im {self.im_range}")
+        if len(self.resolution) != 2 or not all(
+                isinstance(n, (int, np.integer)) and n >= 2 for n in self.resolution):
+            raise UsageError("resolution needs two integer sample counts of at least 2, "
+                             f"got {self.resolution}")
         n_re, n_im = self.resolution
-        if n_re < 2 or n_im < 2:
-            raise UsageError("scan needs at least two samples per axis")
         return (np.linspace(*self.re_range, n_re),
                 np.linspace(*self.im_range, n_im))
 
@@ -209,7 +196,7 @@ def stability_boundary_real_axis(scheme, corrections, M=None,
         try:
             amp = abs(amplification(lam, scheme, corrections, M=M,
                                     residual_mode=residual_mode))
-        except PoleError:
+        except StepperError:
             return False
         return amp <= 1.0
 

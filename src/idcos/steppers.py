@@ -40,11 +40,10 @@ def _max_norm(v):
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def fd_jacobian(f, x, f0=None):
+def fd_jacobian(f, x):
     """Forward-difference Jacobian of f at x, on the flattened state."""
     x = np.asarray(x)
-    if f0 is None:
-        f0 = np.asarray(f(x))
+    f0 = np.asarray(f(x))
     flat = x.ravel()
     n = flat.size
     J = np.empty((n, n), dtype=np.result_type(f0.dtype, float))
@@ -59,8 +58,8 @@ def fd_jacobian(f, x, f0=None):
 def newton_solve(residual, jacobian, guess, cfg=DEFAULT_NEWTON):
     """Newton iteration for residual(x) = 0.
 
-    ``jacobian(x)`` must return the residual's Jacobian, either as a dense
-    matrix over the flattened state or as an object with a ``solve`` method.
+    ``jacobian(x)`` must return the residual's Jacobian as a dense matrix
+    over the flattened state.
     Convergence: max-norm of the residual below abs_tol + rel_tol * initial.
     """
     x = np.array(guess, copy=True)
@@ -75,10 +74,7 @@ def newton_solve(residual, jacobian, guess, cfg=DEFAULT_NEWTON):
     for it in range(1, cfg.max_iters + 1):
         J = jacobian(x)
         try:
-            if hasattr(J, "solve"):
-                delta = np.asarray(J.solve(r.ravel())).reshape(x.shape)
-            else:
-                delta = np.linalg.solve(J, r.ravel()).reshape(x.shape)
+            delta = np.linalg.solve(J, r.ravel()).reshape(x.shape)
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(f"singular Jacobian in Newton step {it}") from exc
         x = x - delta
@@ -99,7 +95,7 @@ def solve_substep(problem, index, t, alpha, rhs, guess, newton=DEFAULT_NEWTON):
     """Solve  x - alpha*f_index(t, x) = rhs  (index is 0-based).
 
     Uses the operator's own implicit solver when available, otherwise Newton
-    with the supplied (or finite-difference) Jacobian.
+    with a finite-difference Jacobian.
     """
     op = problem.operators[index]
     solver = getattr(op, "solve_implicit", None)
@@ -109,13 +105,8 @@ def solve_substep(problem, index, t, alpha, rhs, guess, newton=DEFAULT_NEWTON):
     def residual(x):
         return x - alpha * np.asarray(op(t, x)) - rhs
 
-    jac_f = problem.jacobian_for(index)
-
     def jacobian(x):
-        if jac_f is not None:
-            Jf = np.asarray(jac_f(t, x))
-        else:
-            Jf = fd_jacobian(lambda y: np.asarray(op(t, y)), x)
+        Jf = fd_jacobian(lambda y: np.asarray(op(t, y)), x)
         return np.eye(Jf.shape[0], dtype=Jf.dtype) - alpha * Jf
 
     try:

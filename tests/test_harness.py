@@ -9,7 +9,7 @@ import pytest
 
 from idcos import harness
 from idcos.cli import main
-from idcos.errors import SolverError
+from idcos.errors import SolverError, UsageError
 from idcos.harness import RunConfig, run_convergence, run_simulation, run_stability
 from idcos.pde2d import write_field_snapshot
 from idcos.problems import fhn
@@ -130,6 +130,13 @@ class TestCli:
         assert main(["convergence", "--problem", "nope",
                      "--out", str(tmp_path)]) == 2
 
+    def test_unknown_scheme(self, tmp_path):
+        with pytest.raises(UsageError):
+            RunConfig(scheme="euler")
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--scheme", "euler", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_snapshot_not_multiple_of_dt(self, tmp_path):
         assert main(["simulate", "--problem", "fhn", "--grid", "8",
                      "--corrections", "0", "--dt", "0.005",
@@ -155,3 +162,12 @@ class TestCli:
         ini.write_text("[run]\nproblem = example1\nresidual_split = argument\n")
         assert main(["convergence", "--config", str(ini),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--re-range=-2", "--resolution", "11,11"],
+        ["--re-range=-2,1,5"],
+        ["--resolution", "11,11,3"]], ids=["one-bound", "three-bounds", "three-counts"])
+    def test_malformed_scan_window(self, tmp_path, flags):
+        assert main(["stability", "--scheme", "strang", "--corrections", "0",
+                     *flags, "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))

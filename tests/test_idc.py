@@ -7,7 +7,7 @@ import pytest
 
 from idcos.errors import StepperError, UsageError
 from idcos.idc import (ErrorProblem, IDCConfig, correct_once, idc_march, idc_solve,
-                       predict, residual_integrals, solve_macro_interval)
+                       predict, solve_macro_interval)
 from idcos.ode import DiagonalLinearOperator, SplitIVP, ZeroOperator
 from idcos.polyint import UniformNodeSet
 from idcos.steppers import NewtonConfig
@@ -29,6 +29,12 @@ def polynomial_problem(dtype=float):
 
     return SplitIVP(operators=(f1, f1), initial_state=np.array(1.0, dtype=dtype),
                     t_span=(0.0, 1.0))
+
+
+def residual_integrals(level, problem, mode="interpolant"):
+    """Integrals of the level's residual from t0 to each node t_{m+1}."""
+    ep = ErrorProblem(problem, level, residual_mode=mode)
+    return np.stack([ep.shift(t) for t in level.nodes.times[1:]])
 
 
 def global_slope(problem, cfg, macro_counts, exact):
@@ -255,8 +261,7 @@ class TestIdcSolve:
             return u * np.inf
 
         p = SplitIVP(operators=(bad, ZeroOperator()), initial_state=np.array(1.0),
-                     t_span=(0.0, 1.0),
-                     jacobians=(lambda t, u: np.array([[0.0]]), None))
+                     t_span=(0.0, 1.0))
         cfg = IDCConfig(corrections=0, predictor="lie-trotter", M=2,
                         newton=NewtonConfig(max_iters=3))
         with pytest.raises(StepperError) as err:
