@@ -58,6 +58,8 @@ class RunConfig:
             raise UsageError(f"unknown problem {self.problem!r}")
         if self.nt_unit not in (None, "substep", "macro"):
             raise UsageError(f"unknown nt unit {self.nt_unit!r}")
+        if self.M is not None and self.M < 1:
+            raise UsageError(f"need at least one sub-interval, got M={self.M}")
 
     @property
     def name(self):
@@ -192,6 +194,8 @@ def run_convergence(cfg):
     cfg = with_table_defaults(cfg)
     if not cfg.nt_list:
         raise UsageError("convergence runs need an N_t ladder")
+    if cfg.end_time is None:
+        raise UsageError(f"no end time for {cfg.problem} {cfg.scheme}; set --end-time")
     t_start = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
     prob = _build_problem(cfg)
@@ -205,7 +209,7 @@ def run_convergence(cfg):
         target = STEPPER_ORDERS[cfg.scheme] * (1 + cs)
         nts = tuple(cfg.nt_list)
         run_nts = nts if metric == "exact" else (nts[0] // 2,) + nts
-        M = cfg.M or pick_subintervals(target, run_nts, nt_unit)
+        M = cfg.M if cfg.M is not None else pick_subintervals(target, run_nts, nt_unit)
         idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
                             residual_mode=cfg.residual_mode or "interpolant")
         ivp = prob.split_ivp(T)
@@ -315,7 +319,7 @@ def run_simulation(cfg):
     prob = _build_problem(cfg)
     cs = cfg.corrections[0] if cfg.corrections else 0
     target = STEPPER_ORDERS[cfg.scheme] * (1 + cs)
-    M = cfg.M or (1 if cs == 0 else max(target, 3))
+    M = cfg.M if cfg.M is not None else (1 if cs == 0 else max(target, 3))
     idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
                         residual_mode=cfg.residual_mode or "interpolant")
     artifacts = {}

@@ -91,33 +91,19 @@ class IDCConfig:
 
 @dataclass(frozen=True)
 class IDCLevelResult:
-    """Node values and cached operator evaluations of one level."""
+    """Node values of one level; a sweep reading it evaluates f there itself."""
 
     nodes: UniformNodeSet
     values: np.ndarray       # (M+1, *state shape)
-    rhs_values: np.ndarray   # (num_operators, M+1, *state shape)
-    sweep: int = 0
 
     @property
     def final_state(self):
         return self.values[-1]
 
-    def total_rhs(self):
-        return self.rhs_values.sum(axis=0)
-
 
 def _cache_rhs(problem, nodes, values):
-    times = nodes.times
-    rows = []
-    for op in problem.operators:
-        rows.append(np.stack([np.asarray(op(times[m], values[m]))
-                              for m in range(nodes.M + 1)]))
-    return np.stack(rows)
-
-
-def _resolve_predictor(problem, cfg):
-    override = problem.predictor_overrides.get(cfg.predictor)
-    return override if override is not None else get_stepper(cfg.predictor)
+    """Total rhs f(t_m, values[m]) at every node, shape (M+1, *state shape)."""
+    return np.stack([problem.f_total(t, u) for t, u in zip(nodes.times, values)])
 
 
 def predict(problem, nodes, u0, cfg):
@@ -125,7 +111,8 @@ def predict(problem, nodes, u0, cfg):
     u0 = np.asarray(u0)
     if not np.isfinite(u0).all():
         raise UsageError("initial value contains non-finite entries")
-    stepper = _resolve_predictor(problem, cfg)
+    override = problem.predictor_overrides.get(cfg.predictor)
+    stepper = override if override is not None else get_stepper(cfg.predictor)
     times = nodes.times
     values = [u0]
     for m in range(nodes.M):
@@ -135,9 +122,7 @@ def predict(problem, nodes, u0, cfg):
         except SolverError as exc:
             raise StepperError(f"prediction failed on sub-interval {m}: {exc}",
                                node=m, time=times[m], sweep=0) from exc
-    return IDCLevelResult(nodes=nodes, values=np.stack(values),
-                          rhs_values=_cache_rhs(problem, nodes, np.stack(values)),
-                          sweep=0)
+    return IDCLevelResult(nodes=nodes, values=np.stack(values))
 
 
 def _oversampled_rhs(level, problem, n_interior):
@@ -191,7 +176,12 @@ class _CorrectionOperator:
 
 
 class ErrorProblem:
-    """The error equation of one correction sweep, posed as a split IVP."""
+    """The error equation of one correction sweep, posed as a split IVP.
+
+    The residual quadrature reads f at the level's nodes ('interpolant') or,
+    through its interpolant, on a finer grid ('oversampled(N)'), evaluated
+    here: this sweep is the only reader.
+    """
 
     def __init__(self, problem, level, residual_mode="interpolant"):
         kind, n_over = parse_residual_mode(residual_mode)
@@ -203,7 +193,8 @@ class ErrorProblem:
         if kind == "oversampled":
             self._quad_nodes, self._quad_values = _oversampled_rhs(level, problem, n_over)
         else:
-            self._quad_nodes, self._quad_values = level.nodes, level.total_rhs()
+            self._quad_nodes = level.nodes
+            self._quad_values = _cache_rhs(problem, level.nodes, level.values)
         ops = tuple(_CorrectionOperator(self, nu)
                     for nu in range(problem.num_operators))
         self.ivp = SplitIVP(operators=ops,
@@ -253,9 +244,7 @@ def correct_once(problem, level, sweep_index, cfg):
                 node=m, time=times[m], sweep=sweep_index) from exc
         deltas.append(w - ep.shift(times[m + 1]))
     values = level.values + np.stack(deltas)
-    return IDCLevelResult(nodes=nodes, values=values,
-                          rhs_values=_cache_rhs(problem, nodes, values),
-                          sweep=sweep_index)
+    return IDCLevelResult(nodes=nodes, values=values)
 
 
 def solve_macro_interval(problem, nodes, u0, cfg):

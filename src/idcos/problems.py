@@ -108,11 +108,13 @@ def fhn(N=200, order=6, D_u=1.0, D_v=0.0, a=0.1, C=1.0, d=0.5, delta=0.005):
         return np.stack([h / delta, u - d * v])
 
     def source_jacobian(t, U):
-        u, v = U
-        dh_du = C * (-3.0 * u * u + 2.0 * (1.0 + a) * u - a) / delta
-        dh_dv = np.full_like(u, -1.0 / delta)
-        ones = np.ones_like(u)
-        return np.array([[dh_du, dh_dv], [ones, -d * ones]])
+        u = U[0]
+        J = np.empty((2, 2) + u.shape, dtype=np.result_type(U, 1.0))
+        J[0, 0] = C * (-3.0 * u * u + 2.0 * (1.0 + a) * u - a) / delta
+        J[0, 1] = -1.0 / delta
+        J[1, 0] = 1.0
+        J[1, 1] = -d
+        return J
 
     system = SemiDiscreteSystem(grid, (D_u, D_v), order=order,
                                 source=source, source_jacobian=source_jacobian,
@@ -144,9 +146,12 @@ def schnakenberg(N=200, order=6, kappa=100.0, a=0.1305, b=0.7695,
 
     def source_jacobian(t, U):
         Ca, Ci = U
-        return np.array([
-            [kappa * (-1.0 + 2.0 * Ca * Ci), kappa * Ca * Ca],
-            [-2.0 * kappa * Ca * Ci, -kappa * Ca * Ca]])
+        J = np.empty((2, 2) + Ca.shape, dtype=np.result_type(U, 1.0))
+        J[0, 0] = kappa * (-1.0 + 2.0 * Ca * Ci)
+        J[0, 1] = kappa * Ca * Ca
+        J[1, 0] = -2.0 * kappa * Ca * Ci
+        J[1, 1] = -J[0, 1]
+        return J
 
     system = SemiDiscreteSystem(grid, (D1, D2), order=order,
                                 source=source, source_jacobian=source_jacobian,

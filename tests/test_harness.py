@@ -137,6 +137,25 @@ class TestCli:
             main(["convergence", "--scheme", "euler", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    def test_missing_end_time(self, tmp_path):
+        # fhn has no Strang convergence table to take an end time from
+        assert main(["convergence", "--problem", "fhn", "--scheme", "strang",
+                     "--grid", "8", "--nt", "2,4", "--corrections", "0",
+                     "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("M", ["0", "-2"])
+    @pytest.mark.parametrize("flags", [
+        ["convergence", "--nt", "2,4"],
+        ["simulate", "--dt", "0.01", "--snap-times", "0.02"]],
+        ids=["convergence", "simulate"])
+    def test_sub_intervals_below_one(self, tmp_path, recwarn, flags, M):
+        assert main([*flags, "--problem", "example1", "--scheme", "adi",
+                     "--grid", "8", "--corrections", "0", "--sub-intervals", M,
+                     "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
+        assert not recwarn.list
+
     def test_snapshot_not_multiple_of_dt(self, tmp_path):
         assert main(["simulate", "--problem", "fhn", "--grid", "8",
                      "--corrections", "0", "--dt", "0.005",

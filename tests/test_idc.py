@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from idcos.errors import StepperError, UsageError
-from idcos.idc import (ErrorProblem, IDCConfig, correct_once, idc_march, idc_solve,
-                       predict, solve_macro_interval)
+from idcos import idc
+from idcos.idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_march,
+                       idc_solve, predict, solve_macro_interval)
 from idcos.ode import DiagonalLinearOperator, SplitIVP, ZeroOperator
 from idcos.polyint import UniformNodeSet
 from idcos.steppers import NewtonConfig
@@ -88,21 +89,13 @@ class TestPredict:
         ref = lie_trotter_step(p, 0.0, 0.2, np.array(1.0))
         assert level.values[1] == pytest.approx(float(ref), rel=1e-14)
 
-    def test_rhs_cache_shape(self):
-        p = scalar_problem()
-        nodes = UniformNodeSet(t0=0.0, h=0.1, M=3)
-        level = predict(p, nodes, np.array(1.0), IDCConfig())
-        assert level.rhs_values.shape == (2, 4)
-
 
 class TestResidualIntegrals:
     def test_exact_polynomial_solution(self):
         p = polynomial_problem()
         nodes = UniformNodeSet(t0=0.0, h=0.25, M=3)
         values = nodes.times ** 3 + 1.0
-        from idcos.idc import IDCLevelResult, _cache_rhs
-        level = IDCLevelResult(nodes=nodes, values=values,
-                               rhs_values=_cache_rhs(p, nodes, values))
+        level = IDCLevelResult(nodes=nodes, values=values)
         res = residual_integrals(level, p)
         assert np.max(np.abs(res)) <= 1e-12
 
@@ -111,9 +104,7 @@ class TestResidualIntegrals:
                      t_span=(0.0, 1.0))
         nodes = UniformNodeSet(t0=0.0, h=0.5, M=2)
         values = np.full(3, 4.0)
-        from idcos.idc import IDCLevelResult, _cache_rhs
-        level = IDCLevelResult(nodes=nodes, values=values,
-                               rhs_values=_cache_rhs(p, nodes, values))
+        level = IDCLevelResult(nodes=nodes, values=values)
         assert np.max(np.abs(residual_integrals(level, p))) == 0.0
 
     def test_unit_rhs_linear_values(self):
@@ -121,18 +112,14 @@ class TestResidualIntegrals:
                      initial_state=np.array(0.0), t_span=(0.0, 1.0))
         nodes = UniformNodeSet(t0=0.0, h=0.5, M=2)
         values = nodes.times.copy()
-        from idcos.idc import IDCLevelResult, _cache_rhs
-        level = IDCLevelResult(nodes=nodes, values=values,
-                               rhs_values=_cache_rhs(p, nodes, values))
+        level = IDCLevelResult(nodes=nodes, values=values)
         assert np.max(np.abs(residual_integrals(level, p))) <= 1e-14
 
     def test_oversampled_agrees_on_polynomials(self):
         p = polynomial_problem()
         nodes = UniformNodeSet(t0=0.0, h=0.25, M=3)
         values = nodes.times ** 3 + 1.0
-        from idcos.idc import IDCLevelResult, _cache_rhs
-        level = IDCLevelResult(nodes=nodes, values=values,
-                               rhs_values=_cache_rhs(p, nodes, values))
+        level = IDCLevelResult(nodes=nodes, values=values)
         a = residual_integrals(level, p, mode="interpolant")
         b = residual_integrals(level, p, mode="oversampled(13)")
         assert np.max(np.abs(a - b)) <= 1e-12
@@ -143,9 +130,7 @@ class TestCorrectOnce:
         p = polynomial_problem()
         nodes = UniformNodeSet(t0=0.0, h=0.25, M=3)
         values = nodes.times ** 3 + 1.0
-        from idcos.idc import IDCLevelResult, _cache_rhs
-        level = IDCLevelResult(nodes=nodes, values=values,
-                               rhs_values=_cache_rhs(p, nodes, values))
+        level = IDCLevelResult(nodes=nodes, values=values)
         out = correct_once(p, level, 1, IDCConfig(corrections=1))
         assert np.max(np.abs(out.values - values)) <= 1e-12
 
@@ -270,6 +255,60 @@ class TestIdcSolve:
         assert err.value.macro_step == 0
         assert err.value.node == 0
         assert err.value.sweep == 0
+
+
+class CountingOperator(DiagonalLinearOperator):
+    """lam * u, counting evaluations; implicit solves do not evaluate."""
+
+    def __init__(self, lam):
+        super().__init__(lam)
+        self.calls = 0
+
+    def __call__(self, t, u):
+        self.calls += 1
+        return super().__call__(t, u)
+
+
+class TestNodeRhs:
+    """f is evaluated at a level's nodes only by the sweep that reads it."""
+
+    @pytest.fixture
+    def node_rhs_levels(self, monkeypatch):
+        levels = []
+        cache_rhs = idc._cache_rhs
+
+        def recording(problem, nodes, values):
+            levels.append(np.array(values))
+            return cache_rhs(problem, nodes, values)
+
+        monkeypatch.setattr(idc, "_cache_rhs", recording)
+        return levels
+
+    def problem(self):
+        ops = (CountingOperator(-0.4), CountingOperator(-0.9))
+        return SplitIVP(operators=ops, initial_state=np.array(1.0), t_span=(0.0, 1.0))
+
+    def test_prediction_only_evaluates_nothing(self, node_rhs_levels):
+        p = self.problem()
+        idc_solve(p, 3, IDCConfig(corrections=0, predictor="lie-trotter", M=3))
+        assert [op.calls for op in p.operators] == [0, 0]
+        assert node_rhs_levels == []
+
+    def test_one_correction_reads_prediction_level_once(self, node_rhs_levels):
+        p = self.problem()
+        cfg = IDCConfig(corrections=1, predictor="lie-trotter", M=3)
+        steps = list(idc_march(p, 3, cfg))
+        assert len(node_rhs_levels) == 3
+        u = p.initial_state
+        for (nodes, level), seen in zip(steps, node_rhs_levels):
+            assert np.array_equal(seen, predict(p, nodes, u, cfg).values)
+            u = level.final_state
+
+    def test_oversampled_never_evaluates_nodes(self, node_rhs_levels):
+        p = self.problem()
+        idc_solve(p, 3, IDCConfig(corrections=2, predictor="lie-trotter", M=3,
+                                  residual_mode="oversampled(3)"))
+        assert node_rhs_levels == []
 
 
 class TestErrorProblem:
