@@ -189,7 +189,9 @@ def run_convergence(cfg):
 
     Problems with an exact solution use the max-norm error at the end time;
     the periodic variable-coefficient problem uses the successive-refinement
-    difference, which needs each N_t/2 run as its reference.
+    difference, which needs each N_t/2 run as its reference, so its N_t must
+    be even.  Every rung, references included, is checked before the first
+    solve.
     """
     cfg = with_table_defaults(cfg)
     if not cfg.nt_list:
@@ -197,29 +199,36 @@ def run_convergence(cfg):
     if cfg.end_time is None:
         raise UsageError(f"no end time for {cfg.problem} {cfg.scheme}; set --end-time")
     t_start = time.perf_counter()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     prob = _build_problem(cfg)
     metric = "exact" if prob.exact is not None else "self"
     nt_unit = cfg.nt_unit or default_nt_unit(cfg.scheme)
+    nts = tuple(cfg.nt_list)
+    if metric == "self" and any(nt % 2 for nt in nts):
+        raise UsageError(f"the self metric reads N_t against N_t/2; N_t={list(nts)} must be even")
+    run_nts = nts if metric == "exact" else tuple(sorted(set(nts) | {nt // 2 for nt in nts}))
+    plan = []
+    for cs in cfg.corrections:
+        target = STEPPER_ORDERS[cfg.scheme] * (1 + cs)
+        M = cfg.M if cfg.M is not None else pick_subintervals(target, run_nts, nt_unit)
+        unit = M if nt_unit == "substep" else 1
+        for nt in run_nts:
+            if nt < unit or nt % unit:
+                raise UsageError(f"N_t={nt} ({nt_unit} unit) is no positive whole "
+                                 f"number of macro steps of M={M}")
+        plan.append((cs, M, unit))
+    os.makedirs(cfg.out_dir, exist_ok=True)
     T = cfg.end_time
     exact = prob.exact(T) if metric == "exact" else None
     rows = []
     failures = []
-    for cs in cfg.corrections:
-        target = STEPPER_ORDERS[cfg.scheme] * (1 + cs)
-        nts = tuple(cfg.nt_list)
-        run_nts = nts if metric == "exact" else (nts[0] // 2,) + nts
-        M = cfg.M if cfg.M is not None else pick_subintervals(target, run_nts, nt_unit)
+    for cs, M, unit in plan:
         idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
                             residual_mode=cfg.residual_mode or "interpolant")
         ivp = prob.split_ivp(T)
         finals = {}
         for nt in run_nts:
-            macros = nt // M if nt_unit == "substep" else nt
-            if nt_unit == "substep" and nt % M:
-                raise UsageError(f"N_t={nt} not divisible by M={M}")
             try:
-                final = idc_solve(ivp, macros, idc_cfg, keep="final").final_state
+                final = idc_solve(ivp, nt // unit, idc_cfg, keep="final").final_state
                 if not np.isfinite(final).all():
                     failures.append(f"cs={cs} Nt={nt}: non-finite solution")
                     final = None
@@ -230,8 +239,8 @@ def run_convergence(cfg):
         prev_err = None
         prev_nt = None
         for nt in nts:
-            ref = exact if metric == "exact" else finals.get(nt // 2)
-            cur = finals.get(nt)
+            ref = exact if metric == "exact" else finals[nt // 2]
+            cur = finals[nt]
             if cur is None or ref is None or not np.isfinite(cur).all():
                 err = float("nan")
             else:

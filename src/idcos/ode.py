@@ -28,11 +28,12 @@ class SplitIVP:
     operators: tuple
     initial_state: np.ndarray
     t_span: tuple
-    # optional specialized one-step methods, keyed by scheme name; used by
-    # the IDC prediction step (e.g. the factored ADI sweep for linear PDEs)
+    # optional specialized one-step methods, keyed by scheme name, used by
+    # the IDC prediction step; only the linear PDE's ADI sweep has one
     predictor_overrides: dict = field(default_factory=dict)
     # optional specialized correction sub-steps, keyed by scheme name, with
-    # signature (error_problem, t, h, w, newton) -> w_next
+    # signature (error_problem, t, h, w, newton) -> w_next; only the linear
+    # PDE's factored ADI correction has one, other schemes run their stepper
     corrector_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):

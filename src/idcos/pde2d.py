@@ -216,7 +216,7 @@ class DirectionalDiffusionOperator:
             self._solvers[key] = solver
         return solver
 
-    def solve_homogeneous(self, t, alpha, rhs, guess=None, newton=None):
+    def solve_homogeneous(self, t, alpha, rhs):
         """Solve (I - alpha*L) X = rhs with no boundary terms."""
         solver = self._solver(alpha)
         if self.axis == "x":
@@ -248,7 +248,7 @@ class ComponentWiseOperator:
                          else op.apply_homogeneous(t, U[c])
                          for c, op in enumerate(self.ops)])
 
-    def solve_homogeneous(self, t, alpha, rhs, guess=None, newton=None):
+    def solve_homogeneous(self, t, alpha, rhs):
         return np.stack([rhs[c].copy() if op is None
                          else op.solve_homogeneous(t, alpha, rhs[c])
                          for c, op in enumerate(self.ops)])
@@ -374,11 +374,14 @@ class SemiDiscreteSystem:
     def split_ivp(self, initial_field, t_span):
         """Expose the semi-discrete system as a split IVP.
 
-        Linear scalar problems register the factored alternating-direction
-        sweep as the prediction-time 'adi' stepper.  Its x-sweep takes the
-        Peaceman-Rachford intermediate wall values, not wall values at a
-        step endpoint, so the boundary data enter consistently with
-        Crank-Nicolson (see ``adi_pde_step``).
+        Lie-Trotter and Strang run their generic steppers, correcting with
+        the residual integral at node values (``ErrorProblem.nodal_shift``).
+        Only ADI on linear scalar problems has overrides.  Its prediction
+        sweep takes the Peaceman-Rachford intermediate wall values, so the
+        boundary data enter consistently with Crank-Nicolson (see
+        ``adi_pde_step``).  Its factored correction gives other numbers than
+        the generic ADI corrector, and the benchmark's ADI ladders, blow-up
+        fixture and tracer are built on both overrides.
         """
         initial_field = np.asarray(initial_field, dtype=float)
         if initial_field.shape != self.state_shape:
@@ -386,7 +389,7 @@ class SemiDiscreteSystem:
                 f"initial field shape {initial_field.shape} does not match "
                 f"{self.state_shape}")
         overrides = {}
-        corrector_overrides = {"strang": self._stage_safe_strang_correction}
+        corrector_overrides = {}
         if self.op_source is None and self.components == 1:
             overrides["adi"] = lambda problem, t, dt, u, newton=None: \
                 adi_pde_step(self, t, dt, u)
@@ -394,41 +397,6 @@ class SemiDiscreteSystem:
         return SplitIVP(operators=self.operators(), initial_state=initial_field,
                         t_span=t_span, predictor_overrides=overrides,
                         corrector_overrides=corrector_overrides)
-
-    def _stage_safe_strang_correction(self, ep, t, h, w, newton):
-        """Palindromic correction sub-step evaluating the residual integral
-        at node values only.
-
-        The half-stage value of the residual integral is taken as the average
-        of the adjacent node values instead of the interpolant: stiff modes
-        oscillate from node to node after an implicit-trapezoid prediction,
-        and interpolating them to mid-cell amplifies the oscillation by the
-        binomial growth of the cardinal functions.  The averaging keeps the
-        corrector's order while restoring its practical stability on
-        semi-discrete diffusion.
-        """
-        th, t1 = t + 0.5 * h, t + h
-        I_m = ep.shift(t)
-        I_p = ep.shift(t1)
-        I_h = 0.5 * (I_m + I_p)
-
-        def trap(op, I_a, I_b, ta, tb, w):
-            beta = 0.5 * (tb - ta)
-            rhs = w + beta * op.apply_homogeneous(ta, w - I_a - I_b)
-            return op.solve_homogeneous(tb, beta, rhs)
-
-        w = trap(self.op_x, I_m, I_h, t, th, w)
-        w = trap(self.op_y, I_h, I_p, th, t1, w)
-        if self.op_source is not None:
-            # middle full-cell trapezoid runs node-to-node; the generic wrapped
-            # operator only touches node values here
-            op3 = ep.ivp.operators[2]
-            half = 0.5 * h
-            rhs = w + half * np.asarray(op3(t, w))
-            w = op3.solve_implicit(t1, half, rhs, guess=w, newton=newton)
-        w = trap(self.op_y, I_m, I_h, t, th, w)
-        w = trap(self.op_x, I_h, I_p, th, t1, w)
-        return w
 
     def _factored_adi_correction(self, ep, t, h, w, newton):
         """Factored node-value sweep for the linear error equation.

@@ -52,6 +52,31 @@ class TestRunConvergence:
         assert info["metric"] == "exact"
 
 
+    def test_self_metric_runs_every_half_rung(self, tmp_path):
+        # 12's reference, Nt=6, is not on the ladder and not its first half
+        cfg = RunConfig(problem="example2", scheme="strang", grid_n=12,
+                        nt_list=(8, 12, 16), corrections=(0,), end_time=0.01,
+                        out_dir=str(tmp_path))
+        report = run_convergence(cfg)
+        assert report.metric == "self"
+        assert [r[1] for r in report.rows] == [8, 12, 16]
+        assert all(np.isfinite(r[2]) and r[2] > 0 for r in report.rows)
+        assert all(np.isfinite(r[3]) for r in report.rows[1:])
+        assert manifest(tmp_path, cfg.name)["failures"] == []
+
+
+def counting_solves(monkeypatch):
+    calls = []
+    solve = harness.idc_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "idc_solve", counted)
+    return calls
+
+
 class TestRunSimulation:
     def test_fhn_snapshot(self, tmp_path):
         cfg = RunConfig(experiment="simulate", problem="fhn", grid_n=8,
@@ -155,6 +180,32 @@ class TestCli:
                      "--out", str(tmp_path)]) == 2
         assert not list(tmp_path.iterdir())
         assert not recwarn.list
+
+    def test_bad_rung_stops_before_any_solve(self, tmp_path, monkeypatch):
+        # M=2 divides 4 and 6, not 3
+        calls = counting_solves(monkeypatch)
+        assert main(["convergence", "--problem", "example1", "--scheme", "lie-trotter",
+                     "--grid", "8", "--nt", "4,6,3", "--corrections", "0,1",
+                     "--nt-unit", "substep", "--sub-intervals", "2",
+                     "--end-time", "0.01", "--out", str(tmp_path)]) == 2
+        assert calls == []
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_odd_rung_under_self_metric(self, tmp_path, monkeypatch):
+        calls = counting_solves(monkeypatch)
+        assert main(["convergence", "--problem", "example2", "--scheme", "strang",
+                     "--grid", "12", "--nt", "8,9,16", "--corrections", "0",
+                     "--end-time", "0.01", "--out", str(tmp_path)]) == 2
+        assert calls == []
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_doubling_self_ladder_rungs(self, tmp_path, monkeypatch):
+        # the reference rung below the ladder and no other extra run
+        calls = counting_solves(monkeypatch)
+        assert main(["convergence", "--problem", "example2", "--scheme", "adi",
+                     "--grid", "8", "--nt", "4,8,16", "--corrections", "0",
+                     "--end-time", "0.01", "--out", str(tmp_path)]) == 0
+        assert calls == [2, 4, 8, 16]
 
     def test_snapshot_not_multiple_of_dt(self, tmp_path):
         assert main(["simulate", "--problem", "fhn", "--grid", "8",

@@ -319,6 +319,25 @@ class TestErrorProblem:
         ep = ErrorProblem(p, level)
         assert np.max(np.abs(ep.shift(nodes.t0))) == 0.0
 
+    def test_nodal_shift(self):
+        # the node values of shift, joined linearly between nodes
+        p = scalar_problem(lams=(np.array([-0.5, -3.0]), np.array([-2.0, -0.1])),
+                           u0=np.array([1.0, 2.0]))
+        nodes = UniformNodeSet(t0=0.0, h=0.2, M=3)
+        level = predict(p, nodes, np.array([1.0, 2.0]), IDCConfig())
+        ep = ErrorProblem(p, level)
+        times = nodes.times
+        for t in times:
+            assert np.array_equal(ep.nodal_shift(t), ep.shift(t))
+        for m in range(nodes.M):
+            lo, hi = ep.shift(times[m]), ep.shift(times[m + 1])
+            mid = times[m] + 0.5 * nodes.h
+            assert np.allclose(ep.nodal_shift(mid), 0.5 * (lo + hi), rtol=0, atol=1e-15)
+            assert not np.allclose(ep.nodal_shift(mid), ep.shift(mid), rtol=0, atol=1e-12)
+            for theta in (0.1, 0.3, 0.75, 0.9):
+                assert np.allclose(ep.nodal_shift(times[m] + theta * nodes.h),
+                                   (1 - theta) * lo + theta * hi, rtol=0, atol=1e-15)
+
     def test_freed_without_cyclic_collector(self):
         # the sweep's caches go with the problem, not at the next gc pass
         p = scalar_problem()

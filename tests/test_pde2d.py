@@ -9,7 +9,7 @@ from idcos.pde2d import (CoefficientField, DirectionalDiffusionOperator, Grid2D,
                          PointwiseSourceOperator, SemiDiscreteSystem, adi_pde_step,
                          write_field_snapshot)
 from idcos.polyint import UniformNodeSet
-from idcos.problems import example1, example2, fhn, schnakenberg
+from idcos.problems import example1, example2, example3, fhn, schnakenberg
 from idcos.steppers import DEFAULT_NEWTON
 
 QUAD_ROOT = (-1.0 + np.sqrt(1.4)) / 0.2
@@ -204,13 +204,13 @@ def adi_error_problem(prob, T=0.1, M=3):
 
 class TestErrorProblemBC:
     def test_dirichlet_contributions_zeroed(self):
-        # G(t, Q) vanishes at Q = shift(t): no wall term leaks into the
-        # error equation, at node times or between them
+        # G(t, Q) vanishes at Q = nodal_shift(t): no wall term leaks into
+        # the error equation, at node times or between them
         ep = adi_error_problem(example1(N=10))
         nodes = ep.level.nodes
         for t in (*nodes.times, nodes.t0 + 0.5 * nodes.h):
             for op in ep.ivp.operators:
-                assert np.max(np.abs(op(t, ep.shift(t)))) == 0.0
+                assert np.max(np.abs(op(t, ep.nodal_shift(t)))) == 0.0
 
     def test_homogeneous_variant_matches_linear_action(self):
         prob = example1(N=10)
@@ -231,6 +231,16 @@ class TestErrorProblemBC:
         for op in ep.ivp.operators:
             x = op.solve_implicit(t, alpha, rhs)
             assert np.max(np.abs(x - alpha * op(t, x) - rhs)) <= 1e-10
+
+    def test_solve_inverts_call_between_nodes(self):
+        prob = example1(N=10)
+        ep = adi_error_problem(prob)
+        rhs = np.random.default_rng(4).normal(size=prob.grid.shape)
+        nodes, alpha = ep.level.nodes, 0.02
+        for t in (nodes.t0 + 0.5 * nodes.h, nodes.times[1] + 0.3 * nodes.h):
+            for op in ep.ivp.operators:
+                x = op.solve_implicit(t, alpha, rhs)
+                assert np.max(np.abs(x - alpha * op(t, x) - rhs)) <= 1e-10
 
 
 def lapack_step(J, alpha, r):
@@ -390,6 +400,18 @@ class TestIdcOnPde:
             errs.append(np.max(np.abs(out - ref)))
         slope = np.log(errs[0] / errs[-1]) / np.log(4.0)
         assert slope == pytest.approx(4.0, abs=0.5)
+
+    def test_strang_correction_order(self):
+        # Dirichlet with a source, so the middle stage runs too; time order
+        # against a fine-dt run on the same grid
+        prob = example3(N=10)
+        ivp = prob.split_ivp(0.05)
+        cfg = IDCConfig(corrections=1, predictor="strang", M=3)
+        ref = idc_solve(ivp, 64, cfg, keep="final").final_state
+        errs = [np.max(np.abs(idc_solve(ivp, n, cfg, keep="final").final_state - ref))
+                for n in (2, 4, 8)]
+        orders = np.log2(np.divide(errs[:-1], errs[1:]))
+        assert orders.min() >= 3.7
 
 
 class TestFieldSnapshot:
