@@ -189,6 +189,7 @@ class ErrorProblem:
         self.level = level
         self._ups = {}
         self._shift = {}
+        self._nodal_shift = {}
         self._feval = {}
         if kind == "oversampled":
             self._quad_nodes, self._quad_values = _oversampled_rhs(level, problem, n_over)
@@ -226,10 +227,13 @@ class ErrorProblem:
         tau = nodes.local(t)
         if abs(tau - round(tau)) <= 1e-12:
             return self.shift(t)
-        m = int(np.floor(tau))
-        t_m = nodes.t0 + nodes.h * m
-        theta = tau - m
-        return (1.0 - theta) * self.shift(t_m) + theta * self.shift(t_m + nodes.h)
+        if t not in self._nodal_shift:
+            m = int(np.floor(tau))
+            t_m = nodes.t0 + nodes.h * m
+            theta = tau - m
+            self._nodal_shift[t] = ((1.0 - theta) * self.shift(t_m)
+                                    + theta * self.shift(t_m + nodes.h))
+        return self._nodal_shift[t]
 
     def f_at_interpolant(self, nu, t):
         if (nu, t) not in self._feval:

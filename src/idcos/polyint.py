@@ -123,7 +123,9 @@ def _gauss_rule(M):
 
 
 def _stack_values(nodes, values):
-    vals = np.stack([np.asarray(v) for v in values])
+    # an array is read in place: stacking would copy the whole level per call
+    vals = values if isinstance(values, np.ndarray) else np.stack(
+        [np.asarray(v) for v in values])
     if vals.shape[0] != nodes.M + 1:
         raise UsageError(
             f"expected {nodes.M + 1} node values, got {vals.shape[0]}")

@@ -109,44 +109,42 @@ def marching_squares(xs, ys, field, level):
     Crossings are linearly interpolated along cell edges; saddle cells are
     disambiguated by the cell-center average.  Cells touching non-finite
     values are skipped (reported as gaps, not failures).
+
+    Output order: cells in (i, j) order, i outer; within a cell, segments
+    join crossed edges in ascending edge index, edge k running from corner k
+    to corner k + 1 counter-clockwise from (xs[i], ys[j]).  Each cell
+    interpolates its own edges from its own corners, so a crossing shared by
+    two cells is computed twice, from opposite ends.  Stitching reads the
+    segments in this order, which fixes the polylines point for point.
     """
     F = np.asarray(field) - level
-    nx, ny = F.shape
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    f = np.stack((F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:]))
+    case = ((f > 0) * np.array([1, 2, 4, 8])[:, None, None]).sum(axis=0)
+    i, j = np.nonzero(np.isfinite(f).all(axis=0) & (case != 0) & (case != 15))
+    f, case = f[:, i, j], case[i, j]
+    x = np.stack((xs[i], xs[i + 1], xs[i + 1], xs[i]))
+    y = np.stack((ys[j], ys[j], ys[j + 1], ys[j + 1]))
+    nxt = [1, 2, 3, 0]
+    with np.errstate(all="ignore"):  # t is inf or nan on uncrossed edges, never read
+        t = f / (f - f[nxt])
+        points = np.stack((x + t * (x[nxt] - x), y + t * (y[nxt] - y)), axis=-1)
+        center_positive = ((f[0] + f[1]) + f[2]) + f[3] > 0
     segments = []
-
-    def interp(xa, ya, fa, xb, yb, fb):
-        t = fa / (fa - fb)
-        return (xa + t * (xb - xa), ya + t * (yb - ya))
-
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            f = (F[i, j], F[i + 1, j], F[i + 1, j + 1], F[i, j + 1])
-            if not all(np.isfinite(v) for v in f):
-                continue
-            idx = sum(1 << k for k, v in enumerate(f) if v > 0)
-            if idx in (0, 15):
-                continue
-            x0, x1 = xs[i], xs[i + 1]
-            y0, y1 = ys[j], ys[j + 1]
-            corners = ((x0, y0, f[0]), (x1, y0, f[1]), (x1, y1, f[2]), (x0, y1, f[3]))
-            edges = {}
-            for k in range(4):
-                a, b = corners[k], corners[(k + 1) % 4]
-                if (a[2] > 0) != (b[2] > 0):
-                    edges[k] = interp(*a, *b)
-            keys = sorted(edges)
-            if len(keys) == 2:
-                segments.append((edges[keys[0]], edges[keys[1]]))
-            elif len(keys) == 4:
-                center_positive = sum(v for _, _, v in corners) > 0
-                first_positive = f[0] > 0
-                if center_positive == first_positive:
-                    segments.append((edges[0], edges[3]))
-                    segments.append((edges[1], edges[2]))
-                else:
-                    segments.append((edges[0], edges[1]))
-                    segments.append((edges[2], edges[3]))
+    for n, (c, cp) in enumerate(zip(case.tolist(), center_positive.tolist())):
+        for a, b in _cell_segments(c, cp):
+            segments.append((points[a, n], points[b, n]))
     return _stitch_segments(segments)
+
+
+def _cell_segments(case, center_positive):
+    """Edge pairs joined by a cell of this corner-sign case, in emission order."""
+    crossed = [k for k in range(4) if (case >> k & 1) != (case >> (k + 1) % 4 & 1)]
+    if len(crossed) == 2:
+        return (tuple(crossed),)
+    if center_positive == bool(case & 1):
+        return ((0, 3), (1, 2))
+    return ((0, 1), (2, 3))
 
 
 def _stitch_segments(segments):
@@ -223,11 +221,12 @@ def stability_boundary_real_axis(scheme, corrections, M=None,
 def write_field_csv(path, scan):
     """Field CSV: header re,im,abs_amp; one row per grid point, im outer."""
     re, im = scan.axes()
+    re_text = [repr(x) for x in re.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("re,im,abs_amp\n")
-        for j, y in enumerate(im):
-            for i, x in enumerate(re):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(scan.amp[i, j])!r}\n")
+        for y, amps in zip(im.tolist(), scan.amp.T.tolist()):
+            row_im = repr(y)
+            fh.write("".join(f"{x},{row_im},{a!r}\n" for x, a in zip(re_text, amps)))
 
 
 def write_contour_csv(path, scan):
@@ -235,5 +234,4 @@ def write_contour_csv(path, scan):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("re,im,segment_id\n")
         for seg_id, line in enumerate(scan.contours or ()):
-            for x, y in line:
-                fh.write(f"{float(x)!r},{float(y)!r},{seg_id}\n")
+            fh.write("".join(f"{x!r},{y!r},{seg_id}\n" for x, y in line.tolist()))

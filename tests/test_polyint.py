@@ -130,3 +130,40 @@ class TestPartialIntegral:
         n = nodes_for(2)
         with pytest.raises(UsageError):
             partial_integral(n, [0.0, 0.0, 0.0], n.t_end + 0.5)
+
+
+class TestNodeValueInputs:
+    """An array of node values is read in place; a sequence is stacked first."""
+
+    def values(self, M):
+        rng = np.random.default_rng(11)
+        return rng.normal(size=(M + 1, 3, 4)) + 1j * rng.normal(size=(M + 1, 3, 4))
+
+    @pytest.mark.parametrize("M", [1, 3, 5])
+    def test_array_and_list_agree_bitwise(self, M):
+        n = nodes_for(M, t0=0.4, h=0.07)
+        arr = self.values(M)
+        seq = list(arr.copy())
+        for t in (n.t0, n.t0 + 0.37 * n.h, n.t_end - 0.11 * n.h, n.t_end):
+            for fn in (lagrange_eval, partial_integral):
+                a, b = fn(n, arr, t), fn(n, seq, t)
+                assert a.shape == b.shape == (3, 4)
+                assert a.tobytes() == b.tobytes()
+
+    def test_array_is_not_modified(self):
+        n = nodes_for(3, h=0.2)
+        arr = self.values(3)
+        before = arr.copy()
+        lagrange_eval(n, arr, 0.1)[...] = 0.0
+        partial_integral(n, arr, 0.3)[...] = 0.0
+        assert np.array_equal(arr, before)
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_wrong_row_count(self, as_list):
+        n = nodes_for(3, h=0.2)
+        vals = self.values(4)
+        if as_list:
+            vals = list(vals)
+        for fn in (lagrange_eval, partial_integral):
+            with pytest.raises(UsageError, match="expected 4 node values, got 5"):
+                fn(n, vals, 0.1)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from idcos.errors import PoleError, StepperError
-from idcos.stability import amplification, amplification_field, stability_boundary_real_axis
+from idcos.stability import (StabilityScan, _stitch_segments, amplification,
+                             amplification_field, marching_squares,
+                             stability_boundary_real_axis, write_contour_csv,
+                             write_field_csv)
 
 
 class TestRealAxisBoundary:
@@ -35,3 +38,131 @@ class TestPoles:
             amp = amplification_field(np.array([6.0, -1.0]), "lie-trotter", 0)
         assert amp[0] == np.inf
         assert np.isfinite(amp[1])
+
+
+def cell_loop_marching_squares(xs, ys, field, level):
+    """Reference: the per-cell loop marching_squares must reproduce bit for bit."""
+    F = np.asarray(field) - level
+    nx, ny = F.shape
+    segments = []
+
+    def interp(xa, ya, fa, xb, yb, fb):
+        t = fa / (fa - fb)
+        return (xa + t * (xb - xa), ya + t * (yb - ya))
+
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            f = (F[i, j], F[i + 1, j], F[i + 1, j + 1], F[i, j + 1])
+            if not all(np.isfinite(v) for v in f):
+                continue
+            idx = sum(1 << k for k, v in enumerate(f) if v > 0)
+            if idx in (0, 15):
+                continue
+            x0, x1 = xs[i], xs[i + 1]
+            y0, y1 = ys[j], ys[j + 1]
+            corners = ((x0, y0, f[0]), (x1, y0, f[1]), (x1, y1, f[2]), (x0, y1, f[3]))
+            edges = {}
+            for k in range(4):
+                a, b = corners[k], corners[(k + 1) % 4]
+                if (a[2] > 0) != (b[2] > 0):
+                    edges[k] = interp(*a, *b)
+            keys = sorted(edges)
+            if len(keys) == 2:
+                segments.append((edges[keys[0]], edges[keys[1]]))
+            elif len(keys) == 4:
+                center_positive = sum(v for _, _, v in corners) > 0
+                first_positive = f[0] > 0
+                if center_positive == first_positive:
+                    segments.append((edges[0], edges[3]))
+                    segments.append((edges[1], edges[2]))
+                else:
+                    segments.append((edges[0], edges[1]))
+                    segments.append((edges[2], edges[3]))
+    return _stitch_segments(segments)
+
+
+class TestMarchingSquares:
+    def random_case(self, rng):
+        nx, ny = rng.integers(2, 25, size=2)
+        xs = np.cumsum(rng.uniform(0.05, 1.0, size=nx)) - 3.0
+        ys = np.cumsum(rng.uniform(0.05, 1.0, size=ny)) - 2.0
+        level = 0.75
+        field = level + rng.normal(size=(nx, ny))
+        field[rng.random((nx, ny)) < 0.15] = level
+        field[rng.random((nx, ny)) < 0.03] = np.nan
+        field[rng.random((nx, ny)) < 0.03] = np.inf
+        return xs, ys, field, level
+
+    @staticmethod
+    def saddle_cells(field, level):
+        pos = np.asarray(field) - level > 0
+        corners = (pos[:-1, :-1], pos[1:, :-1], pos[1:, 1:], pos[:-1, 1:])
+        finite = np.isfinite(field)
+        ok = finite[:-1, :-1] & finite[1:, :-1] & finite[1:, 1:] & finite[:-1, 1:]
+        checker = ((corners[0] == corners[2]) & (corners[1] == corners[3])
+                   & (corners[0] != corners[1]))
+        return int((checker & ok).sum())
+
+    def test_matches_cell_loop_bitwise(self):
+        rng = np.random.default_rng(20)
+        saddles = 0
+        for _ in range(20):
+            xs, ys, field, level = self.random_case(rng)
+            saddles += self.saddle_cells(field, level)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = marching_squares(xs, ys, field, level)
+            ref = cell_loop_marching_squares(xs, ys, field, level)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape
+                assert g.dtype == r.dtype
+                assert g.tobytes() == r.tobytes()
+        assert saddles > 20
+
+    def test_unit_circle_is_one_closed_polyline(self):
+        xs = ys = np.linspace(-1.5, 1.5, 41)
+        h = xs[1] - xs[0]
+        field = xs[:, None] ** 2 + ys[None, :] ** 2
+        (line,) = marching_squares(xs, ys, field, 1.0)
+        assert len(line) > 40
+        assert np.allclose(line[0], line[-1], rtol=0.0, atol=1e-12)
+        assert np.abs(np.hypot(line[:, 0], line[:, 1]) - 1.0).max() <= h ** 2
+
+    def test_no_crossing_gives_no_polyline(self):
+        xs = ys = np.linspace(0.0, 1.0, 4)
+        assert marching_squares(xs, ys, np.full((4, 4), 2.0), 1.0) == []
+        assert marching_squares(xs, ys, np.full((4, 4), np.nan), 1.0) == []
+
+
+class TestScanWriters:
+    def scan(self):
+        amp = np.array([[0.5, 1.0 / 3.0], [np.inf, 2.0], [1e-20, 7.0]])
+        contours = (np.array([[0.1, 0.2], [-0.3, 0.4]]),
+                    np.array([[1.0, 2.0], [3.0, 1e-17], [5.0, 6.25]]))
+        return StabilityScan(scheme="strang", corrections=0, re_range=(-1.0, 0.5),
+                             im_range=(0.0, 0.3), resolution=(3, 2), amp=amp,
+                             contours=contours)
+
+    def test_field_csv_bytes(self, tmp_path):
+        path = tmp_path / "field.csv"
+        write_field_csv(path, self.scan())
+        assert path.read_bytes() == (
+            b"re,im,abs_amp\n"
+            b"-1.0,0.0,0.5\n"
+            b"-0.25,0.0,inf\n"
+            b"0.5,0.0,1e-20\n"
+            b"-1.0,0.3,0.3333333333333333\n"
+            b"-0.25,0.3,2.0\n"
+            b"0.5,0.3,7.0\n")
+
+    def test_contour_csv_bytes(self, tmp_path):
+        path = tmp_path / "contour.csv"
+        write_contour_csv(path, self.scan())
+        assert path.read_bytes() == (
+            b"re,im,segment_id\n"
+            b"0.1,0.2,0\n"
+            b"-0.3,0.4,0\n"
+            b"1.0,2.0,1\n"
+            b"3.0,1e-17,1\n"
+            b"5.0,6.25,1\n")
