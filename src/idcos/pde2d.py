@@ -3,11 +3,12 @@
 The PDE  u_t = div(a(x,y) grad u) + s(t,u)  is discretized on a tensor grid
 in non-divergence form  a*u_xx + a_x*u_x + a*u_yy + a_y*u_y + s,  with the
 coefficient derivatives supplied analytically.  The x-direction terms, the
-y-direction terms and the pointwise source become the split operators; the
-direction operators carry exact banded line Jacobians, so every implicit
-sub-step reduces to independent line solves: one ``BandedMatrix`` per
-direction and step size, holding a single shared line for constant
-coefficients and one line per grid line otherwise.
+y-direction terms and the pointwise source become the split operators.  Each
+direction operator builds its line operator L once, coefficients folded in:
+one shared line for constant coefficients, one line per grid line otherwise.
+Application, wall terms and implicit sub-steps all read that L; an implicit
+sub-step is independent line solves, one ``BandedMatrix`` of I - alpha*L per
+direction and step size.
 
 Fields are stored row-major with y as the outer index, shape (N_y, N_x);
 multi-component states prepend the component axis.  x-direction line solves
@@ -15,6 +16,7 @@ run over contiguous rows, y-direction solves pay one transpose.
 """
 
 from dataclasses import dataclass
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,46 +110,62 @@ class CoefficientField:
 
 
 class DirectionalDiffusionOperator:
-    """One direction's diffusion terms:  a * (d2 u) + slope * (d1 u) + boundary.
+    """One direction's diffusion terms  L u + boundary,  L = a d2 + slope d1.
 
-    ``slope`` is the coefficient's own derivative along this axis (a_x for the
-    x-direction).  Implicit solves (I - alpha*L) factor all lines once per
-    alpha and are reused; the boundary contribution is the only
-    time-dependent piece.
+    ``slope`` is the coefficient's own derivative along this axis (a_x for
+    the x-direction).  ``L`` is built once with a and slope folded into the
+    stencil rows, as lines stacked into an (n_lines * n, n) CSR: one shared
+    line when ``constant`` is set, else one per grid line of this direction.
+    It is applied as one multi-vector product with the shared line or one
+    block-diagonal matvec over the stack, and (I - alpha*L) is factored once
+    per alpha.  On Dirichlet grids ``wall_weights`` holds the folded weights
+    of each line's two wall values, one row per line, for the boundary
+    contribution: the only time-dependent piece.
     """
 
     def __init__(self, grid, axis, coeff, order=6, boundary=None):
-        self.grid = grid
-        self.axis = axis
-        self.order = order
-        self.boundary = boundary
-        self.stencil2 = build_stencil(grid, axis, 2, order)
-        if isinstance(coeff, CoefficientField):
-            self.a = coeff.a
-            self.slope = coeff.a_x if axis == "x" else coeff.a_y
-        else:
-            self.a = float(coeff)
-            self.slope = 0.0
-        self.has_slope = np.any(np.asarray(self.slope) != 0)
-        self.stencil1 = build_stencil(grid, axis, 1, order) if self.has_slope else None
-        self.constant = np.isscalar(self.a) or (np.ptp(self.a) == 0 and not self.has_slope)
-        self._solvers = {}
         if grid.bc == "dirichlet" and boundary is None:
             raise UsageError("Dirichlet grids need a boundary function g(x, y, t)")
+        self.grid = grid
+        self.axis = axis
+        self.boundary = boundary
+        if isinstance(coeff, CoefficientField):
+            a, slope = coeff.a, coeff.a_x if axis == "x" else coeff.a_y
+        else:
+            a, slope = float(coeff), 0.0
+        terms = [(a, 2)] + ([(slope, 1)] if np.any(np.asarray(slope) != 0) else [])
+        self.constant = len(terms) == 1 and np.ptp(a) == 0
+        n_lines = 1 if self.constant else grid.N_y if axis == "x" else grid.N_x
+        stacks, walls = [], []
+        for coef, derivative in terms:
+            stencil = build_stencil(grid, axis, derivative, order)
+            coef = np.broadcast_to(coef, grid.shape)
+            coef = (coef if axis == "x" else coef.T)[:n_lines]
+            # scaling each row's data keeps the stencil's entry order, so a
+            # unit coefficient folds exactly
+            stack = sp.vstack([stencil.matrix] * n_lines, format="csr")
+            stack.data *= np.repeat(coef.ravel(), np.diff(stack.indptr))
+            stacks.append(stack)
+            if grid.bc == "dirichlet":
+                walls.append((coef * stencil.wall_left, coef * stencil.wall_right))
+        self.L = sum(stacks[1:], stacks[0])
+        self.wall_weights = tuple(sum(w[1:], w[0]) for w in zip(*walls)) or None
+        if not self.constant:  # the stack as one block-diagonal matrix
+            L, n = self.L, self.L.shape[1]
+            line = np.repeat(np.arange(L.shape[0]) // n, np.diff(L.indptr))
+            self._blocks = sp.csr_matrix((L.data, L.indices + n * line, L.indptr),
+                                         shape=(L.shape[0],) * 2)
+        self._solvers = {}
 
     # -- application ------------------------------------------------------
 
-    def _apply_stencil(self, stencil, U):
-        if self.axis == "x":
-            return (stencil.matrix @ U.T).T
-        return stencil.matrix @ U
-
     def apply_homogeneous(self, t, U):
-        """The pure line operator L applied to a field, boundary terms dropped."""
-        out = self.a * self._apply_stencil(self.stencil2, U)
-        if self.has_slope:
-            out = out + self.slope * self._apply_stencil(self.stencil1, U)
-        return out
+        """L applied to a field, boundary terms dropped."""
+        if self.constant:
+            return (self.L @ U.T).T if self.axis == "x" else self.L @ U
+        lines = U if self.axis == "x" else U.T
+        out = (self._blocks @ lines.ravel()).reshape(lines.shape)
+        return out if self.axis == "x" else out.T
 
     def wall_values(self, t):
         """Known values (g_lo, g_hi) on the two walls this direction's lines
@@ -164,18 +182,9 @@ class DirectionalDiffusionOperator:
     def wall_contribution(self, g_lo, g_hi):
         """Additive field of the given wall values (one per line) on this
         direction's wall-adjacent rows."""
-        def outer(weights, g):
-            if self.axis == "x":
-                return np.outer(g, weights)
-            return np.outer(weights, g)
-
-        contrib = self.a * (outer(self.stencil2.wall_left, g_lo)
-                            + outer(self.stencil2.wall_right, g_hi))
-        if self.has_slope:
-            contrib = contrib + self.slope * (
-                outer(self.stencil1.wall_left, g_lo)
-                + outer(self.stencil1.wall_right, g_hi))
-        return contrib
+        w_lo, w_hi = self.wall_weights
+        out = w_lo * g_lo[:, None] + w_hi * g_hi[:, None]
+        return out if self.axis == "x" else out.T
 
     def boundary_contribution(self, t):
         """Additive field carrying the known wall values at time t."""
@@ -191,28 +200,14 @@ class DirectionalDiffusionOperator:
 
     # -- implicit solves ---------------------------------------------------
 
-    def line_matrices(self, lines):
-        """Sparse line operators L_j of the given line indices (y-rows for
-        axis x), stacked into one (len(lines) * n, n) matrix."""
-        def along(field):
-            field = np.broadcast_to(field, self.grid.shape)
-            return sp.diags((field if self.axis == "x" else field.T)[lines].ravel())
-
-        mat = along(self.a) @ sp.vstack([self.stencil2.matrix] * len(lines))
-        if self.has_slope:
-            mat = mat + along(self.slope) @ sp.vstack([self.stencil1.matrix] * len(lines))
-        return mat
-
     def _solver(self, alpha):
-        """The factored lines (I - alpha*L): one shared line for constant
-        coefficients, otherwise every line of this direction."""
+        """The factored lines (I - alpha*L), one per line of the stack."""
         key = float(alpha)
         solver = self._solvers.get(key)
         if solver is None:
-            n_lines = self.grid.N_y if self.axis == "x" else self.grid.N_x
-            lines = np.arange(1 if self.constant else n_lines)
-            eye = sp.vstack([sp.eye(self.stencil2.n, format="csr")] * len(lines))
-            solver = BandedMatrix.from_sparse(eye - alpha * self.line_matrices(lines))
+            n = self.L.shape[1]
+            eye = sp.vstack([sp.eye(n, format="csr")] * (self.L.shape[0] // n))
+            solver = BandedMatrix.from_sparse(eye - alpha * self.L)
             self._solvers[key] = solver
         return solver
 
@@ -320,8 +315,8 @@ class SemiDiscreteSystem:
 
     f_1 holds the x-direction terms, f_2 the y-direction terms and f_3 the
     pointwise source (when present).  Scalar problems take a CoefficientField;
-    multi-component systems take one constant diffusion coefficient per
-    component (zero or None disables diffusion for that component).
+    multi-component systems take one finite constant diffusion coefficient
+    >= 0 per component (zero or None disables diffusion for that component).
     """
 
     def __init__(self, grid, coefficients, order=6, boundary=None,
@@ -341,9 +336,15 @@ class SemiDiscreteSystem:
         else:
             if isinstance(coefficients, CoefficientField) or np.isscalar(coefficients):
                 raise UsageError("multi-component systems need one coefficient per component")
+            coefficients = tuple(coefficients)
+            if len(coefficients) != components or not all(
+                    D is None or (isinstance(D, numbers.Real) and 0 <= D < np.inf)
+                    for D in coefficients):
+                raise UsageError(f"{components} components need {components} diffusion "
+                                 f"coefficients, each None or finite >= 0: {coefficients!r}")
             ops_x, ops_y = [], []
             for D in coefficients:
-                if D is None or (np.isscalar(D) and D == 0):
+                if not D:
                     ops_x.append(None)
                     ops_y.append(None)
                 else:
@@ -351,7 +352,7 @@ class SemiDiscreteSystem:
                         grid, "x", D, order=order, boundary=boundary))
                     ops_y.append(DirectionalDiffusionOperator(
                         grid, "y", D, order=order, boundary=boundary))
-            self.coefficients = tuple(coefficients)
+            self.coefficients = coefficients
             self.op_x = ComponentWiseOperator(ops_x)
             self.op_y = ComponentWiseOperator(ops_y)
         self.op_source = None
@@ -460,20 +461,18 @@ def _intermediate_x_walls(system, t, dt):
     """The Peaceman-Rachford intermediate's values on the two x-walls.
 
     Per wall, g* = 1/2 (g(t) + g(t+dt)) + (dt/4) L_y (g(t) - g(t+dt)), with
-    L_y the constant-coefficient y-operator along the wall, whose own walls
-    are the corners.
+    L_y the y-operator's shared line and its wall weights (``op_y.L`` and
+    ``op_y.wall_weights``) along the wall, whose own walls are the corners.
     """
     opx, opy = system.op_x, system.op_y
-    a = float(np.asarray(opy.a).flat[0])
+    (w_lo,), (w_hi,) = opy.wall_weights
     g = system.boundary
     y_lo, y_hi = system.grid.y_span
     walls = []
     for x, now, new in zip(system.grid.x_span, opx.wall_values(t),
                            opx.wall_values(t + dt)):
-        diff = now - new
-        curvature = a * opy.stencil2.apply_line(
-            diff, g_left=g(x, y_lo, t) - g(x, y_lo, t + dt),
-            g_right=g(x, y_hi, t) - g(x, y_hi, t + dt))
+        curvature = (opy.L @ (now - new) + w_lo * (g(x, y_lo, t) - g(x, y_lo, t + dt))
+                     + w_hi * (g(x, y_hi, t) - g(x, y_hi, t + dt)))
         walls.append(0.5 * (now + new) + 0.25 * dt * curvature)
     return walls
 

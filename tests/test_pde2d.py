@@ -11,6 +11,7 @@ from idcos.pde2d import (CoefficientField, DirectionalDiffusionOperator, Grid2D,
 from idcos.polyint import UniformNodeSet
 from idcos.problems import example1, example2, example3, fhn, schnakenberg
 from idcos.steppers import DEFAULT_NEWTON
+from idcos.stencils import build_stencil
 
 QUAD_ROOT = (-1.0 + np.sqrt(1.4)) / 0.2
 
@@ -53,11 +54,33 @@ def example1_system(n=21):
     return example1(N=n).system
 
 
+def assembled_L(system):
+    """L_x + L_y on the raveled row-major field: kron products of the
+    stencil matrices scaled by the coefficient field, independent of the
+    direction operators."""
+    grid, coeff = system.grid, system.coefficients
+    Ix = sp.identity(grid.N_x, format="csr")
+    Iy = sp.identity(grid.N_y, format="csr")
+
+    def term(axis, derivative, coef):
+        S = build_stencil(grid, axis, derivative, system.order).matrix
+        along = sp.kron(Iy, S) if axis == "x" else sp.kron(S, Ix)
+        return sp.diags(np.ravel(coef)) @ along
+
+    return (term("x", 2, coeff.a) + term("x", 1, coeff.a_x)
+            + term("y", 2, coeff.a) + term("y", 1, coeff.a_y))
+
+
 class TestAssembleJ:
     def test_unit_coefficient_rows(self):
+        # with a = 1 every line of L_x is the x stencil's matrix
         sys1 = example1_system()
-        Ax = sys1.op_x.stencil2.matrix
-        assert np.allclose(sys1.op_x.line_matrices([3]).toarray(), Ax.toarray())
+        grid = sys1.grid
+        Ax = build_stencil(grid, "x", 2, sys1.order).matrix
+        Lx = sp.kron(sp.identity(grid.N_y), Ax, format="csr")
+        U = np.random.default_rng(8).normal(size=grid.shape)
+        assert np.allclose(sys1.op_x.apply_homogeneous(0.0, U),
+                           (Lx @ U.ravel()).reshape(grid.shape))
 
 
 class TestDirectionalOperator:
@@ -86,6 +109,41 @@ class TestDirectionalOperator:
         x = op.solve_implicit(0.0, 0.01, rhs)
         assert np.max(np.abs(x - 0.01 * op(0.0, x) - rhs)) <= 1e-10
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+    def test_folded_operator_matches_stencils(self, bc, axis):
+        # op(t, U) against a*(S2 U) + slope*(S1 U) + wall terms, each line
+        # through the stencils; the coefficient is not symmetric in x and y
+        # and the grid is not square, so a transposed fold shows
+        g = Grid2D((-1, 1), (-1, 1), 14, 11, bc=bc)
+        coeff = CoefficientField.from_callables(
+            g, a=lambda x, y: 2.0 + np.sin(np.pi * (2 * x + y)),
+            a_x=lambda x, y: 2 * np.pi * np.cos(np.pi * (2 * x + y)),
+            a_y=lambda x, y: np.pi * np.cos(np.pi * (2 * x + y)))
+
+        def boundary(x, y, t):
+            return np.exp(0.5 * x + y) + t
+
+        op = DirectionalDiffusionOperator(g, axis, coeff, order=4, boundary=boundary)
+        U = np.random.default_rng(9).normal(size=g.shape)
+        t = 0.3
+        lines, across = (U, g.ys) if axis == "x" else (U.T, g.xs)
+        lo, hi = g.x_span if axis == "x" else g.y_span
+
+        def walls(p):
+            if bc == "periodic":
+                return 0.0, 0.0
+            if axis == "x":
+                return boundary(lo, p, t), boundary(hi, p, t)
+            return boundary(p, lo, t), boundary(p, hi, t)
+
+        ref = np.zeros(g.shape)
+        for coef, derivative in ((coeff.a, 2), (coeff.a_x if axis == "x" else coeff.a_y, 1)):
+            st = build_stencil(g, axis, derivative, 4)
+            d = np.array([st.apply_line(line, *walls(p)) for line, p in zip(lines, across)])
+            ref += coef * (d if axis == "x" else d.T)
+        assert np.max(np.abs(op(t, U) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_deterministic_solves(self):
         prob = example1(N=10)
         op = prob.system.op_y
@@ -111,33 +169,14 @@ class TestSemiDiscreteResidual:
 
 def unfactored_cn_step(system, t, dt, field):
     """Crank-Nicolson step solving the full 2D operator at once (test oracle)."""
-    grid = system.grid
-    nx, ny = grid.N_x, grid.N_y
     opx, opy = system.op_x, system.op_y
-    Lx = sp.block_diag([opx.line_matrices([j]) for j in range(ny)], format="csr")
-
-    def apply_Ly(U):
-        return opy.apply_homogeneous(t, U)
-
-    # assemble L_y on the flattened row-major field via columns of kron form
-    Ay = opy.stencil2.matrix
-    Iy = sp.identity(nx, format="csr")
-    Ly = sp.kron(Ay, Iy, format="csr")
-    if np.isscalar(opy.a):
-        Ly = opy.a * Ly
-    else:
-        Ly = sp.diags(opy.a.reshape(-1)) @ Ly
-    if opy.has_slope:
-        By = sp.kron(opy.stencil1.matrix, Iy, format="csr")
-        Ly = Ly + sp.diags(np.asarray(opy.slope).reshape(-1)) @ By
-    L = Lx + Ly
-    n = nx * ny
-    I = sp.identity(n, format="csr")
+    L = assembled_L(system)
+    I = sp.identity(field.size, format="csr")
     S = 0.5 * (opx.boundary_contribution(t) + opx.boundary_contribution(t + dt)
                + opy.boundary_contribution(t) + opy.boundary_contribution(t + dt))
     rhs = (I + 0.5 * dt * L) @ field.reshape(-1) + dt * S.reshape(-1)
     out = splu(sp.csc_matrix(I - 0.5 * dt * L)).solve(rhs)
-    return out.reshape(ny, nx)
+    return out.reshape(system.grid.shape)
 
 
 class TestADIStep:
@@ -377,6 +416,14 @@ class TestMulticomponent:
         out = prob.system.op_x.solve_implicit(0.0, 0.1, rhs)
         assert np.array_equal(out[1], rhs[1])  # inhibitor does not diffuse
         assert not np.array_equal(out[0], rhs[0])
+
+    @pytest.mark.parametrize("coefficients", [
+        (1.0,), (1.0, 0.0, 1.0), (1.0, -0.5), (float("nan"), 0.0), (1.0, float("inf"))],
+        ids=["too-few", "too-many", "negative", "nan", "infinite"])
+    def test_rejects_bad_coefficients(self, coefficients):
+        grid = Grid2D((0, 1), (0, 1), 8, 8, bc="periodic")
+        with pytest.raises(UsageError, match="2 components need 2 diffusion coefficients"):
+            SemiDiscreteSystem(grid, coefficients, order=2, components=2)
 
     def test_schnakenberg_steady_reaction(self):
         prob = schnakenberg(N=6, a=0.1305, b=0.7695)
