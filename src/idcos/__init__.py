@@ -8,8 +8,7 @@ from .ode import (DiagonalLinearOperator, MatrixLinearOperator, SplitIVP,
                   Trajectory, ZeroOperator)
 from .polyint import (IntegrationMatrix, UniformNodeSet, integration_matrix,
                       lagrange_eval, partial_integral)
-from .steppers import (NewtonConfig, adi_step, get_stepper, lie_trotter_step,
-                       newton_solve, strang_step)
+from .steppers import adi_step, get_stepper, lie_trotter_step, strang_step
 from .banded import BandedMatrix
 from .stencils import StencilOperator, build_stencil, fd_weights
 from .pde2d import (CoefficientField, DirectionalDiffusionOperator, Grid2D,

@@ -29,22 +29,19 @@ class NewtonError(SolverError):
     """
 
     def __init__(self, message, iterations=None, residual_norm=None, last_iterate=None,
-                 operator_index=None, time=None):
+                 time=None):
         super().__init__(message)
         self.iterations = iterations
         self.residual_norm = residual_norm
         self.last_iterate = last_iterate
-        self.operator_index = operator_index
         self.time = time
 
 
 class StepperError(SolverError):
     """A time step failed; annotated with scheme position by the IDC driver."""
 
-    def __init__(self, message, operator_index=None, time=None, node=None,
-                 sweep=None, macro_step=None):
+    def __init__(self, message, time=None, node=None, sweep=None, macro_step=None):
         super().__init__(message)
-        self.operator_index = operator_index
         self.time = time
         self.node = node
         self.sweep = sweep

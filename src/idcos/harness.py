@@ -11,6 +11,7 @@ process a few stability-scan cells can differ in their last digits.
 from dataclasses import dataclass, field, asdict, replace
 import hashlib
 import json
+import numbers
 import os
 import time
 
@@ -60,6 +61,11 @@ class RunConfig:
             raise UsageError(f"unknown nt unit {self.nt_unit!r}")
         if self.M is not None and self.M < 1:
             raise UsageError(f"need at least one sub-interval, got M={self.M}")
+        counts = self.corrections
+        if not (isinstance(counts, (tuple, list)) and counts and all(
+                isinstance(cs, numbers.Integral) and cs >= 0 for cs in counts)):
+            raise UsageError(f"corrections must be one or more whole numbers >= 0, "
+                             f"got {counts!r}")
 
     @property
     def name(self):
@@ -315,18 +321,22 @@ def run_simulation(cfg):
     dt is the macro step: one pass of ``idc_march`` runs up to the last
     snapshot, and a snapshot at time t is written after step round(t/dt)
     (t = 0 writes the initial field).  Snapshot times must be distinct,
-    non-negative multiples of dt no later than end_time.  A non-finite field
-    aborts with the offending time and node.  Returns per-snapshot
-    (time, min, max) summaries.
+    non-negative multiples of dt no later than end_time.  A simulation runs
+    exactly one correction count; more than one raises UsageError.  A
+    non-finite field aborts with the offending time and node.  Returns
+    per-snapshot (time, min, max) summaries.
     """
     cfg = with_table_defaults(cfg)
     if cfg.dt is None or not cfg.snap_times:
         raise UsageError("simulate runs need dt and snapshot times")
+    if len(cfg.corrections) != 1:
+        raise UsageError(f"a simulation runs one correction count, "
+                         f"got {list(cfg.corrections)}")
     steps = _snapshot_steps(cfg)
     t_start = time.perf_counter()
     os.makedirs(cfg.out_dir, exist_ok=True)
     prob = _build_problem(cfg)
-    cs = cfg.corrections[0] if cfg.corrections else 0
+    (cs,) = cfg.corrections
     target = STEPPER_ORDERS[cfg.scheme] * (1 + cs)
     M = cfg.M if cfg.M is not None else (1 if cs == 0 else max(target, 3))
     idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,

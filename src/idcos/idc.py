@@ -14,7 +14,7 @@ level.  Each sweep lifts the observable order by the corrector's order until
 the M+1-node quadrature saturates.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import re
 import warnings
 import weakref
@@ -25,8 +25,7 @@ from . import polyint
 from .errors import SolverError, StepperError, UsageError
 from .ode import SplitIVP, Trajectory
 from .polyint import UniformNodeSet, lagrange_eval, partial_integral
-from .steppers import (DEFAULT_NEWTON, NewtonConfig, STEPPER_ORDERS, get_stepper,
-                       solve_substep)
+from .steppers import STEPPER_ORDERS, get_stepper
 
 _OVERSAMPLED_RE = re.compile(r"oversampled\((\d+)\)$")
 
@@ -57,7 +56,6 @@ class IDCConfig:
     predictor: str = "lie-trotter"
     correctors: object = None  # None (= predictor), a name, or one name per sweep
     M: int = None
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
     residual_mode: str = "interpolant"
 
     def __post_init__(self):
@@ -117,8 +115,7 @@ def predict(problem, nodes, u0, cfg):
     values = [u0]
     for m in range(nodes.M):
         try:
-            values.append(stepper(problem, times[m], nodes.h, values[m],
-                                  newton=cfg.newton))
+            values.append(stepper(problem, times[m], nodes.h, values[m]))
         except SolverError as exc:
             raise StepperError(f"prediction failed on sub-interval {m}: {exc}",
                                node=m, time=times[m], sweep=0) from exc
@@ -162,7 +159,7 @@ class _CorrectionOperator:
         arg = ep.interpolant(t) + w - ep.shift(t)
         return np.asarray(ep.base.operators[self.nu](t, arg)) - ep.f_at_interpolant(self.nu, t)
 
-    def solve_implicit(self, t, alpha, rhs, guess=None, newton=DEFAULT_NEWTON):
+    def solve_implicit(self, t, alpha, rhs, guess=None):
         ep = self.ep
         if self.solve_hom is not None:
             s = ep.nodal_shift(t)
@@ -171,7 +168,7 @@ class _CorrectionOperator:
         offset = ep.interpolant(t) - ep.shift(t)
         rhs_z = rhs + offset - alpha * ep.f_at_interpolant(self.nu, t)
         g = offset + (guess if guess is not None else np.zeros_like(offset))
-        z = solve_substep(ep.base, self.nu, t, alpha, rhs_z, guess=g, newton=newton)
+        z = ep.base.operators[self.nu].solve_implicit(t, alpha, rhs_z, guess=g)
         return z - offset
 
 
@@ -257,9 +254,9 @@ def correct_once(problem, level, sweep_index, cfg):
     for m in range(nodes.M):
         try:
             if override is not None:
-                w = override(ep, times[m], nodes.h, w, cfg.newton)
+                w = override(ep, times[m], nodes.h, w)
             else:
-                w = stepper(ep.ivp, times[m], nodes.h, w, newton=cfg.newton)
+                w = stepper(ep.ivp, times[m], nodes.h, w)
         except SolverError as exc:
             raise StepperError(
                 f"correction sweep {sweep_index} failed on sub-interval {m}: {exc}",

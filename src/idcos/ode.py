@@ -1,14 +1,15 @@
 """Core problem and solution containers shared by the steppers and the IDC driver.
 
 A split initial value problem is  u' = f(t,u) = f_1(t,u) + ... + f_L(t,u).
-Operators are plain callables ``f(t, u) -> array``.  An operator object may
-additionally provide
+Every operator is an object with two methods:
 
-``solve_implicit(t, alpha, rhs, guess, newton)``
-    returning x with  x - alpha*f(t, x) = rhs.  Steppers use this fast path
-    when present (direct division for diagonal operators, banded line solves
-    for discretized diffusion); otherwise they fall back to Newton with a
-    finite-difference Jacobian.
+``op(t, u) -> array``
+    the operator's action f(t, u);
+``solve_implicit(t, alpha, rhs, guess=None)``
+    returning x with  x - alpha*f(t, x) = rhs.  Each operator solves its own
+    sub-step (direct division for diagonal operators, banded line solves for
+    discretized diffusion, pointwise Newton for a source); the steppers call
+    it directly and have no Newton fallback.
 
 States are numpy arrays of any shape and any scalar kind; complex states are
 used by the linear stability scans and run through the same code paths.
@@ -32,7 +33,7 @@ class SplitIVP:
     # the IDC prediction step; only the linear PDE's ADI sweep has one
     predictor_overrides: dict = field(default_factory=dict)
     # optional specialized correction sub-steps, keyed by scheme name, with
-    # signature (error_problem, t, h, w, newton) -> w_next; only the linear
+    # signature (error_problem, t, h, w) -> w_next; only the linear
     # PDE's factored ADI correction has one, other schemes run their stepper
     corrector_overrides: dict = field(default_factory=dict)
 
@@ -41,6 +42,9 @@ class SplitIVP:
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state))
         if self.num_operators < 1:
             raise UsageError("a split problem needs at least one operator")
+        for nu, op in enumerate(self.operators, start=1):
+            if not callable(getattr(op, "solve_implicit", None)):
+                raise UsageError(f"operator {nu} has no solve_implicit method")
         t0, t1 = self.t_span
         if not t1 > t0:
             raise UsageError(f"time span must have positive length, got {self.t_span}")
@@ -99,7 +103,7 @@ class DiagonalLinearOperator:
     def __call__(self, t, u):
         return self.lam * u
 
-    def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
+    def solve_implicit(self, t, alpha, rhs, guess=None):
         factor = 1.0 - alpha * self.lam
         if self.strict and np.any(np.abs(factor) < 1e-300):
             raise PoleError(f"implicit factor vanished: 1 - alpha*lam = 0 at alpha={alpha}")
@@ -113,7 +117,7 @@ class ZeroOperator:
     def __call__(self, t, u):
         return np.zeros_like(u)
 
-    def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
+    def solve_implicit(self, t, alpha, rhs, guess=None):
         return np.array(rhs, copy=True)
 
 
@@ -126,7 +130,7 @@ class MatrixLinearOperator:
     def __call__(self, t, u):
         return self.A @ u
 
-    def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
+    def solve_implicit(self, t, alpha, rhs, guess=None):
         n = self.A.shape[0]
         M = np.eye(n, dtype=np.result_type(self.A.dtype, np.asarray(rhs).dtype)) - alpha * self.A
         return np.linalg.solve(M, rhs)

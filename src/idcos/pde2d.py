@@ -24,8 +24,12 @@ import scipy.sparse as sp
 from .banded import BandedMatrix
 from .errors import LinearSolveError, NewtonError, UsageError
 from .ode import SplitIVP
-from .steppers import DEFAULT_NEWTON
 from .stencils import build_stencil
+
+# the pointwise Newton stops once the max-norm residual is at most
+# NEWTON_TOL * (1 + |r_0|), and raises NewtonError after NEWTON_MAX_ITERS steps
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -218,7 +222,7 @@ class DirectionalDiffusionOperator:
             return solver.solve(rhs.T).T
         return solver.solve(rhs)
 
-    def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
+    def solve_implicit(self, t, alpha, rhs, guess=None):
         """Solve X - alpha*f(t, X) = rhs including the boundary contribution."""
         if self.grid.bc == "dirichlet":
             rhs = rhs + alpha * self.boundary_contribution(t)
@@ -248,7 +252,7 @@ class ComponentWiseOperator:
                          else op.solve_homogeneous(t, alpha, rhs[c])
                          for c, op in enumerate(self.ops)])
 
-    def solve_implicit(self, t, alpha, rhs, guess=None, newton=None):
+    def solve_implicit(self, t, alpha, rhs, guess=None):
         return np.stack([rhs[c].copy() if op is None
                          else op.solve_implicit(t, alpha, rhs[c])
                          for c, op in enumerate(self.ops)])
@@ -262,7 +266,8 @@ class PointwiseSourceOperator:
     Each Newton step divides by the pivot 1 - alpha*J, or solves every node's
     2x2 block I - alpha*J by Cramer's rule on whole fields.  A zero or
     non-finite pivot or determinant raises ``LinearSolveError`` naming the
-    time and the first such node.
+    time and the first such node; no convergence within ``NEWTON_MAX_ITERS``
+    raises ``NewtonError`` naming the node of the largest residual.
     """
 
     def __init__(self, source, jacobian, components=1):
@@ -275,10 +280,10 @@ class PointwiseSourceOperator:
     def __call__(self, t, U):
         return np.asarray(self.source(t, U))
 
-    def solve_implicit(self, t, alpha, rhs, guess=None, newton=DEFAULT_NEWTON):
+    def solve_implicit(self, t, alpha, rhs, guess=None):
         x = np.array(rhs if guess is None else guess, copy=True, dtype=float)
         target = None
-        for it in range(newton.max_iters):
+        for it in range(NEWTON_MAX_ITERS):
             r = x - alpha * np.asarray(self.source(t, x)) - rhs
             norm = float(np.max(np.abs(r)))
             if not np.isfinite(norm):
@@ -286,7 +291,7 @@ class PointwiseSourceOperator:
                     f"pointwise Newton residual is non-finite after {it} iterations",
                     iterations=it, residual_norm=norm, last_iterate=x, time=t)
             if target is None:
-                target = newton.abs_tol + newton.rel_tol * norm
+                target = NEWTON_TOL + NEWTON_TOL * norm
             if norm <= target:
                 return x
             J = np.asarray(self.source_jacobian(t, x))
@@ -307,7 +312,7 @@ class PointwiseSourceOperator:
         worst = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(r)), r.shape))
         raise NewtonError(
             f"pointwise Newton stalled at node {worst} (residual {norm:.3e})",
-            iterations=newton.max_iters, residual_norm=norm, time=t)
+            iterations=NEWTON_MAX_ITERS, residual_norm=norm, time=t)
 
 
 class SemiDiscreteSystem:
@@ -392,14 +397,13 @@ class SemiDiscreteSystem:
         overrides = {}
         corrector_overrides = {}
         if self.op_source is None and self.components == 1:
-            overrides["adi"] = lambda problem, t, dt, u, newton=None: \
-                adi_pde_step(self, t, dt, u)
+            overrides["adi"] = lambda problem, t, dt, u: adi_pde_step(self, t, dt, u)
             corrector_overrides["adi"] = self._factored_adi_correction
         return SplitIVP(operators=self.operators(), initial_state=initial_field,
                         t_span=t_span, predictor_overrides=overrides,
                         corrector_overrides=corrector_overrides)
 
-    def _factored_adi_correction(self, ep, t, h, w, newton):
+    def _factored_adi_correction(self, ep, t, h, w):
         """Factored node-value sweep for the linear error equation.
 
         The Crank-Nicolson update of Q' = L(Q - Int(t)) factors into two

@@ -5,9 +5,9 @@ operators (lambda/2 each), integrated over a single macro step of length one.
 The magnitude of u(1) as a function of complex lambda is the amplification
 field; its unit level set bounds the stability region.
 
-The scalar problem is solved by DiagonalLinearOperator's direct division
-rather than Newton, so a whole grid of lambda values can be scanned in one
-vectorized run; in its lenient mode a pole gives inf in its own cell only.
+The scalar problem is solved by DiagonalLinearOperator's direct division,
+so a whole grid of lambda values can be scanned in one vectorized run; in
+its lenient mode a pole gives inf in its own cell only.
 """
 
 from dataclasses import dataclass, field, replace
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import StepperError, UsageError
 from .idc import IDCConfig, idc_solve
 from .ode import DiagonalLinearOperator, SplitIVP
-from .steppers import NewtonConfig
 
 DEFAULT_RESIDUAL_MODE = "oversampled(13)"
 
@@ -32,8 +31,7 @@ def _dahlquist_problem(lam, strict=True):
 
 def _config(scheme, corrections, M, residual_mode):
     return IDCConfig(corrections=corrections, predictor=scheme, M=M,
-                     residual_mode=residual_mode,
-                     newton=NewtonConfig())
+                     residual_mode=residual_mode)
 
 
 def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDUAL_MODE):

@@ -4,120 +4,17 @@
 * ``strang_step``       -- the palindromic half/full/half trapezoidal sweep,
 * ``adi_step``          -- the Peaceman-Rachford two-half-step update.
 
-Each implicit sub-step solves  x - alpha*f_nu(t*, x) = rhs,  dispatched to
-the operator's own ``solve_implicit`` when it has one and to Newton
-otherwise.  Steppers are stateless; all state lives in the arguments.
+Each implicit sub-step  x - alpha*f_nu(t*, x) = rhs  is the operator's own
+``operators[nu].solve_implicit(t*, alpha, rhs, guess)``; there is no generic
+Newton fallback.  Steppers are stateless; all state lives in the arguments.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (LinearSolveError, NewtonError, UnsupportedSchemeError,
-                     UsageError)
-
-_SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+from .errors import UnsupportedSchemeError, UsageError
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_iters: int = 50
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise UsageError("Newton tolerances must be positive")
-        if self.max_iters < 1:
-            raise UsageError("Newton needs at least one iteration")
-
-
-DEFAULT_NEWTON = NewtonConfig()
-
-
-def _max_norm(v):
-    v = np.asarray(v)
-    return float(np.max(np.abs(v))) if v.size else 0.0
-
-
-def fd_jacobian(f, x):
-    """Forward-difference Jacobian of f at x, on the flattened state."""
-    x = np.asarray(x)
-    f0 = np.asarray(f(x))
-    flat = x.ravel()
-    n = flat.size
-    J = np.empty((n, n), dtype=np.result_type(f0.dtype, float))
-    for i in range(n):
-        step = _SQRT_EPS * (1.0 + abs(flat[i]))
-        xp = flat.copy()
-        xp[i] += step
-        J[:, i] = ((np.asarray(f(xp.reshape(x.shape))) - f0) / step).ravel()
-    return J
-
-
-def newton_solve(residual, jacobian, guess, cfg=DEFAULT_NEWTON):
-    """Newton iteration for residual(x) = 0.
-
-    ``jacobian(x)`` must return the residual's Jacobian as a dense matrix
-    over the flattened state.
-    Convergence: max-norm of the residual below abs_tol + rel_tol * initial.
-    """
-    x = np.array(guess, copy=True)
-    r = np.asarray(residual(x))
-    norm0 = _max_norm(r)
-    if not np.isfinite(norm0):
-        raise NewtonError("residual is non-finite at the initial guess",
-                          iterations=0, residual_norm=norm0, last_iterate=x)
-    target = cfg.abs_tol + cfg.rel_tol * norm0
-    if norm0 <= target:
-        return x
-    for it in range(1, cfg.max_iters + 1):
-        J = jacobian(x)
-        try:
-            delta = np.linalg.solve(J, r.ravel()).reshape(x.shape)
-        except np.linalg.LinAlgError as exc:
-            raise LinearSolveError(f"singular Jacobian in Newton step {it}") from exc
-        x = x - delta
-        r = np.asarray(residual(x))
-        norm = _max_norm(r)
-        if not np.isfinite(norm):
-            raise NewtonError("Newton iterate diverged to non-finite values",
-                              iterations=it, residual_norm=norm, last_iterate=x)
-        if norm <= target:
-            return x
-    raise NewtonError(
-        f"Newton did not converge in {cfg.max_iters} iterations "
-        f"(last residual {norm:.3e}, target {target:.3e})",
-        iterations=cfg.max_iters, residual_norm=norm, last_iterate=x)
-
-
-def solve_substep(problem, index, t, alpha, rhs, guess, newton=DEFAULT_NEWTON):
-    """Solve  x - alpha*f_index(t, x) = rhs  (index is 0-based).
-
-    Uses the operator's own implicit solver when available, otherwise Newton
-    with a finite-difference Jacobian.
-    """
-    op = problem.operators[index]
-    solver = getattr(op, "solve_implicit", None)
-    if solver is not None:
-        return solver(t, alpha, rhs, guess=guess, newton=newton)
-
-    def residual(x):
-        return x - alpha * np.asarray(op(t, x)) - rhs
-
-    def jacobian(x):
-        Jf = fd_jacobian(lambda y: np.asarray(op(t, y)), x)
-        return np.eye(Jf.shape[0], dtype=Jf.dtype) - alpha * Jf
-
-    try:
-        return newton_solve(residual, jacobian, guess, newton)
-    except NewtonError as exc:
-        exc.operator_index = index + 1
-        exc.time = t
-        raise
-
-
-def lie_trotter_step(problem, t, dt, u, newton=DEFAULT_NEWTON):
+def lie_trotter_step(problem, t, dt, u):
     """Sequential backward Euler over the operators (first order).
 
     Each sub-problem  x - dt*f_nu(t+dt, x) = previous  is solved in operator
@@ -126,20 +23,20 @@ def lie_trotter_step(problem, t, dt, u, newton=DEFAULT_NEWTON):
     if not dt > 0:
         raise UsageError(f"step size must be positive, got dt={dt}")
     x = np.asarray(u)
-    for nu in range(problem.num_operators):
-        x = solve_substep(problem, nu, t + dt, dt, x, guess=x, newton=newton)
+    for op in problem.operators:
+        x = op.solve_implicit(t + dt, dt, x, guess=x)
     return x
 
 
-def _trapezoid_substep(problem, nu, t_a, t_b, u, newton):
+def _trapezoid_substep(problem, nu, t_a, t_b, u):
     # one implicit-trapezoid sub-solve of u' = f_nu over [t_a, t_b]
     half = 0.5 * (t_b - t_a)
     op = problem.operators[nu]
     rhs = u + half * np.asarray(op(t_a, u))
-    return solve_substep(problem, nu, t_b, half, rhs, guess=u, newton=newton)
+    return op.solve_implicit(t_b, half, rhs, guess=u)
 
 
-def strang_step(problem, t, dt, u, newton=DEFAULT_NEWTON):
+def strang_step(problem, t, dt, u):
     """Palindromic trapezoidal splitting (second order) for 2 or 3 operators.
 
     Three operators: f_1 and f_2 take half-interval sub-steps around a full
@@ -154,16 +51,16 @@ def strang_step(problem, t, dt, u, newton=DEFAULT_NEWTON):
     th = t + 0.5 * dt
     t1 = t + dt
     x = np.asarray(u)
-    x = _trapezoid_substep(problem, 0, t, th, x, newton)
-    x = _trapezoid_substep(problem, 1, th, t1, x, newton)
+    x = _trapezoid_substep(problem, 0, t, th, x)
+    x = _trapezoid_substep(problem, 1, th, t1, x)
     if L == 3:
-        x = _trapezoid_substep(problem, 2, t, t1, x, newton)
-    x = _trapezoid_substep(problem, 1, t, th, x, newton)
-    x = _trapezoid_substep(problem, 0, th, t1, x, newton)
+        x = _trapezoid_substep(problem, 2, t, t1, x)
+    x = _trapezoid_substep(problem, 1, t, th, x)
+    x = _trapezoid_substep(problem, 0, th, t1, x)
     return x
 
 
-def adi_step(problem, t, dt, u, newton=DEFAULT_NEWTON):
+def adi_step(problem, t, dt, u):
     """Peaceman-Rachford update for exactly two operators (second order).
 
     Half step implicit in f_1 with f_2 frozen at t, then half step implicit
@@ -178,10 +75,11 @@ def adi_step(problem, t, dt, u, newton=DEFAULT_NEWTON):
     th = t + 0.5 * dt
     half = 0.5 * dt
     u = np.asarray(u)
-    rhs1 = u + half * np.asarray(problem.operators[1](t, u))
-    mid = solve_substep(problem, 0, th, half, rhs1, guess=u, newton=newton)
-    rhs2 = mid + half * np.asarray(problem.operators[0](th, mid))
-    return solve_substep(problem, 1, t + dt, half, rhs2, guess=mid, newton=newton)
+    op1, op2 = problem.operators
+    rhs1 = u + half * np.asarray(op2(t, u))
+    mid = op1.solve_implicit(th, half, rhs1, guess=u)
+    rhs2 = mid + half * np.asarray(op1(th, mid))
+    return op2.solve_implicit(t + dt, half, rhs2, guess=mid)
 
 
 _STEPPERS = {

@@ -125,6 +125,16 @@ class TestRunSimulation:
         assert str(err.value).endswith("node (0, 0)")
         assert not (tmp_path / "example2_adi_t0.02.csv").exists()
 
+    def test_one_correction_count(self, tmp_path):
+        # the default (0, 1, 2) names three counts; a simulation runs one
+        cfg = RunConfig(experiment="simulate", problem="fhn", grid_n=8, dt=0.01,
+                        snap_times=(0.02,), out_dir=str(tmp_path / "out"))
+        with pytest.raises(UsageError, match=r"one correction count, got \[0, 1, 2\]"):
+            run_simulation(cfg)
+        assert main(["simulate", "--problem", "fhn", "--grid", "8", "--dt", "0.01",
+                     "--snap-times", "0.02", "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunStability:
     def test_tiny_scan(self, tmp_path):
@@ -206,6 +216,30 @@ class TestCli:
                      "--grid", "8", "--nt", "4,8,16", "--corrections", "0",
                      "--end-time", "0.01", "--out", str(tmp_path)]) == 0
         assert calls == [2, 4, 8, 16]
+
+    @pytest.mark.parametrize("counts", [(), [], (-1,), (0, -1), (1.5,), ("1",), 2],
+                             ids=["empty-tuple", "empty-list", "negative", "one-negative",
+                                  "float", "string", "no-sequence"])
+    def test_bad_correction_counts(self, counts):
+        with pytest.raises(UsageError, match="corrections must be"):
+            RunConfig(corrections=counts)
+
+    @pytest.mark.parametrize("flags", [
+        ["convergence", "--problem", "example1", "--scheme", "lie-trotter",
+         "--grid", "8", "--nt", "4,8", "--end-time", "0.01"],
+        ["stability", "--scheme", "strang", "--resolution", "11,11"]],
+        ids=["convergence", "stability"])
+    def test_negative_correction_count_stops_before_any_work(self, tmp_path,
+                                                              monkeypatch, flags):
+        solves = counting_solves(monkeypatch)
+        scans = []
+        scan_region = harness.scan_region
+        monkeypatch.setattr(harness, "scan_region",
+                            lambda scan: scans.append(scan) or scan_region(scan))
+        assert main([*flags, "--corrections", "0,-1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert solves == [] and scans == []
+        assert not (tmp_path / "out").exists()
 
     def test_snapshot_not_multiple_of_dt(self, tmp_path):
         assert main(["simulate", "--problem", "fhn", "--grid", "8",

@@ -10,8 +10,8 @@ from idcos import idc
 from idcos.idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_march,
                        idc_solve, predict, solve_macro_interval)
 from idcos.ode import DiagonalLinearOperator, SplitIVP, ZeroOperator
+from idcos.pde2d import PointwiseSourceOperator
 from idcos.polyint import UniformNodeSet
-from idcos.steppers import NewtonConfig
 
 LD = np.longdouble
 
@@ -25,9 +25,8 @@ def scalar_problem(lams=(-0.5, -0.5), u0=1.0, T=1.0, dtype=float):
 
 def polynomial_problem(dtype=float):
     # u' = 3t^2 split over two operators; exact solution t^3 + 1 has degree 3
-    def f1(t, u):
-        return 1.5 * t * t * np.ones_like(u)
-
+    f1 = PointwiseSourceOperator(lambda t, u: 1.5 * t * t * np.ones_like(u),
+                                 lambda t, u: np.zeros_like(u))
     return SplitIVP(operators=(f1, f1), initial_state=np.array(1.0, dtype=dtype),
                     t_span=(0.0, 1.0))
 
@@ -108,7 +107,9 @@ class TestResidualIntegrals:
         assert np.max(np.abs(residual_integrals(level, p))) == 0.0
 
     def test_unit_rhs_linear_values(self):
-        p = SplitIVP(operators=(lambda t, u: np.ones_like(u),),
+        unit = PointwiseSourceOperator(lambda t, u: np.ones_like(u),
+                                       lambda t, u: np.zeros_like(u))
+        p = SplitIVP(operators=(unit,),
                      initial_state=np.array(0.0), t_span=(0.0, 1.0))
         nodes = UniformNodeSet(t0=0.0, h=0.5, M=2)
         values = nodes.times.copy()
@@ -242,13 +243,11 @@ class TestIdcSolve:
         assert out["interpolant"] == pytest.approx(out["oversampled(13)"], abs=1e-13)
 
     def test_error_annotation(self):
-        def bad(t, u):
-            return u * np.inf
-
+        bad = PointwiseSourceOperator(lambda t, u: u * np.inf,
+                                      lambda t, u: np.full_like(u, np.inf))
         p = SplitIVP(operators=(bad, ZeroOperator()), initial_state=np.array(1.0),
                      t_span=(0.0, 1.0))
-        cfg = IDCConfig(corrections=0, predictor="lie-trotter", M=2,
-                        newton=NewtonConfig(max_iters=3))
+        cfg = IDCConfig(corrections=0, predictor="lie-trotter", M=2)
         with pytest.raises(StepperError) as err:
             with np.errstate(invalid="ignore"):
                 idc_solve(p, 3, cfg)

@@ -6,6 +6,7 @@ import pytest
 from idcos.errors import PoleError, UsageError
 from idcos.ode import (DiagonalLinearOperator, MatrixLinearOperator, SplitIVP,
                        Trajectory, ZeroOperator)
+from idcos.pde2d import PointwiseSourceOperator
 from idcos.problems import fhn
 
 
@@ -23,6 +24,11 @@ class TestSplitIVP:
         with pytest.raises(UsageError):
             SplitIVP(operators=(), initial_state=np.array(1.0), t_span=(0.0, 1.0))
 
+    def test_operator_without_implicit_solve(self):
+        with pytest.raises(UsageError, match="operator 2 has no solve_implicit"):
+            SplitIVP(operators=(ZeroOperator(), lambda t, u: -u),
+                     initial_state=np.array(1.0), t_span=(0.0, 1.0))
+
     def test_time_span(self):
         with pytest.raises(UsageError):
             linear_problem().__class__(
@@ -32,9 +38,11 @@ class TestSplitIVP:
     def test_total_rhs_matches_sum(self):
         rng = np.random.default_rng(0)
         p = SplitIVP(
-            operators=(lambda t, u: np.sin(u) + t,
-                       lambda t, u: u ** 2,
-                       lambda t, u: -3.0 * u),
+            operators=(PointwiseSourceOperator(lambda t, u: np.sin(u) + t,
+                                               lambda t, u: np.cos(u)),
+                       PointwiseSourceOperator(lambda t, u: u ** 2,
+                                               lambda t, u: 2.0 * u),
+                       DiagonalLinearOperator(-3.0)),
             initial_state=np.zeros(4), t_span=(0.0, 2.0))
         for _ in range(100):
             t = rng.uniform(0, 2)

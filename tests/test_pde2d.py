@@ -5,12 +5,11 @@ from scipy.sparse.linalg import splu
 
 from idcos.errors import LinearSolveError, NewtonError, UsageError
 from idcos.idc import ErrorProblem, IDCConfig, idc_solve, predict
-from idcos.pde2d import (CoefficientField, DirectionalDiffusionOperator, Grid2D,
-                         PointwiseSourceOperator, SemiDiscreteSystem, adi_pde_step,
-                         write_field_snapshot)
+from idcos.pde2d import (NEWTON_MAX_ITERS, NEWTON_TOL, CoefficientField,
+                         DirectionalDiffusionOperator, Grid2D, PointwiseSourceOperator,
+                         SemiDiscreteSystem, adi_pde_step, write_field_snapshot)
 from idcos.polyint import UniformNodeSet
 from idcos.problems import example1, example2, example3, fhn, schnakenberg
-from idcos.steppers import DEFAULT_NEWTON
 from idcos.stencils import build_stencil
 
 QUAD_ROOT = (-1.0 + np.sqrt(1.4)) / 0.2
@@ -288,15 +287,15 @@ def lapack_step(J, alpha, r):
     return np.moveaxis(np.linalg.solve(A, np.moveaxis(r, 0, -1)[..., None])[..., 0], -1, 0)
 
 
-def newton_reference(op, t, alpha, rhs, newton=DEFAULT_NEWTON):
+def newton_reference(op, t, alpha, rhs):
     """The pointwise Newton loop with each node's block solved by LAPACK."""
     x = rhs.copy()
     target = None
-    for _ in range(newton.max_iters):
+    for _ in range(NEWTON_MAX_ITERS):
         r = x - alpha * op(t, x) - rhs
         norm = np.max(np.abs(r))
         if target is None:
-            target = newton.abs_tol + newton.rel_tol * norm
+            target = NEWTON_TOL + NEWTON_TOL * norm
         if norm <= target:
             return x
         x = x - lapack_step(op.source_jacobian(t, x), alpha, r)
@@ -346,11 +345,61 @@ class TestPointwiseSolve:
         def jac(t, x):
             return 2.0 * x
 
-        from idcos.steppers import NewtonConfig
+        # x - 10 x^2 = 5 has no real root
         with pytest.raises(NewtonError, match=r"node \(0, 0\)"):
             op = PointwiseSourceOperator(source, jac)
-            op.solve_implicit(0.0, 10.0, np.full((3, 3), 5.0),
-                              newton=NewtonConfig(max_iters=4))
+            op.solve_implicit(0.0, 10.0, np.full((3, 3), 5.0))
+
+    def test_affine_one_iteration(self):
+        calls = []
+
+        def source(t, x):
+            calls.append(1)
+            return -x
+
+        op = PointwiseSourceOperator(source, lambda t, x: np.full_like(x, -1.0))
+        out = op.solve_implicit(0.0, 0.5, np.full((2, 2), 1.5), guess=np.zeros((2, 2)))
+        assert np.allclose(out, 1.0, rtol=0, atol=1e-15)
+        assert len(calls) == 2  # initial check plus one verification
+
+    def test_zero_residual_returns_guess(self):
+        jac_calls = []
+
+        def jac(t, x):
+            jac_calls.append(1)
+            return np.zeros_like(x)
+
+        op = PointwiseSourceOperator(lambda t, x: -x * x, jac)
+        guess = np.full((2, 3), 0.7)
+        out = op.solve_implicit(0.1, 0.1, guess - 0.1 * op(0.1, guess), guess=guess)
+        assert np.array_equal(out, guess)
+        assert not jac_calls  # zero iterations
+
+    def test_non_convergence(self):
+        # pivot 1 with residual cos(x) + 2 >= 1: every step stays finite
+        op = PointwiseSourceOperator(lambda t, x: x - np.cos(x) - 2.0,
+                                     lambda t, x: np.zeros_like(x))
+        with pytest.raises(NewtonError) as err:
+            op.solve_implicit(0.0, 1.0, np.zeros((2, 2)))
+        assert err.value.iterations == NEWTON_MAX_ITERS == 50
+        assert err.value.residual_norm > 0
+
+    def test_quadratic_convergence_observable(self):
+        # x + 0.3 sin(x) = 1.2, from x = 0
+        norms = []
+
+        def source(t, x):
+            s = -0.3 * np.sin(x)
+            norms.append(float(np.max(np.abs(x - s - 1.2))))
+            return s
+
+        op = PointwiseSourceOperator(source, lambda t, x: -0.3 * np.cos(x))
+        op.solve_implicit(0.0, 1.0, np.full((2, 2), 1.2), guess=np.zeros((2, 2)))
+        small = [n for n in norms if 0 < n < 1e-3]
+        assert len(small) >= 2
+        for a, b in zip(small, small[1:]):
+            # quadratic contraction until the roundoff floor
+            assert b <= max(100.0 * a * a, 1e-14)
 
     def test_infinite_residual_raises(self):
         # one node's source is infinite; the other node's residual is finite

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from idcos.errors import LinearSolveError, NewtonError, UnsupportedSchemeError
+from idcos.errors import UnsupportedSchemeError
 from idcos.ode import DiagonalLinearOperator, MatrixLinearOperator, SplitIVP, ZeroOperator
-from idcos.steppers import (NewtonConfig, adi_step, lie_trotter_step, newton_solve,
-                            strang_step)
+from idcos.pde2d import PointwiseSourceOperator
+from idcos.steppers import adi_step, lie_trotter_step, strang_step
 
 QUAD_ROOT = (-1.0 + np.sqrt(1.4)) / 0.2  # root of x + 0.1 x^2 = 1 in (0, 1)
 
@@ -19,73 +19,6 @@ def zero_problem(n_ops, dim=3):
                     initial_state=np.zeros(dim), t_span=(0.0, 1.0))
 
 
-class TestNewton:
-    def test_affine_one_iteration(self):
-        calls = []
-
-        def residual(x):
-            calls.append(1)
-            return x - 1.0
-
-        out = newton_solve(residual, lambda x: np.eye(1), np.array([0.0]))
-        assert out[0] == pytest.approx(1.0)
-        assert len(calls) == 2  # initial check plus one verification
-
-    def test_quadratic_root(self):
-        def residual(x):
-            return x + 0.1 * x * x - 1.0
-
-        def jacobian(x):
-            return np.array([[1.0 + 0.2 * x[0]]])
-
-        out = newton_solve(residual, jacobian, np.array([1.0]))
-        assert out[0] == pytest.approx(QUAD_ROOT, abs=1e-12)
-
-    def test_zero_residual_returns_guess(self):
-        jac_calls = []
-
-        def jacobian(x):
-            jac_calls.append(1)
-            return np.eye(1)
-
-        guess = np.array([0.7])
-        out = newton_solve(lambda x: np.zeros_like(x), jacobian, guess)
-        assert np.array_equal(out, guess)
-        assert not jac_calls  # zero iterations
-
-    def test_non_convergence(self):
-        cfg = NewtonConfig(max_iters=3)
-        with pytest.raises(NewtonError) as err:
-            newton_solve(lambda x: np.cos(x) + 2.0, lambda x: np.eye(1),
-                         np.array([0.0]), cfg)
-        assert err.value.iterations == 3
-        assert err.value.residual_norm > 0
-
-    def test_singular_jacobian(self):
-        with pytest.raises(LinearSolveError):
-            newton_solve(lambda x: x - 1.0, lambda x: np.zeros((1, 1)),
-                         np.array([0.0]))
-
-    def test_quadratic_convergence_observable(self):
-        norms = []
-
-        def residual(x):
-            r = x + np.sin(x) * 0.3 - 1.2
-            norms.append(float(np.max(np.abs(r))))
-            return r
-
-        def jacobian(x):
-            return np.array([[1.0 + 0.3 * np.cos(x[0])]])
-
-        newton_solve(residual, jacobian, np.array([0.0]),
-                     NewtonConfig(abs_tol=1e-14, rel_tol=1e-15))
-        small = [n for n in norms if 0 < n < 1e-3]
-        assert len(small) >= 2
-        for a, b in zip(small, small[1:]):
-            # quadratic contraction until the roundoff floor
-            assert b <= max(100.0 * a * a, 1e-14)
-
-
 class TestLieTrotter:
     def test_linear_two_operators(self):
         p = scalar_problem(-1.0, -1.0)
@@ -98,7 +31,8 @@ class TestLieTrotter:
         assert np.array_equal(lie_trotter_step(p, 0.0, 0.1, u), u)
 
     def test_nonlinear_backward_euler(self):
-        p = SplitIVP(operators=(lambda t, u: -u * u, ZeroOperator()),
+        square = PointwiseSourceOperator(lambda t, u: -u * u, lambda t, u: -2.0 * u)
+        p = SplitIVP(operators=(square, ZeroOperator()),
                      initial_state=np.array(1.0), t_span=(0.0, 1.0))
         out = lie_trotter_step(p, 0.0, 0.1, np.array(1.0))
         assert out == pytest.approx(QUAD_ROOT, abs=1e-10)
@@ -149,8 +83,9 @@ class TestStrang:
             part = lambda s: (lam * -np.cos(s) + np.sin(s)) / (1 + lam * lam)
             return (u0 - part(0.0)) * np.exp(lam * t) + part(t)
 
-        p = SplitIVP(operators=(DiagonalLinearOperator(lam),
-                                lambda t, u: np.cos(t) * np.ones_like(u)),
+        forcing = PointwiseSourceOperator(lambda t, u: np.cos(t) * np.ones_like(u),
+                                          lambda t, u: np.zeros_like(u))
+        p = SplitIVP(operators=(DiagonalLinearOperator(lam), forcing),
                      initial_state=np.array(1.0), t_span=(0.0, 1.0))
         errs = []
         for n in (20, 40, 80):
