@@ -1,4 +1,4 @@
-"""Stacks of banded line systems with cached LU factors.
+"""Stacks of banded line systems, factored once and solved many times.
 
 Grid-line operators from the finite-difference stencils are banded with
 bandwidths at most six.  A ``BandedMatrix`` holds L independent lines of
@@ -8,8 +8,13 @@ coefficients).  The L lines are factored as one band of length L*n by a
 single LAPACK gbtrf; no entry couples two lines, so partial pivoting stays
 inside each line and every line gets the factor it would get on its own.
 Periodic lines carry a handful of wrap entries in the corners; each line is
-handled as a banded core plus a low-rank correction (Woodbury identity) so
-line solves stay O(n).
+handled as a banded core plus a low-rank correction (Woodbury identity).
+
+Stacked lines are solved through that banded LU and Woodbury correction,
+O(n) per line.  A shared line is instead solved once against the identity
+at construction: its n x n inverse then solves every batch as one dense
+matrix product, which at grid-line sizes outruns the column-by-column
+banded solve.
 """
 
 import numpy as np
@@ -24,6 +29,9 @@ class BandedMatrix:
 
     ``ab`` holds the lines in LAPACK band storage, shape (L, kl + ku + 1, n);
     ``wrap_U`` holds the wrap entries of columns ``wrap_cols``, shape (L, n, r).
+    Stacked lines (L > 1) keep their banded LU and Woodbury factors; a
+    shared line (L = 1) keeps only its inverse, built from those factors,
+    and applies it as one matrix product.
     """
 
     def __init__(self, ab, kl, ku, wrap_cols=None, wrap_U=None):
@@ -55,6 +63,10 @@ class BandedMatrix:
             except np.linalg.LinAlgError as exc:
                 raise LinearSolveError("singular wrap correction") from exc
             self._wrap = (wrap_cols, W.transpose(0, 2, 1))
+        if self.lines == 1:
+            # a shared line keeps only its inverse: every solve is one GEMM
+            self._inv = self._solve_lines(np.eye(self.n, dtype=ab.dtype)[None])[0]
+            del self._gbtrs, self._lu, self._piv, self._wrap
 
     @classmethod
     def from_sparse(cls, A):
@@ -87,22 +99,22 @@ class BandedMatrix:
             raise LinearSolveError(f"banded solve failed (info={info})")
         return x.reshape(B.shape)
 
-    def solve(self, b):
-        """Solve for one vector (n,) or a batch (n, k).
-
-        With one line every column is solved against it; with L lines the
-        batch has k = L columns and column k is line k's right-hand side.
-        """
-        b = np.asarray(b)
-        single = b.ndim == 1
-        B = b[:, None] if single else b
-        n, k = B.shape
-        if self.lines > 1 and k != self.lines:
-            raise UsageError(f"{self.lines} lines need one right-hand side "
-                             f"each, got {k}")
-        X = self._solve_core(B.reshape(n, self.lines, -1).transpose(1, 0, 2))
+    def _solve_lines(self, B):
+        """Banded solve plus wrap correction of an (L, n, m) stack."""
+        X = self._solve_core(B)
         if self._wrap is not None:
             cols, W = self._wrap
             X = X - W @ X[:, cols, :]
-        X = X.transpose(1, 0, 2).reshape(n, k)
-        return X[:, 0] if single else X
+        return X
+
+    def solve(self, b):
+        """Solve for one vector (n,) or a batch (n, k) against a shared line;
+        L stacked lines take an (n, L) batch, column k line k's right-hand side.
+        """
+        if self.lines == 1:
+            return self._inv @ b
+        b = np.asarray(b)
+        if b.ndim != 2 or b.shape[1] != self.lines:
+            raise UsageError(f"{self.lines} lines need one right-hand side "
+                             f"each, got shape {b.shape}")
+        return self._solve_lines(b.T[:, :, None])[:, :, 0].T

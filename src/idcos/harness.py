@@ -28,12 +28,16 @@ from .steppers import STEPPER_ORDERS
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One batch run: a convergence study, a stability map, or a simulation."""
+    """One batch run: a convergence study, a stability map, or a simulation.
+
+    ``corrections`` defaults per experiment: convergence studies and
+    stability maps run (0, 1, 2), a simulation runs the one count (2,).
+    """
 
     experiment: str = "convergence"
     problem: str = "example1"
     scheme: str = "lie-trotter"
-    corrections: tuple = (0, 1, 2)
+    corrections: tuple = None
     nt_list: tuple = ()
     nt_unit: str = None          # 'substep' or 'macro'; scheme default if None
     M: int = None                # sub-intervals per macro step; policy default
@@ -61,6 +65,9 @@ class RunConfig:
             raise UsageError(f"unknown nt unit {self.nt_unit!r}")
         if self.M is not None and self.M < 1:
             raise UsageError(f"need at least one sub-interval, got M={self.M}")
+        if self.corrections is None:
+            object.__setattr__(self, "corrections",
+                               (2,) if self.experiment == "simulate" else (0, 1, 2))
         counts = self.corrections
         if not (isinstance(counts, (tuple, list)) and counts and all(
                 isinstance(cs, numbers.Integral) and cs >= 0 for cs in counts)):
@@ -204,6 +211,8 @@ def run_convergence(cfg):
         raise UsageError("convergence runs need an N_t ladder")
     if cfg.end_time is None:
         raise UsageError(f"no end time for {cfg.problem} {cfg.scheme}; set --end-time")
+    if not cfg.end_time > 0:
+        raise UsageError(f"end time must be positive, got {cfg.end_time}")
     t_start = time.perf_counter()
     prob = _build_problem(cfg)
     metric = "exact" if prob.exact is not None else "self"
@@ -275,17 +284,24 @@ def run_convergence(cfg):
 
 
 def run_stability(cfg):
-    """Stability field + unit-contour CSVs for each correction count."""
+    """Stability field + unit-contour CSVs for each correction count.
+
+    Every scan's window is checked before the output directory is made.
+    """
     t_start = time.perf_counter()
+    specs = [StabilityScan(
+        scheme=cfg.scheme, corrections=cs, re_range=tuple(cfg.re_range),
+        im_range=tuple(cfg.im_range), resolution=tuple(cfg.resolution),
+        M=cfg.M, residual_mode=cfg.residual_mode or "oversampled(13)")
+        for cs in cfg.corrections]
+    for spec in specs:
+        spec.axes()
     os.makedirs(cfg.out_dir, exist_ok=True)
     artifacts = {}
     scans = []
-    for cs in cfg.corrections:
-        scan = scan_region(StabilityScan(
-            scheme=cfg.scheme, corrections=cs, re_range=tuple(cfg.re_range),
-            im_range=tuple(cfg.im_range), resolution=tuple(cfg.resolution),
-            M=cfg.M, residual_mode=cfg.residual_mode or "oversampled(13)"))
-        base = os.path.join(cfg.out_dir, f"{cfg.name}_cs{cs}")
+    for spec in specs:
+        scan = scan_region(spec)
+        base = os.path.join(cfg.out_dir, f"{cfg.name}_cs{spec.corrections}")
         write_field_csv(base + "_field.csv", scan)
         write_contour_csv(base + "_contour.csv", scan)
         for suffix in ("_field.csv", "_contour.csv"):
@@ -322,9 +338,9 @@ def run_simulation(cfg):
     snapshot, and a snapshot at time t is written after step round(t/dt)
     (t = 0 writes the initial field).  Snapshot times must be distinct,
     non-negative multiples of dt no later than end_time.  A simulation runs
-    exactly one correction count; more than one raises UsageError.  A
-    non-finite field aborts with the offending time and node.  Returns
-    per-snapshot (time, min, max) summaries.
+    exactly one correction count, (2,) unless set; more than one raises
+    UsageError.  A non-finite field aborts with the offending time and node.
+    Returns per-snapshot (time, min, max) summaries.
     """
     cfg = with_table_defaults(cfg)
     if cfg.dt is None or not cfg.snap_times:

@@ -8,11 +8,13 @@ direction operator builds its line operator L once, coefficients folded in:
 one shared line for constant coefficients, one line per grid line otherwise.
 Application, wall terms and implicit sub-steps all read that L; an implicit
 sub-step is independent line solves, one ``BandedMatrix`` of I - alpha*L per
-direction and step size.
+direction and step size.  A shared line is solved by its precomputed
+inverse, one matrix product over the whole field; stacked lines by their
+banded LU.
 
 Fields are stored row-major with y as the outer index, shape (N_y, N_x);
-multi-component states prepend the component axis.  x-direction line solves
-run over contiguous rows, y-direction solves pay one transpose.
+multi-component states prepend the component axis.  x-direction lines are
+the rows of a field, y-direction lines its columns.
 """
 
 from dataclasses import dataclass
@@ -121,10 +123,12 @@ class DirectionalDiffusionOperator:
     stencil rows, as lines stacked into an (n_lines * n, n) CSR: one shared
     line when ``constant`` is set, else one per grid line of this direction.
     It is applied as one multi-vector product with the shared line or one
-    block-diagonal matvec over the stack, and (I - alpha*L) is factored once
-    per alpha.  On Dirichlet grids ``wall_weights`` holds the folded weights
-    of each line's two wall values, one row per line, for the boundary
-    contribution: the only time-dependent piece.
+    block-diagonal matvec over the stack.  (I - alpha*L) is built once per
+    alpha: the shared line as its inverse, applied to the whole field as one
+    matrix product, stacked lines as their banded LU.  On Dirichlet grids
+    ``wall_weights`` holds the folded weights of each line's two wall values,
+    one row per line, for the boundary contribution: the only time-dependent
+    piece.
     """
 
     def __init__(self, grid, axis, coeff, order=6, boundary=None):
@@ -205,7 +209,7 @@ class DirectionalDiffusionOperator:
     # -- implicit solves ---------------------------------------------------
 
     def _solver(self, alpha):
-        """The factored lines (I - alpha*L), one per line of the stack."""
+        """The line solver of (I - alpha*L), one line per line of the stack."""
         key = float(alpha)
         solver = self._solvers.get(key)
         if solver is None:

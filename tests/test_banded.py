@@ -4,6 +4,8 @@ import scipy.sparse as sp
 
 from idcos.banded import BandedMatrix
 from idcos.errors import LinearSolveError, UsageError
+from idcos.pde2d import Grid2D
+from idcos.stencils import build_stencil
 
 
 def random_banded(rng, n, kl, ku, shift=10.0):
@@ -66,6 +68,62 @@ class TestBandedMatrix:
     def test_non_square(self):
         with pytest.raises(UsageError):
             BandedMatrix.from_sparse(sp.csr_matrix(np.ones((3, 4))))
+
+
+def closure_line(n, alpha=1e-3):
+    """I - alpha*d2 on a sixth-order Dirichlet line: kl = ku = 6 from the
+    one-sided wall closures."""
+    grid = Grid2D((0.0, 1.0), (0.0, 1.0), n, n)
+    return sp.eye(n, format="csr") - alpha * build_stencil(grid, "x", 2, 6).matrix
+
+
+class TestSharedLine:
+    @pytest.mark.parametrize("build", [
+        lambda rng: closure_line(60),
+        lambda rng: random_banded(rng, 60, 6, 6),
+        lambda rng: random_periodic(rng, 64, 6),
+    ], ids=["closure", "banded", "periodic"])
+    def test_matches_dense_solve(self, build):
+        rng = np.random.default_rng(21)
+        A = build(rng)
+        bm = BandedMatrix.from_sparse(A)
+        assert bm.lines == 1
+        n = A.shape[0]
+        for b in (rng.normal(size=n), rng.normal(size=(n, 7))):
+            x = bm.solve(b)
+            ref = np.linalg.solve(A.toarray(), b)
+            assert x.shape == b.shape
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_closure_bandwidth(self):
+        bm = BandedMatrix.from_sparse(closure_line(30))
+        assert (bm.kl, bm.ku) == (6, 6)
+
+    def test_transposed_batch(self):
+        # x-direction sweeps solve the rows of a field through its transpose
+        rng = np.random.default_rng(22)
+        A = random_periodic(rng, 40, 3)
+        bm = BandedMatrix.from_sparse(A)
+        F = rng.normal(size=(9, 40))
+        ref = np.linalg.solve(A.toarray(), F.T)
+        assert np.max(np.abs(bm.solve(F.T) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_input_unchanged(self):
+        rng = np.random.default_rng(23)
+        bm = BandedMatrix.from_sparse(random_periodic(rng, 30, 2))
+        B = rng.normal(size=(30, 4))
+        before = B.copy()
+        bm.solve(B)
+        bm.solve(B[:, 0])
+        assert np.array_equal(B, before)
+
+    def test_singular_wrap_capacitance(self):
+        # the banded core is the identity, but the wrap entries (0, 3) and
+        # (3, 0) make rows 0 and 3 equal: only the capacitance is singular
+        A = sp.eye(4, format="lil")
+        A[0, 3] = A[3, 0] = 1.0
+        with pytest.raises(LinearSolveError, match="singular wrap"):
+            BandedMatrix.from_sparse(A.tocsr())
 
 
 class TestStackedLines:

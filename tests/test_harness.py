@@ -126,14 +126,24 @@ class TestRunSimulation:
         assert not (tmp_path / "example2_adi_t0.02.csv").exists()
 
     def test_one_correction_count(self, tmp_path):
-        # the default (0, 1, 2) names three counts; a simulation runs one
         cfg = RunConfig(experiment="simulate", problem="fhn", grid_n=8, dt=0.01,
-                        snap_times=(0.02,), out_dir=str(tmp_path / "out"))
+                        snap_times=(0.02,), corrections=(0, 1, 2),
+                        out_dir=str(tmp_path / "out"))
         with pytest.raises(UsageError, match=r"one correction count, got \[0, 1, 2\]"):
             run_simulation(cfg)
         assert main(["simulate", "--problem", "fhn", "--grid", "8", "--dt", "0.01",
-                     "--snap-times", "0.02", "--out", str(tmp_path / "out")]) == 2
+                     "--snap-times", "0.02", "--corrections", "0,1,2",
+                     "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_default_correction_count(self, tmp_path):
+        # convergence studies and stability maps default to three counts,
+        # a simulation to the one count it runs
+        assert RunConfig().corrections == (0, 1, 2)
+        assert RunConfig(experiment="stability").corrections == (0, 1, 2)
+        assert main(["simulate", "--problem", "fhn", "--grid", "8", "--dt", "0.01",
+                     "--snap-times", "0.02", "--out", str(tmp_path)]) == 0
+        assert manifest(tmp_path, "fhn_lietrotter")["config"]["corrections"] == [2]
 
 
 class TestRunStability:
@@ -239,6 +249,16 @@ class TestCli:
         assert main([*flags, "--corrections", "0,-1",
                      "--out", str(tmp_path / "out")]) == 2
         assert solves == [] and scans == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["convergence", "--problem", "example1", "--scheme", "strang", "--grid", "8",
+         "--nt", "4,8", "--corrections", "0", "--end-time", "-1"],
+        ["stability", "--scheme", "strang", "--corrections", "0",
+         "--resolution", "1,1"]],
+        ids=["negative-end-time", "one-sample-scan"])
+    def test_rejected_run_leaves_no_directory(self, tmp_path, flags):
+        assert main([*flags, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
     def test_snapshot_not_multiple_of_dt(self, tmp_path):
