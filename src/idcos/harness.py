@@ -141,6 +141,17 @@ def pick_subintervals(target_order, nt_list, nt_unit):
     return M
 
 
+def _idc_config(scheme, cs, M, residual_mode):
+    """One correction count's IDCConfig, with its sub-interval count checked
+    against the uniform-node cap so a run can reject it before any output."""
+    idc_cfg = IDCConfig(corrections=cs, predictor=scheme, M=M,
+                        residual_mode=residual_mode)
+    if idc_cfg.resolved_M() > MAX_SUBINTERVALS:
+        raise UsageError(f"M={idc_cfg.resolved_M()} exceeds the uniform-node cap "
+                         f"{MAX_SUBINTERVALS}")
+    return idc_cfg
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Rows of (correction, Nt, error, order) plus the metric used."""
@@ -203,8 +214,8 @@ def run_convergence(cfg):
     Problems with an exact solution use the max-norm error at the end time;
     the periodic variable-coefficient problem uses the successive-refinement
     difference, which needs each N_t/2 run as its reference, so its N_t must
-    be even.  Every rung, references included, is checked before the first
-    solve.
+    be even.  Every rung, references included, and every correction count's
+    IDC configuration are checked before the first solve.
     """
     cfg = with_table_defaults(cfg)
     if not cfg.nt_list:
@@ -230,15 +241,14 @@ def run_convergence(cfg):
             if nt < unit or nt % unit:
                 raise UsageError(f"N_t={nt} ({nt_unit} unit) is no positive whole "
                                  f"number of macro steps of M={M}")
-        plan.append((cs, M, unit))
+        plan.append((cs, unit, _idc_config(cfg.scheme, cs, M,
+                                           cfg.residual_mode or "interpolant")))
     os.makedirs(cfg.out_dir, exist_ok=True)
     T = cfg.end_time
     exact = prob.exact(T) if metric == "exact" else None
     rows = []
     failures = []
-    for cs, M, unit in plan:
-        idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
-                            residual_mode=cfg.residual_mode or "interpolant")
+    for cs, unit, idc_cfg in plan:
         ivp = prob.split_ivp(T)
         finals = {}
         for nt in run_nts:
@@ -286,7 +296,8 @@ def run_convergence(cfg):
 def run_stability(cfg):
     """Stability field + unit-contour CSVs for each correction count.
 
-    Every scan's window is checked before the output directory is made.
+    Every scan's window and IDC configuration are checked before the output
+    directory is made.
     """
     t_start = time.perf_counter()
     specs = [StabilityScan(
@@ -296,6 +307,7 @@ def run_stability(cfg):
         for cs in cfg.corrections]
     for spec in specs:
         spec.axes()
+        _idc_config(spec.scheme, spec.corrections, spec.M, spec.residual_mode)
     os.makedirs(cfg.out_dir, exist_ok=True)
     artifacts = {}
     scans = []
@@ -339,7 +351,9 @@ def run_simulation(cfg):
     (t = 0 writes the initial field).  Snapshot times must be distinct,
     non-negative multiples of dt no later than end_time.  A simulation runs
     exactly one correction count, (2,) unless set; more than one raises
-    UsageError.  A non-finite field aborts with the offending time and node.
+    UsageError.  Every input, the IDC configuration included, is checked
+    before the output directory is made.  A non-finite field aborts with the
+    offending time and node.
     Returns per-snapshot (time, min, max) summaries.
     """
     cfg = with_table_defaults(cfg)
@@ -349,14 +363,13 @@ def run_simulation(cfg):
         raise UsageError(f"a simulation runs one correction count, "
                          f"got {list(cfg.corrections)}")
     steps = _snapshot_steps(cfg)
-    t_start = time.perf_counter()
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    prob = _build_problem(cfg)
     (cs,) = cfg.corrections
     target = STEPPER_ORDERS[cfg.scheme] * (1 + cs)
     M = cfg.M if cfg.M is not None else (1 if cs == 0 else max(target, 3))
-    idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
-                        residual_mode=cfg.residual_mode or "interpolant")
+    idc_cfg = _idc_config(cfg.scheme, cs, M, cfg.residual_mode or "interpolant")
+    t_start = time.perf_counter()
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    prob = _build_problem(cfg)
     artifacts = {}
     summaries = []
 

@@ -12,6 +12,12 @@ previous level and Int(t) is the integral of its residual.  The update
 recovers the error estimate delta_m = Q_m - Int(t_m) and adds it to the
 level.  Each sweep lifts the observable order by the corrector's order until
 the M+1-node quadrature saturates.
+
+With the node rhs as quadrature data (the 'interpolant' residual mode), the
+residual integral at all M+1 nodes is one integration-matrix product per
+sweep, and at a node time ups(t) is the node value itself.  Only times
+between nodes (a stepper's stage times) interpolate and integrate by Gauss
+quadrature.
 """
 
 from dataclasses import dataclass
@@ -24,7 +30,7 @@ import numpy as np
 from . import polyint
 from .errors import SolverError, StepperError, UsageError
 from .ode import SplitIVP, Trajectory
-from .polyint import UniformNodeSet, lagrange_eval, partial_integral
+from .polyint import UniformNodeSet, lagrange_eval, node_integrals, partial_integral
 from .steppers import STEPPER_ORDERS, get_stepper
 
 _OVERSAMPLED_RE = re.compile(r"oversampled\((\d+)\)$")
@@ -177,7 +183,12 @@ class ErrorProblem:
 
     The residual quadrature reads f at the level's nodes ('interpolant') or,
     through its interpolant, on a finer grid ('oversampled(N)'), evaluated
-    here: this sweep is the only reader.
+    here: this sweep is the only reader.  In 'interpolant' mode every node
+    shift comes from one integration-matrix product over the node rhs, made
+    here; a read at a node time (|tau - round(tau)| <= 1e-12) is a row of
+    it, and the interpolant there is the node value itself.  Times between
+    nodes, and every shift in 'oversampled' mode, use the Gauss quadrature
+    of the barycentric interpolant.
     """
 
     def __init__(self, problem, level, residual_mode="interpolant"):
@@ -188,24 +199,43 @@ class ErrorProblem:
         self._shift = {}
         self._nodal_shift = {}
         self._feval = {}
+        self._node_shifts = None
         if kind == "oversampled":
             self._quad_nodes, self._quad_values = _oversampled_rhs(level, problem, n_over)
         else:
             self._quad_nodes = level.nodes
             self._quad_values = _cache_rhs(problem, level.nodes, level.values)
+            shifts = (level.values - level.values[0]) - node_integrals(
+                level.nodes, self._quad_values)
+            shifts.setflags(write=False)
+            self._node_shifts = shifts
         ops = tuple(_CorrectionOperator(self, nu)
                     for nu in range(problem.num_operators))
         self.ivp = SplitIVP(operators=ops,
                             initial_state=np.zeros_like(level.values[0]),
                             t_span=(level.nodes.t0, level.nodes.t_end))
 
+    def _node(self, t):
+        """Index of the node at time t, or None between nodes."""
+        nodes = self.level.nodes
+        tau = nodes.local(t)
+        m = np.rint(tau)
+        return int(m) if abs(tau - m) <= 1e-12 and 0 <= m <= nodes.M else None
+
     def interpolant(self, t):
+        m = self._node(t)
+        if m is not None:
+            return self.level.values[m]
         if t not in self._ups:
             self._ups[t] = lagrange_eval(self.level.nodes, self.level.values, t)
         return self._ups[t]
 
     def shift(self, t):
         """Integral of the residual from t0 to t."""
+        if self._node_shifts is not None:
+            m = self._node(t)
+            if m is not None:
+                return self._node_shifts[m]
         if t not in self._shift:
             self._shift[t] = (self.interpolant(t) - self.level.values[0]
                               - partial_integral(self._quad_nodes, self._quad_values, t))
@@ -220,11 +250,11 @@ class ErrorProblem:
         values keep the corrector's order and its practical stability on
         semi-discrete diffusion.
         """
-        nodes = self.level.nodes
-        tau = nodes.local(t)
-        if abs(tau - round(tau)) <= 1e-12:
+        if self._node(t) is not None:
             return self.shift(t)
         if t not in self._nodal_shift:
+            nodes = self.level.nodes
+            tau = nodes.local(t)
             m = int(np.floor(tau))
             t_m = nodes.t0 + nodes.h * m
             theta = tau - m

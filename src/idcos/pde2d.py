@@ -128,7 +128,9 @@ class DirectionalDiffusionOperator:
     matrix product, stacked lines as their banded LU.  On Dirichlet grids
     ``wall_weights`` holds the folded weights of each line's two wall values,
     one row per line, for the boundary contribution: the only time-dependent
-    piece.
+    piece.  Those weights are nonzero only within the first and last
+    ``strip`` nodes of a line (3 for the sixth-order closures), and the wall
+    terms are written on those two strips of a zero field alone.
     """
 
     def __init__(self, grid, axis, coeff, order=6, boundary=None):
@@ -158,6 +160,13 @@ class DirectionalDiffusionOperator:
                 walls.append((coef * stencil.wall_left, coef * stencil.wall_right))
         self.L = sum(stacks[1:], stacks[0])
         self.wall_weights = tuple(sum(w[1:], w[0]) for w in zip(*walls)) or None
+        # coordinates along the walls, one per line
+        self._along = grid.ys if axis == "x" else grid.xs
+        if self.wall_weights is not None:
+            w_lo, w_hi = self.wall_weights
+            # nonzero columns, each counted from its own wall
+            support = (w_lo != 0).any(axis=0) | (w_hi != 0).any(axis=0)[::-1]
+            self.strip = int(np.flatnonzero(support)[-1]) + 1
         if not self.constant:  # the stack as one block-diagonal matrix
             L, n = self.L, self.L.shape[1]
             line = np.repeat(np.arange(L.shape[0]) // n, np.diff(L.indptr))
@@ -178,20 +187,24 @@ class DirectionalDiffusionOperator:
     def wall_values(self, t):
         """Known values (g_lo, g_hi) on the two walls this direction's lines
         end at, one per line."""
-        g = self.boundary
+        g, along = self.boundary, self._along
         if self.axis == "x":
-            ys = self.grid.ys
-            return tuple(np.broadcast_to(np.asarray(g(w, ys, t), dtype=float),
-                                         ys.shape) for w in self.grid.x_span)
-        xs = self.grid.xs
-        return tuple(np.broadcast_to(np.asarray(g(xs, w, t), dtype=float),
-                                     xs.shape) for w in self.grid.y_span)
+            values = [g(w, along, t) for w in self.grid.x_span]
+        else:
+            values = [g(along, w, t) for w in self.grid.y_span]
+        values = [np.asarray(v, dtype=float) for v in values]
+        return tuple(v if v.shape == along.shape else np.broadcast_to(v, along.shape)
+                     for v in values)
 
     def wall_contribution(self, g_lo, g_hi):
         """Additive field of the given wall values (one per line) on this
-        direction's wall-adjacent rows."""
+        direction's wall-adjacent rows: w_lo*g_lo + w_hi*g_hi, written on the
+        two wall strips alone (summed in that order where they overlap)."""
         w_lo, w_hi = self.wall_weights
-        out = w_lo * g_lo[:, None] + w_hi * g_hi[:, None]
+        k, n = self.strip, w_lo.shape[1]
+        out = np.zeros((len(g_lo), n))
+        out[:, :k] = w_lo[:, :k] * g_lo[:, None]
+        out[:, n - k:] += w_hi[:, n - k:] * g_hi[:, None]
         return out if self.axis == "x" else out.T
 
     def boundary_contribution(self, t):

@@ -2,7 +2,10 @@
 
 Everything here works on M+1 equispaced nodes t_m = t0 + m*h.  Quadrature
 weights are generated in exact rational arithmetic and stored as floats, which
-keeps them reproducible and exact on polynomials up to degree M.  Uniform-node
+keeps them reproducible and exact on polynomials up to degree M.  The
+integration matrix serves the integrals from t0 to every node at once
+(``node_integrals``, one matrix product); ``partial_integral`` serves any
+other upper limit by Gauss quadrature of the interpolant.  Uniform-node
 interpolation degrades quickly beyond moderate M (Runge phenomenon), so M is
 capped at MAX_SUBINTERVALS.
 """
@@ -104,6 +107,15 @@ def _gamma_table(M):
 
 
 @lru_cache(maxsize=None)
+def _node_weights(M):
+    # row m integrates the interpolant from 0 to m: m * gamma[m-1]; row 0 is zero
+    W = np.zeros((M + 1, M + 1))
+    W[1:] = np.arange(1, M + 1)[:, None] * _gamma_table(M)
+    W.setflags(write=False)
+    return W
+
+
+@lru_cache(maxsize=None)
 def _barycentric_weights(M):
     # Uniform-node barycentric weights (-1)^j * binomial(M, j); the common
     # scale cancels in the barycentric ratio.
@@ -132,16 +144,22 @@ def _stack_values(nodes, values):
     return vals
 
 
+def _node_at(M, tau):
+    """Index of the node at local coordinate tau, or None between nodes."""
+    m = np.rint(tau)
+    if abs(tau - m) < 1e-14 * max(1.0, abs(tau)) and 0 <= m <= M:
+        return int(m)
+    return None
+
+
 def _cardinal_row(M, tau):
     """Values of all cardinal functions at local coordinate tau (stable form)."""
-    w = _barycentric_weights(M)
-    dist = tau - np.arange(M + 1.0)
-    on_node = np.abs(dist) < 1e-14 * max(1.0, abs(tau))
     row = np.zeros(M + 1)
-    if on_node.any():
-        row[np.argmax(on_node)] = 1.0
+    m = _node_at(M, tau)
+    if m is not None:
+        row[m] = 1.0
         return row
-    q = w / dist
+    q = _barycentric_weights(M) / (tau - np.arange(M + 1.0))
     return q / q.sum()
 
 
@@ -149,14 +167,17 @@ def lagrange_eval(nodes, values, t):
     """Evaluate the degree-M interpolant of the node values at time t.
 
     t must lie in the node range [t0, t_end]; the interpolant is never
-    extrapolated.
+    extrapolated.  At a node the result is a copy of that node's value, so
+    a non-finite value elsewhere does not reach it.
     """
     vals = _stack_values(nodes, values)
     tau = nodes.local(t)
     if tau < -1e-12 or tau > nodes.M + 1e-12:
         raise UsageError(f"t={t} outside the node range [{nodes.t0}, {nodes.t_end}]")
-    row = _cardinal_row(nodes.M, tau)
-    return np.tensordot(row, vals, axes=(0, 0))
+    m = _node_at(nodes.M, tau)
+    if m is not None:
+        return np.array(vals[m])
+    return np.tensordot(_cardinal_row(nodes.M, tau), vals, axes=(0, 0))
 
 
 def integration_matrix(nodes):
@@ -165,6 +186,16 @@ def integration_matrix(nodes):
     The weights are affine invariant: they depend on M only, never on t0 or h.
     """
     return IntegrationMatrix(M=nodes.M, gamma=_gamma_table(nodes.M))
+
+
+def node_integrals(nodes, values):
+    """Exact integrals of the degree-M interpolant from t0 to every node.
+
+    Row m integrates up to t_m (row 0 is zero): the integration matrix's
+    weights applied to all node values in one matrix product.
+    """
+    vals = _stack_values(nodes, values)
+    return nodes.h * np.tensordot(_node_weights(nodes.M), vals, axes=(1, 0))
 
 
 def partial_integral(nodes, values, t_upper):

@@ -251,12 +251,25 @@ class TestCli:
         assert solves == [] and scans == []
         assert not (tmp_path / "out").exists()
 
+    SCAN = ["stability", "--scheme", "strang", "--corrections", "0", "--resolution", "5,5"]
+    LADDER = ["convergence", "--problem", "example1", "--scheme", "strang", "--grid", "8",
+              "--nt", "4,8", "--corrections", "0", "--end-time", "0.01"]
+    SIMULATION = ["simulate", "--problem", "example1", "--scheme", "adi", "--grid", "8",
+                  "--corrections", "0", "--dt", "0.01", "--snap-times", "0.02"]
+
     @pytest.mark.parametrize("flags", [
         ["convergence", "--problem", "example1", "--scheme", "strang", "--grid", "8",
          "--nt", "4,8", "--corrections", "0", "--end-time", "-1"],
         ["stability", "--scheme", "strang", "--corrections", "0",
-         "--resolution", "1,1"]],
-        ids=["negative-end-time", "one-sample-scan"])
+         "--resolution", "1,1"],
+        SCAN + ["--residual-mode", "bogus"],
+        SCAN + ["--sub-intervals", "99"],
+        LADDER + ["--residual-mode", "bogus"],
+        SIMULATION + ["--residual-mode", "bogus"],
+        SIMULATION + ["--sub-intervals", "99"]],
+        ids=["negative-end-time", "one-sample-scan", "scan-residual-mode",
+             "scan-sub-intervals", "ladder-residual-mode", "simulation-residual-mode",
+             "simulation-sub-intervals"])
     def test_rejected_run_leaves_no_directory(self, tmp_path, flags):
         assert main([*flags, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+from fractions import Fraction
 import gc
 import warnings
 import weakref
@@ -6,12 +7,12 @@ import numpy as np
 import pytest
 
 from idcos.errors import StepperError, UsageError
-from idcos import idc
+from idcos import idc, polyint
 from idcos.idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_march,
                        idc_solve, predict, solve_macro_interval)
 from idcos.ode import DiagonalLinearOperator, SplitIVP, ZeroOperator
 from idcos.pde2d import PointwiseSourceOperator
-from idcos.polyint import UniformNodeSet
+from idcos.polyint import UniformNodeSet, lagrange_eval, partial_integral
 
 LD = np.longdouble
 
@@ -336,6 +337,57 @@ class TestErrorProblem:
             for theta in (0.1, 0.3, 0.75, 0.9):
                 assert np.allclose(ep.nodal_shift(times[m] + theta * nodes.h),
                                    (1 - theta) * lo + theta * hi, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(), (4, 4), (2, 4, 4)],
+                             ids=["scalar", "field", "two-component"])
+    @pytest.mark.parametrize("M", range(1, 17))
+    def test_node_shifts_match_gauss_path(self, M, shape):
+        # node reads are rows of the integration-matrix product, or the node
+        # values themselves; reads between nodes stay on the Gauss path
+        p = self.two_sources(shape)
+        nodes = UniformNodeSet(t0=0.3, h=0.7 / M, M=M)
+        phase = np.random.default_rng(M).uniform(0, 2 * np.pi, shape)
+        values = np.stack([np.cos(2 * t + phase) for t in nodes.times])
+        ep = ErrorProblem(p, IDCLevelResult(nodes=nodes, values=values))
+        F = np.stack([p.f_total(t, u) for t, u in zip(nodes.times, values)])
+        scale = np.max(np.abs(F)) * M * nodes.h
+        for m, t in enumerate(nodes.times):
+            gauss = values[m] - values[0] - partial_integral(nodes, F, t)
+            assert np.max(np.abs(ep.shift(t) - gauss)) <= 1e-13 * scale
+            assert ep.interpolant(t).tobytes() == values[m].tobytes()
+        assert np.all(ep.shift(nodes.t0) == 0)
+        for t in (nodes.t0 + 0.5 * nodes.h, nodes.t_end - 0.3 * nodes.h):
+            interp = lagrange_eval(nodes, values, t)
+            gauss = interp - values[0] - partial_integral(nodes, F, t)
+            assert ep.interpolant(t).tobytes() == interp.tobytes()
+            assert ep.shift(t).tobytes() == gauss.tobytes()
+
+    @pytest.mark.parametrize("M", [1, 2, 5, 8, 12, 16])
+    def test_node_shifts_exact_on_rough_levels(self, M):
+        # node values with no smoothness: against the integral of the
+        # interpolant in rational arithmetic.  At M=16 the Gauss path reads
+        # these to about 7e-13 of the scale, the integration matrix to 3e-15.
+        p = self.two_sources((3, 4))
+        nodes = UniformNodeSet(t0=0.3, h=0.7 / M, M=M)
+        values = np.random.default_rng(M).normal(size=(M + 1, 3, 4))
+        ep = ErrorProblem(p, IDCLevelResult(nodes=nodes, values=values))
+        F = np.stack([p.f_total(t, u) for t, u in zip(nodes.times, values)])
+        anti = [polyint._poly_antiderivative(c) for c in polyint._cardinal_coefficients(M)]
+        h = Fraction(nodes.h)
+        scale = np.max(np.abs(F)) * M * nodes.h
+        for m, t in enumerate(nodes.times):
+            weights = [h * polyint._poly_eval(a, Fraction(m)) for a in anti]
+            exact = np.array([float(sum(w * Fraction(x) for w, x in zip(weights, col)))
+                              for col in F.reshape(M + 1, -1).T]).reshape(3, 4)
+            ref = values[m] - values[0] - exact
+            assert np.max(np.abs(ep.shift(t) - ref)) <= 1e-14 * scale
+
+    @staticmethod
+    def two_sources(shape):
+        source = PointwiseSourceOperator(lambda t, u: np.sin(u) + t, lambda t, u: np.cos(u))
+        decay = PointwiseSourceOperator(lambda t, u: -0.5 * u * u, lambda t, u: -u)
+        return SplitIVP(operators=(source, decay), initial_state=np.zeros(shape),
+                        t_span=(0.3, 1.0))
 
     def test_freed_without_cyclic_collector(self):
         # the sweep's caches go with the problem, not at the next gc pass

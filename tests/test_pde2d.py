@@ -143,6 +143,62 @@ class TestDirectionalOperator:
             ref += coef * (d if axis == "x" else d.T)
         assert np.max(np.abs(op(t, U) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @staticmethod
+    def dense_walls(op, g_lo, g_hi):
+        w_lo, w_hi = op.wall_weights
+        out = w_lo * g_lo[:, None] + w_hi * g_hi[:, None]
+        return out if op.axis == "x" else out.T
+
+    @pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("order,n", [(2, 3), (2, 9), (4, 5), (4, 9), (6, 7), (6, 12)])
+    def test_wall_strips_match_dense_walls(self, order, n, axis, variable):
+        # the smallest line of each order, and a longer one; a non-square grid
+        g = Grid2D((-1, 1), (0, 2), n, n + 2)
+        coeff = CoefficientField.from_callables(
+            g, a=lambda x, y: 2.0 + np.sin(x + 2 * y),
+            a_x=lambda x, y: np.cos(x + 2 * y),
+            a_y=lambda x, y: 2 * np.cos(x + 2 * y)) if variable else 1.5
+        op = DirectionalDiffusionOperator(
+            g, axis, coeff, order=order,
+            boundary=lambda x, y, t: np.exp(0.5 * x - y) * np.cos(t) - 1.0)
+        assert op.constant is not variable
+        assert op.strip == order // 2
+        g_lo, g_hi = op.wall_values(0.7)
+        # equal in value; outside the strips the dense sum can give -0.0
+        assert np.array_equal(op.wall_contribution(g_lo, g_hi),
+                              self.dense_walls(op, g_lo, g_hi))
+        assert np.array_equal(op.boundary_contribution(0.7),
+                              self.dense_walls(op, g_lo, g_hi))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_overlapping_wall_strips(self, axis):
+        # no admissible line is short enough for its two strips to overlap
+        # (order 6 needs 7 nodes, strips 3 wide): set weights 4 wide on 7 nodes
+        g = Grid2D((-1, 1), (0, 2), 7, 7)
+        op = DirectionalDiffusionOperator(g, axis, 1.0, order=6,
+                                          boundary=lambda x, y, t: x - y)
+        rng = np.random.default_rng(5)
+        w_lo, w_hi = np.zeros((1, 7)), np.zeros((1, 7))
+        w_lo[0, :4], w_hi[0, 3:] = rng.normal(size=4), rng.normal(size=4)
+        op.wall_weights, op.strip = (w_lo, w_hi), 4
+        g_lo, g_hi = rng.normal(size=7), rng.normal(size=7)
+        out = op.wall_contribution(g_lo, g_hi)
+        assert out.tobytes() == self.dense_walls(op, g_lo, g_hi).tobytes()
+
+    def test_scalar_wall_values(self):
+        # a boundary function that returns a scalar fills every line
+        g = Grid2D((-1, 1), (0, 2), 7, 9)
+        for axis, lines in (("x", 9), ("y", 7)):
+            op = DirectionalDiffusionOperator(g, axis, 1.0, order=6,
+                                              boundary=lambda x, y, t: 2.5 * t)
+            g_lo, g_hi = op.wall_values(2.0)
+            assert g_lo.shape == g_hi.shape == (lines,)
+            assert np.all(g_lo == 5.0) and np.all(g_hi == 5.0)
+            assert np.array_equal(op.boundary_contribution(2.0),
+                                  self.dense_walls(op, np.full(lines, 5.0),
+                                                   np.full(lines, 5.0)))
+
     def test_deterministic_solves(self):
         prob = example1(N=10)
         op = prob.system.op_y

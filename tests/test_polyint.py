@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from idcos.errors import UsageError
-from idcos.polyint import UniformNodeSet, integration_matrix, lagrange_eval, partial_integral
+from idcos.polyint import (UniformNodeSet, integration_matrix, lagrange_eval, node_integrals,
+                           partial_integral)
 
 
 def nodes_for(M, t0=0.0, h=1.0):
@@ -55,6 +56,17 @@ class TestIntegrationMatrix:
                 ref = P(n.times[m + 1]) - P(t0)
                 assert abs(quad - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("M", [1, 2, 5, 8])
+    def test_node_integrals_exact_on_polynomials(self, M):
+        # every node at once: row 0 is zero, row m the integral up to t_m
+        rng = np.random.default_rng(7 + M)
+        n = nodes_for(M, t0=0.3, h=0.25)
+        p = np.polynomial.Polynomial(rng.uniform(-1, 1, M + 1))
+        out = node_integrals(n, np.stack([p(n.times), 2 * p(n.times)], axis=1))
+        ref = p.integ()(n.times) - p.integ()(n.t0)
+        assert out.shape == (M + 1, 2) and np.all(out[0] == 0)
+        assert np.allclose(out, np.stack([ref, 2 * ref], axis=1), rtol=0, atol=1e-12)
+
     def test_affine_invariance(self):
         a = integration_matrix(nodes_for(4, t0=0.0, h=1.0)).gamma
         b = integration_matrix(nodes_for(4, t0=-3.7, h=0.013)).gamma
@@ -83,6 +95,18 @@ class TestLagrangeEval:
         vals = np.cos(n.times)
         for t, v in zip(n.times, vals):
             assert lagrange_eval(n, vals, t) == v
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("shape", [(), (2, 3)], ids=["scalar", "field"])
+    def test_node_read_ignores_non_finite_neighbours(self, bad, shape):
+        # a one-hot cardinal row would give 0 * inf = nan at every other node
+        nodes = UniformNodeSet(0.0, 0.1, 2)
+        values = np.stack([np.full(shape, 1.0), np.full(shape, bad), np.full(shape, 2.0)])
+        for m, t in ((0, 0.0), (2, 0.2)):
+            out = lagrange_eval(nodes, values, t)
+            assert np.array_equal(out, values[m])
+            out[...] = -1.0  # a copy: the node values stay
+            assert np.array_equal(values[m], np.full(shape, 1.0 + m // 2))
 
     def test_vector_values(self):
         n = nodes_for(1)
