@@ -4,10 +4,8 @@ from .errors import (LinearSolveError, NewtonError, PoleError, SolverError,
                      StepperError, UnsupportedSchemeError, UsageError)
 from .idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_march,
                   idc_solve, predict, solve_macro_interval)
-from .ode import (DiagonalLinearOperator, MatrixLinearOperator, SplitIVP,
-                  Trajectory, ZeroOperator)
-from .polyint import (IntegrationMatrix, UniformNodeSet, integration_matrix,
-                      lagrange_eval, partial_integral)
+from .ode import DiagonalLinearOperator, MatrixLinearOperator, SplitIVP, ZeroOperator
+from .polyint import UniformNodeSet, lagrange_eval, partial_integral
 from .steppers import adi_step, get_stepper, lie_trotter_step, strang_step
 from .banded import BandedMatrix
 from .stencils import StencilOperator, build_stencil, fd_weights

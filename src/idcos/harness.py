@@ -253,7 +253,7 @@ def run_convergence(cfg):
         finals = {}
         for nt in run_nts:
             try:
-                final = idc_solve(ivp, nt // unit, idc_cfg, keep="final").final_state
+                final = idc_solve(ivp, nt // unit, idc_cfg)
                 if not np.isfinite(final).all():
                     failures.append(f"cs={cs} Nt={nt}: non-finite solution")
                     final = None

@@ -13,11 +13,10 @@ recovers the error estimate delta_m = Q_m - Int(t_m) and adds it to the
 level.  Each sweep lifts the observable order by the corrector's order until
 the M+1-node quadrature saturates.
 
-With the node rhs as quadrature data (the 'interpolant' residual mode), the
-residual integral at all M+1 nodes is one integration-matrix product per
-sweep, and at a node time ups(t) is the node value itself.  Only times
-between nodes (a stepper's stage times) interpolate and integrate by Gauss
-quadrature.
+Every residual integral is h times a row of the one exact weight generator
+``polyint.integral_weights``: the M+1 node integrals are one product per
+sweep, and a stage time between nodes builds its own row.  At a node time
+ups(t) is the node value itself; only stage times interpolate.
 """
 
 from dataclasses import dataclass
@@ -28,9 +27,9 @@ import weakref
 import numpy as np
 
 from . import polyint
-from .errors import SolverError, StepperError, UsageError
-from .ode import SplitIVP, Trajectory
-from .polyint import UniformNodeSet, lagrange_eval, node_integrals, partial_integral
+from .errors import SolverError, StepperError, UnsupportedSchemeError, UsageError
+from .ode import SplitIVP
+from .polyint import UniformNodeSet, lagrange_eval, node_index, partial_integral
 from .steppers import STEPPER_ORDERS, get_stepper
 
 _OVERSAMPLED_RE = re.compile(r"oversampled\((\d+)\)$")
@@ -71,6 +70,11 @@ class IDCConfig:
         if isinstance(self.correctors, (list, tuple)):
             if len(self.correctors) != self.corrections:
                 raise UsageError("need one corrector name per correction sweep")
+        named = [self.correctors] if isinstance(self.correctors, str) else self.correctors or ()
+        for name in (self.predictor, *named):
+            if name not in STEPPER_ORDERS:
+                raise UnsupportedSchemeError(
+                    f"unknown scheme {name!r}; choose from {sorted(STEPPER_ORDERS)}")
 
     def corrector_name(self, k):
         """Scheme used in sweep k (1-based)."""
@@ -181,14 +185,14 @@ class _CorrectionOperator:
 class ErrorProblem:
     """The error equation of one correction sweep, posed as a split IVP.
 
-    The residual quadrature reads f at the level's nodes ('interpolant') or,
-    through its interpolant, on a finer grid ('oversampled(N)'), evaluated
-    here: this sweep is the only reader.  In 'interpolant' mode every node
-    shift comes from one integration-matrix product over the node rhs, made
-    here; a read at a node time (|tau - round(tau)| <= 1e-12) is a row of
-    it, and the interpolant there is the node value itself.  Times between
-    nodes, and every shift in 'oversampled' mode, use the Gauss quadrature
-    of the barycentric interpolant.
+    The residual mode chooses only the quadrature data: f at the level's
+    nodes ('interpolant') or, through its interpolant, on a finer grid
+    ('oversampled(N)'), evaluated here: this sweep is the only reader.
+    Either way every integral is a row of ``polyint.integral_weights`` over
+    that data.  The M+1 node shifts are one product, made here; a read at a
+    node time (``polyint.node_index``) is a row of it, and the interpolant
+    there is the node value itself.  A time between nodes interpolates the
+    level and builds its own weight row.
     """
 
     def __init__(self, problem, level, residual_mode="interpolant"):
@@ -199,16 +203,15 @@ class ErrorProblem:
         self._shift = {}
         self._nodal_shift = {}
         self._feval = {}
-        self._node_shifts = None
         if kind == "oversampled":
             self._quad_nodes, self._quad_values = _oversampled_rhs(level, problem, n_over)
         else:
             self._quad_nodes = level.nodes
             self._quad_values = _cache_rhs(problem, level.nodes, level.values)
-            shifts = (level.values - level.values[0]) - node_integrals(
-                level.nodes, self._quad_values)
-            shifts.setflags(write=False)
-            self._node_shifts = shifts
+        shifts = (level.values - level.values[0]) - partial_integral(
+            self._quad_nodes, self._quad_values, level.nodes.times)
+        shifts.setflags(write=False)
+        self._node_shifts = shifts
         ops = tuple(_CorrectionOperator(self, nu)
                     for nu in range(problem.num_operators))
         self.ivp = SplitIVP(operators=ops,
@@ -218,9 +221,7 @@ class ErrorProblem:
     def _node(self, t):
         """Index of the node at time t, or None between nodes."""
         nodes = self.level.nodes
-        tau = nodes.local(t)
-        m = np.rint(tau)
-        return int(m) if abs(tau - m) <= 1e-12 and 0 <= m <= nodes.M else None
+        return node_index(nodes.M, nodes.local(t))
 
     def interpolant(self, t):
         m = self._node(t)
@@ -232,10 +233,9 @@ class ErrorProblem:
 
     def shift(self, t):
         """Integral of the residual from t0 to t."""
-        if self._node_shifts is not None:
-            m = self._node(t)
-            if m is not None:
-                return self._node_shifts[m]
+        m = self._node(t)
+        if m is not None:
+            return self._node_shifts[m]
         if t not in self._shift:
             self._shift[t] = (self.interpolant(t) - self.level.values[0]
                               - partial_integral(self._quad_nodes, self._quad_values, t))
@@ -337,26 +337,8 @@ def _march(problem, macro_steps, cfg, M):
         yield nodes, level
 
 
-def idc_solve(problem, macro_steps, cfg, keep="macro"):
-    """Integrate the problem over its time span with N uniform macro steps.
-
-    Collects the steps of ``idc_march`` into a Trajectory:
-    keep  -- 'macro' records macro-node states, 'subnodes' every sub-node,
-             'final' only the end state.
-    """
-    if keep not in ("macro", "subnodes", "final"):
-        raise UsageError(f"unknown keep mode {keep!r}")
-    steps = idc_march(problem, macro_steps, cfg)
-    times = [problem.t_span[0]]
-    states = [np.asarray(problem.initial_state)]
-    for nodes, level in steps:
-        if keep == "subnodes":
-            times.extend(nodes.times[1:])
-            states.extend(level.values[1:])
-        elif keep == "macro":
-            times.append(nodes.t_end)
-            states.append(level.final_state)
-    if keep == "final":
-        times.append(nodes.t_end)
-        states.append(level.final_state)
-    return Trajectory(times=np.asarray(times), states=np.stack(states))
+def idc_solve(problem, macro_steps, cfg):
+    """Final state after N uniform macro steps of ``idc_march`` over the time span."""
+    for _, level in idc_march(problem, macro_steps, cfg):
+        pass
+    return np.array(level.final_state)  # a copy: a view would keep the whole level

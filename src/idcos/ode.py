@@ -1,4 +1,4 @@
-"""Core problem and solution containers shared by the steppers and the IDC driver.
+"""Core problem containers shared by the steppers and the IDC driver.
 
 A split initial value problem is  u' = f(t,u) = f_1(t,u) + ... + f_L(t,u).
 Every operator is an object with two methods:
@@ -59,32 +59,6 @@ class SplitIVP:
         for op in self.operators[1:]:
             total = total + op(t, u)
         return total
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Discrete solution: states at strictly increasing node times."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times)
-        if not np.issubdtype(times.dtype, np.floating):
-            times = times.astype(float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", np.asarray(self.states))
-        if self.times.ndim != 1 or len(self.states) != len(self.times):
-            raise UsageError("need exactly one state per node time")
-        if not (np.diff(self.times) > 0).all():
-            raise UsageError("node times must be strictly increasing")
-
-    def __len__(self):
-        return len(self.times)
-
-    @property
-    def final_state(self):
-        return self.states[-1]
 
 
 class DiagonalLinearOperator:

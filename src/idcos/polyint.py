@@ -1,11 +1,10 @@
 """Lagrange interpolation and quadrature on uniform nodes.
 
-Everything here works on M+1 equispaced nodes t_m = t0 + m*h.  Quadrature
-weights are generated in exact rational arithmetic and stored as floats, which
-keeps them reproducible and exact on polynomials up to degree M.  The
-integration matrix serves the integrals from t0 to every node at once
-(``node_integrals``, one matrix product); ``partial_integral`` serves any
-other upper limit by Gauss quadrature of the interpolant.  Uniform-node
+Everything here works on M+1 equispaced nodes t_m = t0 + m*h.  There is one
+quadrature: ``integral_weights(M, tau)`` generates the exact integrals of the
+cardinal functions from 0 to tau in rational arithmetic and rounds each once,
+so every integral of the interpolant (``partial_integral``, to a node or to
+any time between nodes) is exact on polynomials up to degree M.  Uniform-node
 interpolation degrades quickly beyond moderate M (Runge phenomenon), so M is
 capped at MAX_SUBINTERVALS.
 """
@@ -14,12 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
+import operator
 
 import numpy as np
 
 from .errors import UsageError
 
 MAX_SUBINTERVALS = 16
+NODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,6 @@ class UniformNodeSet:
         return (t - self.t0) / self.h
 
 
-@dataclass(frozen=True)
-class IntegrationMatrix:
-    """Weights gamma with  integral_{t0}^{t_{m+1}} p = (t_{m+1}-t0) * sum_j gamma[m,j] p(t_j)
-
-    for every polynomial p of degree <= M.  Row m has M+1 entries; each row
-    sums to one (exactness on constants).  The weights depend only on M.
-    """
-
-    M: int
-    gamma: np.ndarray
-
-
 def _cardinal_coefficients(M):
     """Exact coefficients (ascending powers) of the Lagrange cardinals on 0..M."""
     cards = []
@@ -95,24 +84,43 @@ def _poly_antiderivative(coeffs):
 
 
 @lru_cache(maxsize=None)
-def _gamma_table(M):
-    cards = _cardinal_coefficients(M)
-    anti = [_poly_antiderivative(c) for c in cards]
-    gamma = np.empty((M, M + 1))
-    for m in range(M):
-        for j in range(M + 1):
-            gamma[m, j] = float(_poly_eval(anti[j], Fraction(m + 1)) / (m + 1))
-    gamma.setflags(write=False)
-    return gamma
+def _antiderivative_numerators(M):
+    # the cardinal antiderivatives as integer coefficients over one common
+    # denominator, so a row needs integer arithmetic and one division each
+    anti = [_poly_antiderivative(c) for c in _cardinal_coefficients(M)]
+    den = math.lcm(*(c.denominator for a in anti for c in a))
+    return tuple(tuple(int(c * den) for c in a) for a in anti), den
+
+
+def _weight_row(M, tau):
+    nums, den = _antiderivative_numerators(M)
+    # tau = p/q exactly (q a power of two); A_j(p/q) = sum_k c_jk p^k q^(K-k) / (den q^K)
+    p, q = float(tau).as_integer_ratio()
+    K = M + 1
+    powers = [p ** k * q ** (K - k) for k in range(K + 1)]
+    scale = den * q ** K
+    return np.array([sum(map(operator.mul, c, powers)) / scale for c in nums])
 
 
 @lru_cache(maxsize=None)
 def _node_weights(M):
-    # row m integrates the interpolant from 0 to m: m * gamma[m-1]; row 0 is zero
-    W = np.zeros((M + 1, M + 1))
-    W[1:] = np.arange(1, M + 1)[:, None] * _gamma_table(M)
+    W = np.stack([_weight_row(M, m) for m in range(M + 1)])
     W.setflags(write=False)
     return W
+
+
+def integral_weights(M, tau):
+    """Weights w_j = integral_0^tau l_j of the cardinal functions l_j on 0..M.
+
+    The one residual quadrature: the integral of the degree-M interpolant
+    from t0 to t0 + tau*h is h * sum_j w_j f_j.  Each weight is the exact
+    cardinal antiderivative at the exact rational value of the float tau,
+    rounded once, so rows are exact on polynomials of degree <= M up to that
+    rounding.  A tau at a node (``node_index``) reads the node row, cached
+    per M; rows between nodes are built per call.
+    """
+    m = node_index(M, tau)
+    return _node_weights(M)[m] if m is not None else _weight_row(M, tau)
 
 
 @lru_cache(maxsize=None)
@@ -122,16 +130,6 @@ def _barycentric_weights(M):
     w = np.array([(-1.0) ** j * math.comb(M, j) for j in range(M + 1)])
     w.setflags(write=False)
     return w
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule(M):
-    # Enough Gauss points to integrate a degree-M interpolant exactly.
-    npts = M // 2 + 1
-    x, w = np.polynomial.legendre.leggauss(npts)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 def _stack_values(nodes, values):
@@ -144,23 +142,23 @@ def _stack_values(nodes, values):
     return vals
 
 
-def _node_at(M, tau):
-    """Index of the node at local coordinate tau, or None between nodes."""
-    m = np.rint(tau)
-    if abs(tau - m) < 1e-14 * max(1.0, abs(tau)) and 0 <= m <= M:
-        return int(m)
-    return None
+def node_index(M, tau):
+    """Index of the node at local coordinate tau, or None between nodes.
+
+    A tau within NODE_TOL of 0..M is that node: node times computed by
+    repeated ``t + dt`` drift from t0 + m*h by several 1e-13 in tau over
+    long runs, and must still read as nodes.
+    """
+    tau = float(tau)
+    m = round(tau)
+    return m if abs(tau - m) <= NODE_TOL and 0 <= m <= M else None
 
 
-def _cardinal_row(M, tau):
-    """Values of all cardinal functions at local coordinate tau (stable form)."""
-    row = np.zeros(M + 1)
-    m = _node_at(M, tau)
-    if m is not None:
-        row[m] = 1.0
-        return row
-    q = _barycentric_weights(M) / (tau - np.arange(M + 1.0))
-    return q / q.sum()
+def _local(nodes, t, name):
+    tau = nodes.local(t)
+    if not np.all((tau >= -NODE_TOL) & (tau <= nodes.M + NODE_TOL)):
+        raise UsageError(f"{name}={t} outside the node range [{nodes.t0}, {nodes.t_end}]")
+    return tau
 
 
 def lagrange_eval(nodes, values, t):
@@ -168,54 +166,26 @@ def lagrange_eval(nodes, values, t):
 
     t must lie in the node range [t0, t_end]; the interpolant is never
     extrapolated.  At a node the result is a copy of that node's value, so
-    a non-finite value elsewhere does not reach it.
+    a non-finite value elsewhere does not reach it.  Between nodes it is the
+    barycentric form, stable for all admissible M.
     """
     vals = _stack_values(nodes, values)
-    tau = nodes.local(t)
-    if tau < -1e-12 or tau > nodes.M + 1e-12:
-        raise UsageError(f"t={t} outside the node range [{nodes.t0}, {nodes.t_end}]")
-    m = _node_at(nodes.M, tau)
+    tau = _local(nodes, t, "t")
+    m = node_index(nodes.M, tau)
     if m is not None:
         return np.array(vals[m])
-    return np.tensordot(_cardinal_row(nodes.M, tau), vals, axes=(0, 0))
-
-
-def integration_matrix(nodes):
-    """Quadrature weights for integrals from t0 to each interior/right node.
-
-    The weights are affine invariant: they depend on M only, never on t0 or h.
-    """
-    return IntegrationMatrix(M=nodes.M, gamma=_gamma_table(nodes.M))
-
-
-def node_integrals(nodes, values):
-    """Exact integrals of the degree-M interpolant from t0 to every node.
-
-    Row m integrates up to t_m (row 0 is zero): the integration matrix's
-    weights applied to all node values in one matrix product.
-    """
-    vals = _stack_values(nodes, values)
-    return nodes.h * np.tensordot(_node_weights(nodes.M), vals, axes=(1, 0))
+    q = _barycentric_weights(nodes.M) / (tau - np.arange(nodes.M + 1.0))
+    return np.tensordot(q / q.sum(), vals, axes=(0, 0))
 
 
 def partial_integral(nodes, values, t_upper):
     """Exact integral of the degree-M interpolant from t0 to t_upper.
 
-    Evaluated by Gauss quadrature of the barycentric interpolant, which is
-    exact for polynomials of degree <= M and numerically stable for all
-    admissible M.
+    t_upper is one time, or an array of times that adds its leading axes to
+    the result.  Each integral is h times a row of ``integral_weights``.
     """
     vals = _stack_values(nodes, values)
-    tau_up = nodes.local(t_upper)
-    if tau_up < -1e-12 or tau_up > nodes.M + 1e-12:
-        raise UsageError(
-            f"t_upper={t_upper} outside the macro interval [{nodes.t0}, {nodes.t_end}]")
-    tau_up = min(max(tau_up, 0.0), float(nodes.M))
-    if tau_up == 0.0:
-        return np.zeros_like(vals[0])
-    gx, gw = _gauss_rule(nodes.M)
-    # map [-1, 1] -> [0, tau_up]
-    taus = 0.5 * tau_up * (gx + 1.0)
-    rows = np.stack([_cardinal_row(nodes.M, tau) for tau in taus])
-    weights = (0.5 * tau_up * nodes.h) * (gw @ rows)
-    return np.tensordot(weights, vals, axes=(0, 0))
+    taus = _local(nodes, np.asarray(t_upper), "t_upper")
+    W = np.array([integral_weights(nodes.M, tau) for tau in taus.flat])
+    out = nodes.h * (W @ vals.reshape(len(vals), -1))
+    return out.reshape(taus.shape + vals.shape[1:])

@@ -42,8 +42,7 @@ def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDU
     """
     problem = _dahlquist_problem(np.asarray([lam], dtype=complex), strict=True)
     cfg = _config(scheme, corrections, M, residual_mode)
-    traj = idc_solve(problem, 1, cfg, keep="final")
-    return complex(traj.final_state[0])
+    return complex(idc_solve(problem, 1, cfg)[0])
 
 
 def amplification_field(lams, scheme, corrections, M=None,
@@ -56,8 +55,7 @@ def amplification_field(lams, scheme, corrections, M=None,
     problem = _dahlquist_problem(lams, strict=False)
     cfg = _config(scheme, corrections, M, residual_mode)
     with np.errstate(invalid="ignore"):  # inf * 0 downstream of a pole cell
-        traj = idc_solve(problem, 1, cfg, keep="final")
-    amp = np.abs(traj.final_state)
+        amp = np.abs(idc_solve(problem, 1, cfg))
     amp[~np.isfinite(amp)] = np.inf
     return amp
 

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from idcos.errors import StepperError, UsageError
+from idcos.errors import StepperError, UnsupportedSchemeError, UsageError
 from idcos import idc, polyint
 from idcos.idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_march,
                        idc_solve, predict, solve_macro_interval)
@@ -38,11 +38,23 @@ def residual_integrals(level, problem, mode="interpolant"):
     return np.stack([ep.shift(t) for t in level.nodes.times[1:]])
 
 
+def rational_integral(nodes, F, tau):
+    """Integral of the node values' interpolant from t0 to t0 + tau*h (tau a
+    Fraction), in rational arithmetic and rounded once per component."""
+    anti = [polyint._poly_antiderivative(c)
+            for c in polyint._cardinal_coefficients(nodes.M)]
+    weights = [Fraction(nodes.h) * polyint._poly_eval(a, tau) for a in anti]
+    cols = F.reshape(nodes.M + 1, -1).T
+    return np.array([float(sum(w * Fraction(x) for w, x in zip(weights, col)))
+                     for col in cols]).reshape(F.shape[1:])
+
+
 def global_slope(problem, cfg, macro_counts, exact):
+    # the largest error over the macro-node states
     errs = []
     for n in macro_counts:
-        traj = idc_solve(problem, n, cfg)
-        errs.append(float(np.max(np.abs(traj.states - exact(traj.times)))))
+        errs.append(max(float(np.max(np.abs(level.final_state - exact(nodes.t_end))))
+                        for nodes, level in idc_march(problem, n, cfg)))
     return np.polyfit(np.log([1.0 / n for n in macro_counts]), np.log(errs), 1)[0]
 
 
@@ -64,6 +76,17 @@ class TestConfig:
     def test_bad_residual_mode(self):
         with pytest.raises(UsageError):
             IDCConfig(residual_mode="nonsense")
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(predictor="rk4"),
+        dict(predictor="strang", correctors="bogus", corrections=1),
+        dict(predictor="strang", correctors=("strang", "rk4"), corrections=2),
+        dict(predictor="strang", correctors="bogus"),
+    ], ids=["predictor", "corrector", "one-of-two-correctors", "unused-corrector"])
+    def test_unknown_scheme_rejected(self, kwargs):
+        with pytest.raises(UnsupportedSchemeError, match="unknown scheme"):
+            IDCConfig(**kwargs)
+        assert issubclass(UnsupportedSchemeError, UsageError)
 
 
 class TestPredict:
@@ -166,10 +189,10 @@ class TestIdcSolve:
     def test_single_macro_matches_manual(self):
         p = scalar_problem()
         cfg = IDCConfig(corrections=2, predictor="lie-trotter", M=3)
-        traj = idc_solve(p, 1, cfg)
+        final = idc_solve(p, 1, cfg)
         nodes = UniformNodeSet(t0=0.0, h=1.0 / 3.0, M=3)
         level = solve_macro_interval(p, nodes, p.initial_state, cfg)
-        assert traj.final_state == pytest.approx(float(level.final_state), rel=1e-15)
+        assert final == pytest.approx(float(level.final_state), rel=1e-15)
 
     def test_lie_two_corrections_third_order(self):
         p = scalar_problem(dtype=LD)
@@ -212,27 +235,14 @@ class TestIdcSolve:
         with pytest.warns(UserWarning, match="saturate"):
             idc_solve(p, 2, cfg)
 
-    def test_keep_modes(self):
-        p = scalar_problem()
-        cfg = IDCConfig(corrections=1, predictor="lie-trotter", M=3)
-        macro = idc_solve(p, 4, cfg, keep="macro")
-        sub = idc_solve(p, 4, cfg, keep="subnodes")
-        final = idc_solve(p, 4, cfg, keep="final")
-        assert len(macro) == 5
-        assert len(sub) == 13
-        assert len(final) == 2
-        assert final.final_state == macro.final_state
-
     def test_march_steps_and_eager_checks(self):
         p = scalar_problem()
         cfg = IDCConfig(corrections=1, predictor="lie-trotter", M=3)
         steps = list(idc_march(p, 4, cfg))
         assert [nodes.t0 for nodes, _ in steps] == [0.0, 0.25, 0.5, 0.75]
-        assert steps[-1][1].final_state == idc_solve(p, 4, cfg, keep="final").final_state
+        assert steps[-1][1].final_state == idc_solve(p, 4, cfg)
         with pytest.raises(UsageError):
             idc_march(p, 0, cfg)  # raised by the call, before any step runs
-        with pytest.raises(UsageError):
-            idc_solve(p, 4, cfg, keep="all")
 
     def test_residual_modes_agree_for_linear(self):
         p = scalar_problem()
@@ -240,7 +250,7 @@ class TestIdcSolve:
         for mode in ("interpolant", "oversampled(13)"):
             cfg = IDCConfig(corrections=2, predictor="lie-trotter", M=3,
                             residual_mode=mode)
-            out[mode] = float(idc_solve(p, 4, cfg).final_state)
+            out[mode] = float(idc_solve(p, 4, cfg))
         assert out["interpolant"] == pytest.approx(out["oversampled(13)"], abs=1e-13)
 
     def test_error_annotation(self):
@@ -342,8 +352,9 @@ class TestErrorProblem:
                              ids=["scalar", "field", "two-component"])
     @pytest.mark.parametrize("M", range(1, 17))
     def test_node_shifts_match_gauss_path(self, M, shape):
-        # node reads are rows of the integration-matrix product, or the node
-        # values themselves; reads between nodes stay on the Gauss path
+        # node reads are rows of the one product over all nodes, or the node
+        # values themselves, and match the per-time reads of polyint;
+        # reads between nodes are those per-time reads
         p = self.two_sources(shape)
         nodes = UniformNodeSet(t0=0.3, h=0.7 / M, M=M)
         phase = np.random.default_rng(M).uniform(0, 2 * np.pi, shape)
@@ -352,35 +363,88 @@ class TestErrorProblem:
         F = np.stack([p.f_total(t, u) for t, u in zip(nodes.times, values)])
         scale = np.max(np.abs(F)) * M * nodes.h
         for m, t in enumerate(nodes.times):
-            gauss = values[m] - values[0] - partial_integral(nodes, F, t)
-            assert np.max(np.abs(ep.shift(t) - gauss)) <= 1e-13 * scale
+            per_time = values[m] - values[0] - partial_integral(nodes, F, t)
+            assert np.max(np.abs(ep.shift(t) - per_time)) <= 1e-14 * scale
             assert ep.interpolant(t).tobytes() == values[m].tobytes()
         assert np.all(ep.shift(nodes.t0) == 0)
         for t in (nodes.t0 + 0.5 * nodes.h, nodes.t_end - 0.3 * nodes.h):
             interp = lagrange_eval(nodes, values, t)
-            gauss = interp - values[0] - partial_integral(nodes, F, t)
+            per_time = interp - values[0] - partial_integral(nodes, F, t)
             assert ep.interpolant(t).tobytes() == interp.tobytes()
-            assert ep.shift(t).tobytes() == gauss.tobytes()
+            assert ep.shift(t).tobytes() == per_time.tobytes()
 
     @pytest.mark.parametrize("M", [1, 2, 5, 8, 12, 16])
     def test_node_shifts_exact_on_rough_levels(self, M):
         # node values with no smoothness: against the integral of the
-        # interpolant in rational arithmetic.  At M=16 the Gauss path reads
-        # these to about 7e-13 of the scale, the integration matrix to 3e-15.
+        # interpolant in rational arithmetic
         p = self.two_sources((3, 4))
         nodes = UniformNodeSet(t0=0.3, h=0.7 / M, M=M)
         values = np.random.default_rng(M).normal(size=(M + 1, 3, 4))
         ep = ErrorProblem(p, IDCLevelResult(nodes=nodes, values=values))
         F = np.stack([p.f_total(t, u) for t, u in zip(nodes.times, values)])
-        anti = [polyint._poly_antiderivative(c) for c in polyint._cardinal_coefficients(M)]
-        h = Fraction(nodes.h)
         scale = np.max(np.abs(F)) * M * nodes.h
         for m, t in enumerate(nodes.times):
-            weights = [h * polyint._poly_eval(a, Fraction(m)) for a in anti]
-            exact = np.array([float(sum(w * Fraction(x) for w, x in zip(weights, col)))
-                              for col in F.reshape(M + 1, -1).T]).reshape(3, 4)
-            ref = values[m] - values[0] - exact
+            ref = values[m] - values[0] - rational_integral(nodes, F, Fraction(m))
             assert np.max(np.abs(ep.shift(t) - ref)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("mode", ["interpolant", "oversampled(13)"])
+    @pytest.mark.parametrize("M", range(1, 17))
+    def test_stage_shifts_exact_on_rough_levels(self, M, mode):
+        # times between nodes, against the rational-arithmetic integral of
+        # the quadrature data's interpolant: f at the nodes, or f of the
+        # level's interpolant on the fine grid of 14 sub-intervals.  Both
+        # sides subtract from the interpolant, which reaches hundreds near
+        # the ends at M=16, so one unit in the last place of the shift is
+        # allowed on top of the integral's error.
+        p = self.two_sources((3, 4))
+        nodes = UniformNodeSet(t0=0.3, h=0.7 / M, M=M)
+        values = np.random.default_rng(M).normal(size=(M + 1, 3, 4))
+        ep = ErrorProblem(p, IDCLevelResult(nodes=nodes, values=values), residual_mode=mode)
+        quad = nodes
+        if mode != "interpolant":
+            quad = UniformNodeSet(t0=nodes.t0, h=M * nodes.h / 14, M=14)
+        F = np.stack([p.f_total(t, lagrange_eval(nodes, values, t)) for t in quad.times])
+        scale = np.max(np.abs(F)) * M * nodes.h
+        for t in (nodes.t0 + 0.5 * nodes.h, nodes.t0 + (M / 2 + 0.37) * nodes.h,
+                  nodes.t_end - 0.3 * nodes.h):
+            tau = (Fraction(t) - Fraction(quad.t0)) / Fraction(quad.h)
+            ref = lagrange_eval(nodes, values, t) - values[0] - rational_integral(quad, F, tau)
+            assert np.all(np.abs(ep.shift(t) - ref) <= 1e-14 * scale + np.spacing(np.abs(ref)))
+
+    def test_readers_agree_near_a_node(self):
+        # 5e-13 off t_1 in tau: every reader takes the node
+        p = self.two_sources((3, 4))
+        nodes = UniformNodeSet(t0=0.0, h=0.1, M=3)
+        values = np.random.default_rng(5).normal(size=(4, 3, 4))
+        ep = ErrorProblem(p, IDCLevelResult(nodes=nodes, values=values))
+        F = np.stack([p.f_total(t, u) for t, u in zip(nodes.times, values)])
+        t = nodes.times[1] + 5e-14
+        assert ep.interpolant(t).tobytes() == lagrange_eval(nodes, values, t).tobytes()
+        assert ep.interpolant(t).tobytes() == values[1].tobytes()
+        assert np.array_equal(ep.shift(t), ep.shift(nodes.times[1]))
+        assert np.allclose(ep.shift(t), values[1] - values[0] - partial_integral(nodes, F, t),
+                           rtol=0, atol=1e-15)
+
+    def test_drifted_node_times_read_as_nodes(self, monkeypatch):
+        # the stepper's node times t + dt late in the paper's FHN run drift
+        # from t0 + m*h by up to 4.7e-13 in tau; they still read node shifts
+        p = scalar_problem()
+        nodes = UniformNodeSet(t0=9.995, h=0.005 / 3, M=3)
+        level = predict(p, nodes, np.array(1.0), IDCConfig())
+        ep = ErrorProblem(p, level)
+        node_shifts = [ep.shift(t_m) for t_m in nodes.times]
+
+        def no_interpolation(*args):
+            raise AssertionError("a node time was interpolated")
+
+        monkeypatch.setattr(idc, "lagrange_eval", no_interpolation)
+        t = nodes.t0
+        for m in range(1, nodes.M + 1):
+            t = t + nodes.h
+            assert abs(nodes.local(t) - m) > 1e-14 * m
+            assert ep.shift(t) == node_shifts[m]
+            assert ep.nodal_shift(t) == node_shifts[m]
+            assert ep.interpolant(t) == level.values[m]
 
     @staticmethod
     def two_sources(shape):

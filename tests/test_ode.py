@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from idcos.errors import PoleError, UsageError
-from idcos.ode import (DiagonalLinearOperator, MatrixLinearOperator, SplitIVP,
-                       Trajectory, ZeroOperator)
+from idcos.ode import DiagonalLinearOperator, MatrixLinearOperator, SplitIVP, ZeroOperator
 from idcos.pde2d import PointwiseSourceOperator
 from idcos.problems import fhn
 
@@ -70,19 +69,6 @@ class TestEvalSplitRhs:
         out = ivp.operators[2](0.0, state)
         assert np.array_equal(out[0], np.zeros(prob.grid.shape))
         assert np.array_equal(out[1], np.zeros(prob.grid.shape))
-
-
-class TestTrajectory:
-    def test_validation(self):
-        with pytest.raises(UsageError):
-            Trajectory(times=[0.0, 0.0], states=np.zeros((2, 1)))
-        with pytest.raises(UsageError):
-            Trajectory(times=[0.0, 1.0], states=np.zeros((3, 1)))
-
-    def test_final_state(self):
-        tr = Trajectory(times=[0.0, 1.0], states=np.array([[1.0], [2.0]]))
-        assert tr.final_state[0] == 2.0
-        assert len(tr) == 2
 
 
 class TestOperators:

@@ -545,10 +545,10 @@ class TestIdcOnPde:
         prob = example1(N=17)
         ivp = prob.split_ivp(0.02)
         cfg = IDCConfig(corrections=1, predictor="adi", M=4)
-        ref = idc_solve(ivp, 256, cfg, keep="final").final_state
+        ref = idc_solve(ivp, 256, cfg)
         errs = []
         for n in (4, 8, 16):
-            out = idc_solve(ivp, n, cfg, keep="final").final_state
+            out = idc_solve(ivp, n, cfg)
             errs.append(np.max(np.abs(out - ref)))
         slope = np.log(errs[0] / errs[-1]) / np.log(4.0)
         assert slope == pytest.approx(4.0, abs=0.5)
@@ -559,8 +559,8 @@ class TestIdcOnPde:
         prob = example3(N=10)
         ivp = prob.split_ivp(0.05)
         cfg = IDCConfig(corrections=1, predictor="strang", M=3)
-        ref = idc_solve(ivp, 64, cfg, keep="final").final_state
-        errs = [np.max(np.abs(idc_solve(ivp, n, cfg, keep="final").final_state - ref))
+        ref = idc_solve(ivp, 64, cfg)
+        errs = [np.max(np.abs(idc_solve(ivp, n, cfg) - ref))
                 for n in (2, 4, 8)]
         orders = np.log2(np.divide(errs[:-1], errs[1:]))
         assert orders.min() >= 3.7

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from idcos import polyint
 from idcos.errors import UsageError
-from idcos.polyint import (UniformNodeSet, integration_matrix, lagrange_eval, node_integrals,
-                           partial_integral)
+from idcos.polyint import UniformNodeSet, integral_weights, lagrange_eval, partial_integral
 
 
 def nodes_for(M, t0=0.0, h=1.0):
@@ -26,34 +28,35 @@ class TestNodeSet:
 
 
 class TestIntegrationMatrix:
+    """Rows of the one weight generator: w_j = integral_0^tau of cardinal j."""
+
     def test_trapezoid(self):
-        gamma = integration_matrix(nodes_for(1)).gamma
-        assert np.allclose(gamma, [[0.5, 0.5]], atol=1e-15)
+        assert np.array_equal(integral_weights(1, 1.0), [0.5, 0.5])
 
     def test_simpson_row(self):
-        gamma = integration_matrix(nodes_for(2)).gamma
-        assert np.allclose(gamma[1], [1 / 6, 2 / 3, 1 / 6], atol=1e-15)
+        assert np.array_equal(integral_weights(2, 2.0), [1 / 3, 4 / 3, 1 / 3])
 
     @pytest.mark.parametrize("M", range(1, 14))
     def test_rows_sum_to_one(self, M):
-        gamma = integration_matrix(nodes_for(M)).gamma
-        assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-13)
+        # per unit of tau: exact on constants, at nodes and between them
+        for tau in [*range(1, M + 1), 0.5, M - 0.3]:
+            assert integral_weights(M, tau).sum() / tau == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("M", [1, 2, 3, 5, 8])
     def test_polynomial_exactness(self, M):
-        # row-m integral of a random degree-M polynomial vs its antiderivative
+        # integral to every node and to stage times of a random degree-M
+        # polynomial vs its antiderivative
         rng = np.random.default_rng(42 + M)
         t0, h = 0.3, 0.25
         n = nodes_for(M, t0=t0, h=h)
-        gamma = integration_matrix(n).gamma
         for _ in range(20):
             coeffs = rng.uniform(-1, 1, M + 1)
             p = np.polynomial.Polynomial(coeffs)
             P = p.integ()
             vals = p(n.times)
-            for m in range(M):
-                quad = (n.times[m + 1] - t0) * (gamma[m] @ vals)
-                ref = P(n.times[m + 1]) - P(t0)
+            for tau in [*range(1, M + 1), 0.5, M - 0.3]:
+                quad = h * (integral_weights(M, tau) @ vals)
+                ref = P(t0 + tau * h) - P(t0)
                 assert abs(quad - ref) <= 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("M", [1, 2, 5, 8])
@@ -62,15 +65,27 @@ class TestIntegrationMatrix:
         rng = np.random.default_rng(7 + M)
         n = nodes_for(M, t0=0.3, h=0.25)
         p = np.polynomial.Polynomial(rng.uniform(-1, 1, M + 1))
-        out = node_integrals(n, np.stack([p(n.times), 2 * p(n.times)], axis=1))
+        out = partial_integral(n, np.stack([p(n.times), 2 * p(n.times)], axis=1), n.times)
         ref = p.integ()(n.times) - p.integ()(n.t0)
         assert out.shape == (M + 1, 2) and np.all(out[0] == 0)
         assert np.allclose(out, np.stack([ref, 2 * ref], axis=1), rtol=0, atol=1e-12)
 
     def test_affine_invariance(self):
-        a = integration_matrix(nodes_for(4, t0=0.0, h=1.0)).gamma
-        b = integration_matrix(nodes_for(4, t0=-3.7, h=0.013)).gamma
-        assert np.array_equal(a, b)
+        # the weights depend on M and tau only: integrals scale with h alone
+        vals = np.random.default_rng(4).normal(size=5)
+        a, b = nodes_for(4, t0=0.0, h=1.0), nodes_for(4, t0=-3.7, h=0.125)
+        for tau in (1.0, 3.0, 0.5, 2.75):
+            assert (partial_integral(b, vals, b.t0 + tau * b.h)
+                    == 0.125 * partial_integral(a, vals, a.t0 + tau * a.h))
+
+    @pytest.mark.parametrize("M", range(1, 17))
+    def test_rows_are_rounded_rational_integrals(self, M):
+        # bit for bit the cardinal antiderivatives evaluated in Fraction
+        # arithmetic at the float's exact value, rounded once
+        anti = [polyint._poly_antiderivative(c) for c in polyint._cardinal_coefficients(M)]
+        for tau in (0.0, 1.0, float(M), 0.5, M / 3, M - 0.3, 1e-3):
+            ref = [float(polyint._poly_eval(a, Fraction(tau))) for a in anti]
+            assert np.array_equal(integral_weights(M, tau), ref)
 
 
 class TestLagrangeEval:
@@ -124,6 +139,27 @@ class TestLagrangeEval:
         with pytest.raises(UsageError):
             lagrange_eval(nodes_for(2), [0.0, 1.0], 0.5)
 
+    def test_one_node_test_for_every_reader(self):
+        # 5e-13 off t_1 in tau is the node for interpolation and integration
+        n = nodes_for(3, h=0.1)
+        vals = np.random.default_rng(9).normal(size=(4, 3))
+        t = n.times[1] + 5e-14
+        assert polyint.node_index(n.M, n.local(t)) == 1
+        assert np.array_equal(lagrange_eval(n, vals, t), vals[1])
+        assert np.array_equal(partial_integral(n, vals, t),
+                              partial_integral(n, vals, n.times[1]))
+        assert polyint.node_index(n.M, n.local(n.times[1] + 2e-13)) is None
+
+    def test_drifted_node_times_are_nodes(self):
+        # node times reached by repeated t + dt late in a long run
+        n = UniformNodeSet(t0=9.995, h=0.005 / 3, M=3)
+        vals = np.random.default_rng(10).normal(size=(4, 3))
+        t = n.t0
+        for m in range(1, n.M + 1):
+            t = t + n.h
+            assert np.array_equal(lagrange_eval(n, vals, t), vals[m])
+            assert np.array_equal(integral_weights(n.M, n.local(t)), integral_weights(n.M, m))
+
 
 class TestPartialIntegral:
     def test_zero_data(self):
@@ -141,14 +177,26 @@ class TestPartialIntegral:
         assert out == pytest.approx(0.125, abs=1e-15)
 
     def test_matches_gamma_rows(self):
+        # node times read the generator's node rows, one at a time or all at once
         rng = np.random.default_rng(3)
         n = nodes_for(5, t0=0.2, h=0.3)
         vals = rng.normal(size=6)
-        gamma = integration_matrix(n).gamma
-        for m in range(n.M):
-            ref = (n.times[m + 1] - n.t0) * (gamma[m] @ vals)
-            out = partial_integral(n, vals, n.times[m + 1])
-            assert out == pytest.approx(ref, abs=1e-13)
+        rows = np.stack([integral_weights(n.M, m) for m in range(n.M + 1)])
+        assert np.array_equal(partial_integral(n, vals, n.times), n.h * (rows @ vals))
+        for m in range(n.M + 1):
+            out = partial_integral(n, vals, n.times[m])
+            assert out == pytest.approx(n.h * (rows[m] @ vals), abs=1e-15)
+
+    def test_array_upper_limits(self):
+        # an array of times adds its axes in front of the value axes
+        n = nodes_for(3, t0=0.2, h=0.3)
+        vals = np.random.default_rng(8).normal(size=(4, 2, 5))
+        times = np.array([[n.t0, n.t0 + 0.4 * n.h], [n.times[2], n.t_end]])
+        out = partial_integral(n, vals, times)
+        assert out.shape == (2, 2, 2, 5)
+        for idx in np.ndindex(times.shape):
+            assert np.allclose(out[idx], partial_integral(n, vals, times[idx]),
+                               rtol=0, atol=1e-15)
 
     def test_out_of_range(self):
         n = nodes_for(2)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from idcos.errors import PoleError, StepperError
+from idcos.errors import PoleError, StepperError, UnsupportedSchemeError
 from idcos.stability import (StabilityScan, _stitch_segments, amplification,
                              amplification_field, marching_squares,
                              stability_boundary_real_axis, write_contour_csv,
@@ -23,6 +23,10 @@ class TestRealAxisBoundary:
     @pytest.mark.parametrize("scheme", ["lie-trotter", "adi"])
     def test_a_stable_base_has_no_crossing(self, scheme):
         assert stability_boundary_real_axis(scheme, 0) is None
+
+    def test_unknown_scheme(self):
+        with pytest.raises(UnsupportedSchemeError, match="unknown scheme 'rk4'"):
+            amplification(-1.0, "rk4", 0)
 
 
 class TestPoles:
