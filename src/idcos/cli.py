@@ -8,27 +8,24 @@ Exit codes: 0 on success, 2 for configuration errors, 3 for solver failures.
 import argparse
 import configparser
 import sys
+import typing
 
 from .errors import SolverError, UsageError
 from .harness import RunConfig, run_convergence, run_simulation, run_stability
 from .steppers import STEPPER_ORDERS
 
-_INT_TUPLE_FIELDS = {"corrections", "nt_list", "resolution"}
-_FLOAT_TUPLE_FIELDS = {"snap_times", "re_range", "im_range"}
-_INT_FIELDS = {"M", "grid_n", "order_space"}
-_FLOAT_FIELDS = {"end_time", "dt"}
-
 
 def _coerce(key, value):
-    if key in _INT_TUPLE_FIELDS:
-        return tuple(int(v) for v in str(value).split(","))
-    if key in _FLOAT_TUPLE_FIELDS:
-        return tuple(float(v) for v in str(value).split(","))
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    return value
+    """Parse a flag or config value as RunConfig's annotated type for the field;
+    a tuple field takes comma separated items."""
+    kind = RunConfig.__dataclass_fields__[key].type
+    try:
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(item(v) for v in str(value).split(","))
+        return kind(value)
+    except ValueError:
+        raise UsageError(f"cannot read {key} = {value!r}") from None
 
 
 def load_config_file(path):
@@ -85,10 +82,7 @@ def build_parser():
 
 
 def config_from_args(args):
-    kwargs = {"experiment": args.experiment}
-    if getattr(args, "config", None):
-        kwargs.update(load_config_file(args.config))
-    kwargs["experiment"] = args.experiment
+    kwargs = load_config_file(args.config) if args.config else {}
     for key in RunConfig.__dataclass_fields__:
         value = getattr(args, key, None)
         if value is not None:
@@ -101,10 +95,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-    except (UsageError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if cfg.experiment == "convergence":
             report = run_convergence(cfg)
             for cs in cfg.corrections:

@@ -1,14 +1,15 @@
 """Batch experiment drivers: convergence tables, stability maps, simulations.
 
-Each driver consumes a RunConfig, writes deterministic CSV artifacts plus a
-run manifest (config echo, wall time, artifact checksums) into the output
-directory, and returns its in-memory result.  Floats are written with
+Each driver consumes a RunConfig, builds and checks its whole run, then writes
+deterministic CSV artifacts plus a run manifest (the resolved config, wall
+time, artifact checksums) into the output directory, and returns its
+in-memory result.  Floats are written with
 round-trip repr formatting so identical configurations produce byte-identical
 artifacts when each runs in a fresh process; after other runs in the same
 process a few stability-scan cells can differ in their last digits.
 """
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict
 import hashlib
 import json
 import numbers
@@ -22,37 +23,42 @@ from .idc import IDCConfig, idc_march, idc_solve
 from .pde2d import write_field_snapshot
 from .polyint import MAX_SUBINTERVALS
 from .problems import PROBLEM_BUILDERS
-from .stability import StabilityScan, scan_region, write_contour_csv, write_field_csv
-from .steppers import STEPPER_ORDERS
+from .stability import (DEFAULT_RESIDUAL_MODE, StabilityScan, scan_region,
+                        write_contour_csv, write_field_csv)
+from .steppers import STEPPER_ORDERS, check_operator_count
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One batch run: a convergence study, a stability map, or a simulation.
 
-    ``corrections`` defaults per experiment: convergence studies and
-    stability maps run (0, 1, 2), a simulation runs the one count (2,).
+    Construction resolves each unset default, so the manifest echoes what
+    ran: a convergence or simulation run's table fields (``TABLE_DEFAULTS``);
+    ``corrections``, (0, 1, 2) or a simulation's one count (2,); a convergence
+    run's ``nt_unit``, 'macro' under ADI and 'substep' otherwise; and
+    ``residual_mode``, a stability map's ``DEFAULT_RESIDUAL_MODE`` and
+    'interpolant' otherwise.  Correction counts and N_t rungs must not repeat.
     """
 
     experiment: str = "convergence"
     problem: str = "example1"
     scheme: str = "lie-trotter"
-    corrections: tuple = None
-    nt_list: tuple = ()
-    nt_unit: str = None          # 'substep' or 'macro'; scheme default if None
-    M: int = None                # sub-intervals per macro step; policy default
+    corrections: tuple[int, ...] = None
+    nt_list: tuple[int, ...] = ()
+    nt_unit: str = None          # 'substep' or 'macro'
+    M: int = None                # sub-intervals per macro step; IDCConfig's if None
     grid_n: int = None
     order_space: int = 6
     end_time: float = None
     dt: float = None             # simulation macro step
-    snap_times: tuple = ()
-    residual_mode: str = None   # interpolant (default) / oversampled(N); scans default oversampled(13)
+    snap_times: tuple[float, ...] = ()
+    residual_mode: str = None    # 'interpolant' or 'oversampled(N)'
     out_dir: str = "out"
     run_name: str = None
     # stability scan window
-    re_range: tuple = (-20.0, 4.0)
-    im_range: tuple = (-12.0, 12.0)
-    resolution: tuple = (601, 601)
+    re_range: tuple[float, ...] = (-20.0, 4.0)
+    im_range: tuple[float, ...] = (-12.0, 12.0)
+    resolution: tuple[int, ...] = (601, 601)
 
     def __post_init__(self):
         if self.experiment not in ("convergence", "stability", "simulate"):
@@ -63,16 +69,27 @@ class RunConfig:
             raise UsageError(f"unknown problem {self.problem!r}")
         if self.nt_unit not in (None, "substep", "macro"):
             raise UsageError(f"unknown nt unit {self.nt_unit!r}")
-        if self.M is not None and self.M < 1:
-            raise UsageError(f"need at least one sub-interval, got M={self.M}")
-        if self.corrections is None:
-            object.__setattr__(self, "corrections",
-                               (2,) if self.experiment == "simulate" else (0, 1, 2))
+        if self.experiment != "stability":
+            for key, value in TABLE_DEFAULTS.get((self.problem, self.scheme), {}).items():
+                if getattr(self, key) in (None, ()):
+                    object.__setattr__(self, key, value)
+        resolved = {
+            "corrections": (2,) if self.experiment == "simulate" else (0, 1, 2),
+            "nt_unit": ("macro" if self.scheme == "adi" else "substep")
+            if self.experiment == "convergence" else None,
+            "residual_mode": DEFAULT_RESIDUAL_MODE
+            if self.experiment == "stability" else "interpolant"}
+        for key, value in resolved.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         counts = self.corrections
         if not (isinstance(counts, (tuple, list)) and counts and all(
-                isinstance(cs, numbers.Integral) and cs >= 0 for cs in counts)):
-            raise UsageError(f"corrections must be one or more whole numbers >= 0, "
-                             f"got {counts!r}")
+                isinstance(cs, numbers.Integral) and cs >= 0 for cs in counts)
+                and len(set(counts)) == len(counts)):
+            raise UsageError(f"corrections must be one or more distinct whole numbers "
+                             f">= 0, got {counts!r}")
+        if len(set(self.nt_list)) != len(self.nt_list):
+            raise UsageError(f"the N_t ladder repeats a rung: {list(self.nt_list)}")
 
     @property
     def name(self):
@@ -109,21 +126,6 @@ TABLE_DEFAULTS = {
 }
 
 
-def with_table_defaults(cfg):
-    """Fill unset fields from the per-table defaults."""
-    defaults = TABLE_DEFAULTS.get((cfg.problem, cfg.scheme), {})
-    updates = {}
-    for key, value in defaults.items():
-        current = getattr(cfg, key)
-        if current is None or current == () or (key == "nt_list" and not current):
-            updates[key] = value
-    return replace(cfg, **updates) if updates else cfg
-
-
-def default_nt_unit(scheme):
-    return "macro" if scheme == "adi" else "substep"
-
-
 def pick_subintervals(target_order, nt_list, nt_unit):
     """Smallest M whose quadrature supports the target order.
 
@@ -141,17 +143,6 @@ def pick_subintervals(target_order, nt_list, nt_unit):
     return M
 
 
-def _idc_config(scheme, cs, M, residual_mode):
-    """One correction count's IDCConfig, with its sub-interval count checked
-    against the uniform-node cap so a run can reject it before any output."""
-    idc_cfg = IDCConfig(corrections=cs, predictor=scheme, M=M,
-                        residual_mode=residual_mode)
-    if idc_cfg.resolved_M() > MAX_SUBINTERVALS:
-        raise UsageError(f"M={idc_cfg.resolved_M()} exceeds the uniform-node cap "
-                         f"{MAX_SUBINTERVALS}")
-    return idc_cfg
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Rows of (correction, Nt, error, order) plus the metric used."""
@@ -163,10 +154,6 @@ class ConvergenceReport:
 
     def orders_for(self, correction):
         return [r[3] for r in self.rows if r[0] == correction and np.isfinite(r[3])]
-
-
-def _float_repr(x):
-    return repr(float(x))
 
 
 def _write_csv(path, header, rows):
@@ -201,11 +188,14 @@ def _write_manifest(cfg, out_dir, t_start, artifacts, extra=None):
 
 
 def _build_problem(cfg):
+    """The run's problem, rejecting a scheme that cannot take its operators."""
     builder = PROBLEM_BUILDERS[cfg.problem]
     kwargs = {"order": cfg.order_space}
     if cfg.grid_n is not None:
         kwargs["N"] = cfg.grid_n
-    return builder(**kwargs)
+    prob = builder(**kwargs)
+    check_operator_count(cfg.scheme, len(prob.system.operators()))
+    return prob
 
 
 def run_convergence(cfg):
@@ -214,42 +204,42 @@ def run_convergence(cfg):
     Problems with an exact solution use the max-norm error at the end time;
     the periodic variable-coefficient problem uses the successive-refinement
     difference, which needs each N_t/2 run as its reference, so its N_t must
-    be even.  Every rung, references included, and every correction count's
-    IDC configuration are checked before the first solve.
+    be even.  The problem, its split IVP, every rung, references included,
+    and every correction count's IDC configuration are built and checked
+    before the output directory is made.
     """
-    cfg = with_table_defaults(cfg)
     if not cfg.nt_list:
         raise UsageError("convergence runs need an N_t ladder")
     if cfg.end_time is None:
         raise UsageError(f"no end time for {cfg.problem} {cfg.scheme}; set --end-time")
-    if not cfg.end_time > 0:
-        raise UsageError(f"end time must be positive, got {cfg.end_time}")
     t_start = time.perf_counter()
     prob = _build_problem(cfg)
+    ivp = prob.split_ivp(cfg.end_time)
     metric = "exact" if prob.exact is not None else "self"
-    nt_unit = cfg.nt_unit or default_nt_unit(cfg.scheme)
     nts = tuple(cfg.nt_list)
     if metric == "self" and any(nt % 2 for nt in nts):
         raise UsageError(f"the self metric reads N_t against N_t/2; N_t={list(nts)} must be even")
     run_nts = nts if metric == "exact" else tuple(sorted(set(nts) | {nt // 2 for nt in nts}))
     plan = []
     for cs in cfg.corrections:
-        target = STEPPER_ORDERS[cfg.scheme] * (1 + cs)
-        M = cfg.M if cfg.M is not None else pick_subintervals(target, run_nts, nt_unit)
-        unit = M if nt_unit == "substep" else 1
+        M = cfg.M
+        if M is None:
+            target = IDCConfig(corrections=cs, predictor=cfg.scheme).target_order()
+            M = pick_subintervals(target, run_nts, cfg.nt_unit)
+        idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
+                            residual_mode=cfg.residual_mode)
+        unit = M if cfg.nt_unit == "substep" else 1
         for nt in run_nts:
             if nt < unit or nt % unit:
-                raise UsageError(f"N_t={nt} ({nt_unit} unit) is no positive whole "
+                raise UsageError(f"N_t={nt} ({cfg.nt_unit} unit) is no positive whole "
                                  f"number of macro steps of M={M}")
-        plan.append((cs, unit, _idc_config(cfg.scheme, cs, M,
-                                           cfg.residual_mode or "interpolant")))
+        plan.append((unit, idc_cfg))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    T = cfg.end_time
-    exact = prob.exact(T) if metric == "exact" else None
+    exact = prob.exact(cfg.end_time) if metric == "exact" else None
     rows = []
     failures = []
-    for cs, unit, idc_cfg in plan:
-        ivp = prob.split_ivp(T)
+    for unit, idc_cfg in plan:
+        cs = idc_cfg.corrections
         finals = {}
         for nt in run_nts:
             try:
@@ -281,11 +271,12 @@ def run_convergence(cfg):
                                metric=metric, rows=tuple(rows))
     csv_path = os.path.join(cfg.out_dir, f"{cfg.name}_convergence.csv")
     _write_csv(csv_path, "correction,Nt,error,order",
-               [(str(cs), str(nt), _float_repr(e), _float_repr(o))
+               [(str(cs), str(nt), repr(e), repr(o))
                 for cs, nt, e, o in rows])
     artifacts = {os.path.basename(csv_path): {"sha256": _sha256(csv_path)}}
     _write_manifest(cfg, cfg.out_dir, t_start, artifacts,
-                    extra={"failures": failures, "metric": metric})
+                    extra={"failures": failures, "metric": metric,
+                           "sub_intervals": {c.corrections: c.resolved_M() for _, c in plan}})
     if failures:
         raise SolverError(
             f"{len(failures)} ladder cells failed; see the run manifest "
@@ -303,11 +294,12 @@ def run_stability(cfg):
     specs = [StabilityScan(
         scheme=cfg.scheme, corrections=cs, re_range=tuple(cfg.re_range),
         im_range=tuple(cfg.im_range), resolution=tuple(cfg.resolution),
-        M=cfg.M, residual_mode=cfg.residual_mode or "oversampled(13)")
+        M=cfg.M, residual_mode=cfg.residual_mode)
         for cs in cfg.corrections]
     for spec in specs:
         spec.axes()
-        _idc_config(spec.scheme, spec.corrections, spec.M, spec.residual_mode)
+        IDCConfig(corrections=spec.corrections, predictor=spec.scheme, M=spec.M,
+                  residual_mode=spec.residual_mode)
     os.makedirs(cfg.out_dir, exist_ok=True)
     artifacts = {}
     scans = []
@@ -351,12 +343,11 @@ def run_simulation(cfg):
     (t = 0 writes the initial field).  Snapshot times must be distinct,
     non-negative multiples of dt no later than end_time.  A simulation runs
     exactly one correction count, (2,) unless set; more than one raises
-    UsageError.  Every input, the IDC configuration included, is checked
-    before the output directory is made.  A non-finite field aborts with the
-    offending time and node.
+    UsageError.  Every input is checked, and the problem, its split IVP and
+    the IDC configuration are built, before the output directory is made.
+    A non-finite field aborts with the offending time and node.
     Returns per-snapshot (time, min, max) summaries.
     """
-    cfg = with_table_defaults(cfg)
     if cfg.dt is None or not cfg.snap_times:
         raise UsageError("simulate runs need dt and snapshot times")
     if len(cfg.corrections) != 1:
@@ -364,12 +355,14 @@ def run_simulation(cfg):
                          f"got {list(cfg.corrections)}")
     steps = _snapshot_steps(cfg)
     (cs,) = cfg.corrections
-    target = STEPPER_ORDERS[cfg.scheme] * (1 + cs)
-    M = cfg.M if cfg.M is not None else (1 if cs == 0 else max(target, 3))
-    idc_cfg = _idc_config(cfg.scheme, cs, M, cfg.residual_mode or "interpolant")
+    idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme,
+                        M=cfg.M if cfg.M is not None else (1 if cs == 0 else None),
+                        residual_mode=cfg.residual_mode)
     t_start = time.perf_counter()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     prob = _build_problem(cfg)
+    last = max(steps)
+    ivp = prob.split_ivp(steps[last]) if last else None
+    os.makedirs(cfg.out_dir, exist_ok=True)
     artifacts = {}
     summaries = []
 
@@ -380,15 +373,12 @@ def run_simulation(cfg):
         summaries.append({"time": t_snap,
                           "min": [float(c.min()) for c in comp],
                           "max": [float(c.max()) for c in comp]})
-        artifacts[os.path.basename(path)] = {"sha256": _sha256(path),
-                                             "min": summaries[-1]["min"],
-                                             "max": summaries[-1]["max"]}
+        artifacts[os.path.basename(path)] = {"sha256": _sha256(path)}
 
     if 0 in steps:
         snapshot(steps[0], prob.initial)
-    last = max(steps)
     if last:
-        march = idc_march(prob.split_ivp(steps[last]), last, idc_cfg)
+        march = idc_march(ivp, last, idc_cfg)
         for n, (nodes, level) in enumerate(march, start=1):
             u = level.final_state
             if not np.isfinite(u).all():
@@ -398,5 +388,6 @@ def run_simulation(cfg):
             if n in steps:
                 snapshot(steps[n], u)
     _write_manifest(cfg, cfg.out_dir, t_start, artifacts,
-                    extra={"snapshots": summaries})
+                    extra={"snapshots": summaries,
+                           "sub_intervals": {cs: idc_cfg.resolved_M()}})
     return summaries

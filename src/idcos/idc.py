@@ -54,7 +54,8 @@ class IDCConfig:
 
     M is the number of sub-intervals per macro step; when omitted it defaults
     to max(sum of scheme orders, 3), which keeps the quadrature accurate
-    enough for the requested number of corrections.
+    enough for the requested number of corrections.  Construction checks it
+    against the uniform-node range, so a run can reject it before any output.
     """
 
     corrections: int = 0
@@ -75,6 +76,7 @@ class IDCConfig:
             if name not in STEPPER_ORDERS:
                 raise UnsupportedSchemeError(
                     f"unknown scheme {name!r}; choose from {sorted(STEPPER_ORDERS)}")
+        polyint.check_subintervals(self.resolved_M())
 
     def corrector_name(self, k):
         """Scheme used in sweep k (1-based)."""

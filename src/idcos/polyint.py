@@ -32,12 +32,7 @@ class UniformNodeSet:
     M: int
 
     def __post_init__(self):
-        if self.M < 1:
-            raise UsageError(f"need at least one sub-interval, got M={self.M}")
-        if self.M > MAX_SUBINTERVALS:
-            raise UsageError(
-                f"M={self.M} exceeds the uniform-node cap {MAX_SUBINTERVALS}; "
-                "interpolation on more equispaced nodes is not trustworthy")
+        check_subintervals(self.M)
         if not self.h > 0:
             raise UsageError(f"sub-step size must be positive, got h={self.h}")
 
@@ -52,6 +47,16 @@ class UniformNodeSet:
     def local(self, t):
         """Map a time to the unit-spacing coordinate tau = (t - t0)/h."""
         return (t - self.t0) / self.h
+
+
+def check_subintervals(M):
+    """Raise UsageError unless 1 <= M <= MAX_SUBINTERVALS."""
+    if M < 1:
+        raise UsageError(f"need at least one sub-interval, got M={M}")
+    if M > MAX_SUBINTERVALS:
+        raise UsageError(
+            f"M={M} exceeds the uniform-node cap {MAX_SUBINTERVALS}; "
+            "interpolation on more equispaced nodes is not trustworthy")
 
 
 def _cardinal_coefficients(M):

@@ -29,11 +29,6 @@ def _dahlquist_problem(lam, strict=True):
                     t_span=(0.0, 1.0))
 
 
-def _config(scheme, corrections, M, residual_mode):
-    return IDCConfig(corrections=corrections, predictor=scheme, M=M,
-                     residual_mode=residual_mode)
-
-
 def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDUAL_MODE):
     """u(1) after one macro step on the split test problem u' = lambda*u.
 
@@ -41,7 +36,8 @@ def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDU
     factor is singular.
     """
     problem = _dahlquist_problem(np.asarray([lam], dtype=complex), strict=True)
-    cfg = _config(scheme, corrections, M, residual_mode)
+    cfg = IDCConfig(corrections=corrections, predictor=scheme, M=M,
+                    residual_mode=residual_mode)
     return complex(idc_solve(problem, 1, cfg)[0])
 
 
@@ -53,7 +49,8 @@ def amplification_field(lams, scheme, corrections, M=None,
     never couple, so a pole stays in its own cell.
     """
     problem = _dahlquist_problem(lams, strict=False)
-    cfg = _config(scheme, corrections, M, residual_mode)
+    cfg = IDCConfig(corrections=corrections, predictor=scheme, M=M,
+                    residual_mode=residual_mode)
     with np.errstate(invalid="ignore"):  # inf * 0 downstream of a pole cell
         amp = np.abs(idc_solve(problem, 1, cfg))
     amp[~np.isfinite(amp)] = np.inf

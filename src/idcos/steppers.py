@@ -13,6 +13,20 @@ import numpy as np
 
 from .errors import UnsupportedSchemeError, UsageError
 
+# The operator counts each scheme takes, and how its check words a mismatch;
+# Lie-Trotter takes any number.
+OPERATOR_COUNTS = {
+    "strang": ((2, 3), "this splitting handles 2 or 3 operators"),
+    "adi": ((2,), "alternating-direction stepping needs exactly 2 operators"),
+}
+
+
+def check_operator_count(scheme, count):
+    """Raise UnsupportedSchemeError unless the scheme takes ``count`` operators."""
+    counts, need = OPERATOR_COUNTS.get(scheme, (None, None))
+    if counts is not None and count not in counts:
+        raise UnsupportedSchemeError(f"{need}, problem has {count}")
+
 
 def lie_trotter_step(problem, t, dt, u):
     """Sequential backward Euler over the operators (first order).
@@ -45,9 +59,7 @@ def strang_step(problem, t, dt, u):
     if not dt > 0:
         raise UsageError(f"step size must be positive, got dt={dt}")
     L = problem.num_operators
-    if L not in (2, 3):
-        raise UnsupportedSchemeError(
-            f"this splitting handles 2 or 3 operators, problem has {L}")
+    check_operator_count("strang", L)
     th = t + 0.5 * dt
     t1 = t + dt
     x = np.asarray(u)
@@ -68,10 +80,7 @@ def adi_step(problem, t, dt, u):
     """
     if not dt > 0:
         raise UsageError(f"step size must be positive, got dt={dt}")
-    if problem.num_operators != 2:
-        raise UnsupportedSchemeError(
-            f"alternating-direction stepping needs exactly 2 operators, "
-            f"problem has {problem.num_operators}")
+    check_operator_count("adi", problem.num_operators)
     th = t + 0.5 * dt
     half = 0.5 * dt
     u = np.asarray(u)

@@ -163,6 +163,74 @@ class TestRunStability:
             for kind in ("field", "contour")}
 
 
+class TestManifest:
+    """The manifest's config echo holds the resolved defaults, and ladders
+    and simulations record the M each correction count ran."""
+
+    def test_resolved_at_construction(self):
+        cfg = RunConfig(problem="example2", scheme="adi")
+        assert (cfg.grid_n, cfg.end_time, cfg.nt_list) == (200, 0.05, (40, 80, 160, 320))
+        assert (cfg.nt_unit, cfg.residual_mode) == ("macro", "interpolant")
+        assert RunConfig(scheme="strang").nt_unit == "substep"
+        scan = RunConfig(experiment="stability", problem="example2", scheme="adi")
+        assert (scan.residual_mode, scan.nt_unit, scan.grid_n) == ("oversampled(13)", None, None)
+        sim = RunConfig(experiment="simulate", problem="fhn")
+        assert (sim.dt, sim.snap_times, sim.nt_unit) == (0.005, (2.0, 5.0, 10.0), None)
+        # set fields win over the table and the defaults
+        cfg = RunConfig(problem="example2", scheme="adi", grid_n=8, nt_unit="substep",
+                        residual_mode="oversampled(5)")
+        assert (cfg.grid_n, cfg.end_time) == (8, 0.05)
+        assert (cfg.nt_unit, cfg.residual_mode) == ("substep", "oversampled(5)")
+
+    def test_scan(self, tmp_path):
+        assert main(["stability", "--scheme", "strang", "--corrections", "0",
+                     "--resolution", "5,5", "--out", str(tmp_path)]) == 0
+        config = manifest(tmp_path, "example1_strang")["config"]
+        assert config["residual_mode"] == "oversampled(13)"
+
+    @pytest.mark.parametrize("scheme,unit,sub_intervals", [
+        ("adi", "macro", {"0": 1, "1": 3}), ("strang", "substep", {"0": 1, "1": 4})])
+    def test_ladder(self, tmp_path, scheme, unit, sub_intervals):
+        # order 4 needs M >= 3; counted in sub-steps, M must also divide 4 and 8
+        assert main(["convergence", "--problem", "example1", "--scheme", scheme,
+                     "--grid", "8", "--nt", "4,8", "--corrections", "0,1",
+                     "--end-time", "0.01", "--out", str(tmp_path)]) == 0
+        info = manifest(tmp_path, f"example1_{scheme.replace('-', '')}")
+        assert info["config"]["residual_mode"] == "interpolant"
+        assert info["config"]["nt_unit"] == unit
+        assert info["sub_intervals"] == sub_intervals
+
+    @pytest.mark.parametrize("counts,sub_intervals", [("0", {"0": 1}), ("2", {"2": 3})])
+    def test_simulation(self, tmp_path, counts, sub_intervals):
+        assert main(["simulate", "--problem", "fhn", "--grid", "8", "--dt", "0.01",
+                     "--snap-times", "0.02", "--corrections", counts,
+                     "--out", str(tmp_path)]) == 0
+        info = manifest(tmp_path, "fhn_lietrotter")
+        assert info["config"]["residual_mode"] == "interpolant"
+        assert info["sub_intervals"] == sub_intervals
+
+    def test_config_file_tuples(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nscheme = strang\ncorrections = 0,1\nresolution = 5,3\n"
+                       "re_range = -2,1.5\nim-range = -1,1\n")
+        assert main(["stability", "--config", str(ini), "--out", str(tmp_path)]) == 0
+        info = manifest(tmp_path, "example1_strang")
+        assert {k: info["config"][k] for k in
+                ("corrections", "resolution", "re_range", "im_range")} == {
+            "corrections": [0, 1], "resolution": [5, 3],
+            "re_range": [-2.0, 1.5], "im_range": [-1.0, 1.0]}
+        rows = read_rows(tmp_path / "example1_strang_cs1_field.csv")
+        assert len(rows) == 1 + 5 * 3
+        assert (rows[1][:2], rows[-1][:2]) == (["-2.0", "-1.0"], ["1.5", "1.0"])
+
+    def test_unreadable_config_value(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nresolution = 5,x\n")
+        assert main(["stability", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+
 class TestCli:
     def test_tiny_run_succeeds(self, tmp_path, capsys):
         code = main(["convergence", "--problem", "example1", "--scheme", "adi",
@@ -227,12 +295,16 @@ class TestCli:
                      "--end-time", "0.01", "--out", str(tmp_path)]) == 0
         assert calls == [2, 4, 8, 16]
 
-    @pytest.mark.parametrize("counts", [(), [], (-1,), (0, -1), (1.5,), ("1",), 2],
+    @pytest.mark.parametrize("counts", [(), [], (-1,), (0, -1), (1.5,), ("1",), 2, (1, 0, 1)],
                              ids=["empty-tuple", "empty-list", "negative", "one-negative",
-                                  "float", "string", "no-sequence"])
+                                  "float", "string", "no-sequence", "repeated"])
     def test_bad_correction_counts(self, counts):
         with pytest.raises(UsageError, match="corrections must be"):
             RunConfig(corrections=counts)
+
+    def test_repeated_rung(self):
+        with pytest.raises(UsageError, match=r"repeats a rung: \[4, 8, 4\]"):
+            RunConfig(nt_list=(4, 8, 4))
 
     @pytest.mark.parametrize("flags", [
         ["convergence", "--problem", "example1", "--scheme", "lie-trotter",
@@ -266,10 +338,18 @@ class TestCli:
         SCAN + ["--sub-intervals", "99"],
         LADDER + ["--residual-mode", "bogus"],
         SIMULATION + ["--residual-mode", "bogus"],
-        SIMULATION + ["--sub-intervals", "99"]],
+        SIMULATION + ["--sub-intervals", "99"],
+        SIMULATION + ["--grid", "0"],
+        LADDER + ["--problem", "example3", "--scheme", "adi"],
+        SIMULATION + ["--problem", "fhn"],
+        SIMULATION + ["--problem", "example3", "--snap-times", "0,0.02"],
+        LADDER + ["--nt", "4,4"],
+        SCAN + ["--corrections", "0,0"]],
         ids=["negative-end-time", "one-sample-scan", "scan-residual-mode",
              "scan-sub-intervals", "ladder-residual-mode", "simulation-residual-mode",
-             "simulation-sub-intervals"])
+             "simulation-sub-intervals", "simulation-empty-grid", "ladder-operator-count",
+             "simulation-operator-count", "initial-snapshot-operator-count",
+             "repeated-rung", "repeated-correction-count"])
     def test_rejected_run_leaves_no_directory(self, tmp_path, flags):
         assert main([*flags, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()

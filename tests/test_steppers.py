@@ -4,7 +4,8 @@ import pytest
 from idcos.errors import UnsupportedSchemeError
 from idcos.ode import DiagonalLinearOperator, MatrixLinearOperator, SplitIVP, ZeroOperator
 from idcos.pde2d import PointwiseSourceOperator
-from idcos.steppers import adi_step, lie_trotter_step, strang_step
+from idcos.steppers import (STEPPER_ORDERS, adi_step, check_operator_count, get_stepper,
+                            lie_trotter_step, strang_step)
 
 QUAD_ROOT = (-1.0 + np.sqrt(1.4)) / 0.2  # root of x + 0.1 x^2 = 1 in (0, 1)
 
@@ -112,6 +113,25 @@ class TestADI:
     def test_wrong_operator_count(self):
         with pytest.raises(UnsupportedSchemeError):
             adi_step(zero_problem(3), 0.0, 0.1, np.zeros(3))
+
+
+@pytest.mark.parametrize("scheme", sorted(STEPPER_ORDERS))
+def test_steppers_take_the_declared_operator_counts(scheme):
+    # a driver's up-front check and the stepper's own check agree, message included
+    for n in range(1, 5):
+        try:
+            check_operator_count(scheme, n)
+            declared = None
+        except UnsupportedSchemeError as exc:
+            declared = str(exc)
+        try:
+            get_stepper(scheme)(zero_problem(n), 0.0, 0.1, np.zeros(3))
+            stepped = None
+        except UnsupportedSchemeError as exc:
+            stepped = str(exc)
+        assert stepped == declared, n
+    # four operators: only Lie-Trotter takes them
+    assert (declared is None) == (scheme == "lie-trotter")
 
 
 class TestOrders:
