@@ -29,7 +29,8 @@ def _coerce(key, value):
 
 
 def load_config_file(path):
-    """Read a [run] section of key = value pairs into RunConfig kwargs."""
+    """Read a [run] section of key = value pairs into RunConfig kwargs; a key
+    matches its field in any case, since configparser lowercases keys."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -38,12 +39,13 @@ def load_config_file(path):
         section = parser["run"]
     else:
         section = parser[parser.sections()[0]] if parser.sections() else {}
+    fields = {name.lower(): name for name in RunConfig.__dataclass_fields__}
     kwargs = {}
     for key, value in dict(section).items():
-        key = key.replace("-", "_")
-        if key not in RunConfig.__dataclass_fields__:
+        name = fields.get(key.replace("-", "_"))
+        if name is None:
             raise UsageError(f"unknown config key {key!r}")
-        kwargs[key] = _coerce(key, value)
+        kwargs[name] = _coerce(name, value)
     return kwargs
 
 

@@ -93,7 +93,12 @@ class RunConfig:
 
     @property
     def name(self):
-        return self.run_name or f"{self.problem}_{self.scheme.replace('-', '')}"
+        """Artifact prefix: ``run_name`` if set, else problem_scheme; a scan
+        reads no problem and is named after its scheme alone."""
+        if self.run_name:
+            return self.run_name
+        scheme = self.scheme.replace("-", "")
+        return scheme if self.experiment == "stability" else f"{self.problem}_{scheme}"
 
 
 # Per-table defaults lifted from the convergence-study captions: grid size,

@@ -1,13 +1,13 @@
 """Integral deferred correction driver over splitting steppers.
 
-Each macro time interval is subdivided into M uniform sub-intervals.  A base
-splitting stepper produces the prediction level; every correction sweep then
-solves the transformed error equation
+Each macro interval is split into M uniform sub-intervals, and one loop
+marches a splitting stepper across them: on the problem for the prediction,
+and on the transformed error equation for every correction sweep,
 
     Q'(t) = G(t, Q),   Q(t0) = 0,
     G_nu(t, Q) = f_nu(t, ups(t) + Q - Int(t)) - f_nu(t, ups(t)),
 
-with the same kind of splitting stepper, where ups(t) interpolates the
+posed as a split problem (``ErrorProblem``), where ups(t) interpolates the
 previous level and Int(t) is the integral of its residual.  The update
 recovers the error estimate delta_m = Q_m - Int(t_m) and adds it to the
 level.  Each sweep lifts the observable order by the corrector's order until
@@ -28,7 +28,6 @@ import numpy as np
 
 from . import polyint
 from .errors import SolverError, StepperError, UnsupportedSchemeError, UsageError
-from .ode import SplitIVP
 from .polyint import UniformNodeSet, lagrange_eval, node_index, partial_integral
 from .steppers import STEPPER_ORDERS, get_stepper
 
@@ -116,22 +115,26 @@ def _cache_rhs(problem, nodes, values):
     return np.stack([problem.f_total(t, u) for t, u in zip(nodes.times, values)])
 
 
-def predict(problem, nodes, u0, cfg):
-    """March the base stepper across the sub-intervals (level 0)."""
-    u0 = np.asarray(u0)
-    if not np.isfinite(u0).all():
-        raise UsageError("initial value contains non-finite entries")
-    override = problem.predictor_overrides.get(cfg.predictor)
-    stepper = override if override is not None else get_stepper(cfg.predictor)
+def _march_sub_intervals(problem, stepper, nodes, start, sweep):
+    """The M+1 states of ``stepper`` marched from ``start``, stacked; a
+    SolverError becomes a StepperError naming the node, time and sweep."""
     times = nodes.times
-    values = [u0]
+    states = [start]
     for m in range(nodes.M):
         try:
-            values.append(stepper(problem, times[m], nodes.h, values[m]))
+            states.append(stepper(problem, times[m], nodes.h, states[m]))
         except SolverError as exc:
-            raise StepperError(f"prediction failed on sub-interval {m}: {exc}",
-                               node=m, time=times[m], sweep=0) from exc
-    return IDCLevelResult(nodes=nodes, values=np.stack(values))
+            what = f"correction sweep {sweep}" if sweep else "prediction"
+            raise StepperError(f"{what} failed on sub-interval {m}: {exc}",
+                               node=m, time=times[m], sweep=sweep) from exc
+    return np.stack(states)
+
+
+def predict(problem, nodes, u0, cfg):
+    """March the base stepper across the sub-intervals (level 0)."""
+    stepper = problem.predictor_overrides.get(cfg.predictor) or get_stepper(cfg.predictor)
+    values = _march_sub_intervals(problem, stepper, nodes, np.asarray(u0), 0)
+    return IDCLevelResult(nodes=nodes, values=values)
 
 
 def _oversampled_rhs(level, problem, n_interior):
@@ -185,7 +188,10 @@ class _CorrectionOperator:
 
 
 class ErrorProblem:
-    """The error equation of one correction sweep, posed as a split IVP.
+    """The error equation of one correction sweep, posed as a split problem.
+
+    A stepper reads its ``operators`` (the G_nu) as a ``SplitIVP``'s; a
+    corrector override may read the shifts and the base problem too.
 
     The residual mode chooses only the quadrature data: f at the level's
     nodes ('interpolant') or, through its interpolant, on a finer grid
@@ -213,12 +219,10 @@ class ErrorProblem:
         shifts = (level.values - level.values[0]) - partial_integral(
             self._quad_nodes, self._quad_values, level.nodes.times)
         shifts.setflags(write=False)
-        self._node_shifts = shifts
-        ops = tuple(_CorrectionOperator(self, nu)
-                    for nu in range(problem.num_operators))
-        self.ivp = SplitIVP(operators=ops,
-                            initial_state=np.zeros_like(level.values[0]),
-                            t_span=(level.nodes.t0, level.nodes.t_end))
+        self.node_shifts = shifts
+        self.num_operators = problem.num_operators
+        self.operators = tuple(_CorrectionOperator(self, nu)
+                               for nu in range(self.num_operators))
 
     def _node(self, t):
         """Index of the node at time t, or None between nodes."""
@@ -237,7 +241,7 @@ class ErrorProblem:
         """Integral of the residual from t0 to t."""
         m = self._node(t)
         if m is not None:
-            return self._node_shifts[m]
+            return self.node_shifts[m]
         if t not in self._shift:
             self._shift[t] = (self.interpolant(t) - self.level.values[0]
                               - partial_integral(self._quad_nodes, self._quad_values, t))
@@ -277,25 +281,13 @@ def correct_once(problem, level, sweep_index, cfg):
         raise UsageError("sweep index is 1-based")
     ep = ErrorProblem(problem, level, residual_mode=cfg.residual_mode)
     name = cfg.corrector_name(sweep_index)
-    override = problem.corrector_overrides.get(name)
-    stepper = None if override is not None else get_stepper(name)
-    nodes = level.nodes
-    times = nodes.times
-    w = np.zeros_like(level.values[0])
-    deltas = [np.zeros_like(w)]
-    for m in range(nodes.M):
-        try:
-            if override is not None:
-                w = override(ep, times[m], nodes.h, w)
-            else:
-                w = stepper(ep.ivp, times[m], nodes.h, w)
-        except SolverError as exc:
-            raise StepperError(
-                f"correction sweep {sweep_index} failed on sub-interval {m}: {exc}",
-                node=m, time=times[m], sweep=sweep_index) from exc
-        deltas.append(w - ep.shift(times[m + 1]))
-    values = level.values + np.stack(deltas)
-    return IDCLevelResult(nodes=nodes, values=values)
+    stepper = problem.corrector_overrides.get(name) or get_stepper(name)
+    Q = _march_sub_intervals(ep, stepper, level.nodes, np.zeros_like(level.values[0]),
+                             sweep_index)
+    # in place, so a sweep allocates no second level: delta = Q - Int, plus the level
+    Q -= ep.node_shifts
+    Q += level.values
+    return IDCLevelResult(nodes=level.nodes, values=Q)
 
 
 def solve_macro_interval(problem, nodes, u0, cfg):
@@ -310,12 +302,15 @@ def idc_march(problem, macro_steps, cfg):
     """Iterate (nodes, level) over N uniform macro steps of the time span.
 
     Step n covers [t0 + n*H, t0 + (n+1)*H] and starts from the final state of
-    step n-1; its level is the last correction level.  The step count is
-    checked, and the order-saturation warning given, when this is called;
-    a failed step raises StepperError annotated with its ``macro_step``.
+    step n-1; its level is the last correction level.  The step count and
+    the initial state are checked, and the order-saturation warning given,
+    when this is called.  A failed step, or one that would start from a
+    non-finite state, raises StepperError annotated with its ``macro_step``.
     """
     if macro_steps < 1:
         raise UsageError("need at least one macro step")
+    if not np.isfinite(problem.initial_state).all():
+        raise UsageError("initial value contains non-finite entries")
     M = cfg.resolved_M()
     if cfg.target_order() > M + 1:
         warnings.warn(
@@ -330,6 +325,9 @@ def _march(problem, macro_steps, cfg, M):
     u = np.asarray(problem.initial_state)
     for n in range(macro_steps):
         nodes = UniformNodeSet(t0=t0 + n * H, h=H / M, M=M)
+        if not np.isfinite(u).all():
+            raise StepperError(f"macro step {n} would start from a non-finite state at "
+                               f"t={nodes.t0}", time=nodes.t0, macro_step=n)
         try:
             level = solve_macro_interval(problem, nodes, u, cfg)
         except StepperError as exc:

@@ -29,12 +29,10 @@ class SplitIVP:
     operators: tuple
     initial_state: np.ndarray
     t_span: tuple
-    # optional specialized one-step methods, keyed by scheme name, used by
-    # the IDC prediction step; only the linear PDE's ADI sweep has one
+    # optional steppers (problem, t, dt, u) -> u_next keyed by scheme name,
+    # used in place of the generic one; a corrector's problem is its sweep's
+    # ErrorProblem.  Only the linear PDE's ADI has them.
     predictor_overrides: dict = field(default_factory=dict)
-    # optional specialized correction sub-steps, keyed by scheme name, with
-    # signature (error_problem, t, h, w) -> w_next; only the linear
-    # PDE's factored ADI correction has one, other schemes run their stepper
     corrector_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -397,14 +397,17 @@ class SemiDiscreteSystem:
     def split_ivp(self, initial_field, t_span):
         """Expose the semi-discrete system as a split IVP.
 
-        Lie-Trotter and Strang run their generic steppers, correcting with
-        the residual integral at node values (``ErrorProblem.nodal_shift``).
-        Only ADI on linear scalar problems has overrides.  Its prediction
-        sweep takes the Peaceman-Rachford intermediate wall values, so the
-        boundary data enter consistently with Crank-Nicolson (see
-        ``adi_pde_step``).  Its factored correction gives other numbers than
-        the generic ADI corrector, and the benchmark's ADI ladders, blow-up
-        fixture and tracer are built on both overrides.
+        IDC marches one stepper per sweep: the prediction's on this problem,
+        each correction's on its sweep's ``ErrorProblem``.  Lie-Trotter and
+        Strang march their generic steppers, correcting with the residual
+        integral at node values (``ErrorProblem.nodal_shift``).  Only ADI on
+        linear scalar problems has overrides, marched in place of
+        ``adi_step``.  Its prediction takes the Peaceman-Rachford
+        intermediate wall values, so the boundary data enter consistently
+        with Crank-Nicolson (see ``adi_pde_step``).  Its factored correction
+        gives other numbers than the generic ADI corrector, and the
+        benchmark's ADI ladders, blow-up fixture and tracer are built on
+        both overrides.
         """
         initial_field = np.asarray(initial_field, dtype=float)
         if initial_field.shape != self.state_shape:
@@ -421,7 +424,7 @@ class SemiDiscreteSystem:
                         corrector_overrides=corrector_overrides)
 
     def _factored_adi_correction(self, ep, t, h, w):
-        """Factored node-value sweep for the linear error equation.
+        """Factored node-value step for the linear error equation ``ep``.
 
         The Crank-Nicolson update of Q' = L(Q - Int(t)) factors into two
         half-step line sweeps once the residual term

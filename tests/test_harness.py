@@ -185,7 +185,7 @@ class TestManifest:
     def test_scan(self, tmp_path):
         assert main(["stability", "--scheme", "strang", "--corrections", "0",
                      "--resolution", "5,5", "--out", str(tmp_path)]) == 0
-        config = manifest(tmp_path, "example1_strang")["config"]
+        config = manifest(tmp_path, "strang")["config"]
         assert config["residual_mode"] == "oversampled(13)"
 
     @pytest.mark.parametrize("scheme,unit,sub_intervals", [
@@ -214,14 +214,24 @@ class TestManifest:
         ini.write_text("[run]\nscheme = strang\ncorrections = 0,1\nresolution = 5,3\n"
                        "re_range = -2,1.5\nim-range = -1,1\n")
         assert main(["stability", "--config", str(ini), "--out", str(tmp_path)]) == 0
-        info = manifest(tmp_path, "example1_strang")
+        info = manifest(tmp_path, "strang")
         assert {k: info["config"][k] for k in
                 ("corrections", "resolution", "re_range", "im_range")} == {
             "corrections": [0, 1], "resolution": [5, 3],
             "re_range": [-2.0, 1.5], "im_range": [-1.0, 1.0]}
-        rows = read_rows(tmp_path / "example1_strang_cs1_field.csv")
+        rows = read_rows(tmp_path / "strang_cs1_field.csv")
         assert len(rows) == 1 + 5 * 3
         assert (rows[1][:2], rows[-1][:2]) == (["-2.0", "-1.0"], ["1.5", "1.0"])
+
+    def test_config_file_sets_M(self, tmp_path):
+        # configparser lowercases keys; they still match the field M
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nproblem = example1\nscheme = strang\nM = 2\ngrid_n = 8\n"
+                       "nt_list = 4,8\ncorrections = 0\nend_time = 0.01\n")
+        assert main(["convergence", "--config", str(ini), "--out", str(tmp_path)]) == 0
+        info = manifest(tmp_path, "example1_strang")
+        assert info["config"]["M"] == 2
+        assert info["sub_intervals"] == {"0": 2}
 
     def test_unreadable_config_value(self, tmp_path):
         ini = tmp_path / "run.ini"

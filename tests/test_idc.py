@@ -6,13 +6,14 @@ import weakref
 import numpy as np
 import pytest
 
-from idcos.errors import StepperError, UnsupportedSchemeError, UsageError
+from idcos.errors import NewtonError, StepperError, UnsupportedSchemeError, UsageError
 from idcos import idc, polyint
 from idcos.idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_march,
                        idc_solve, predict, solve_macro_interval)
 from idcos.ode import DiagonalLinearOperator, SplitIVP, ZeroOperator
 from idcos.pde2d import PointwiseSourceOperator
 from idcos.polyint import UniformNodeSet, lagrange_eval, partial_integral
+from idcos.steppers import get_stepper
 
 LD = np.longdouble
 
@@ -266,6 +267,67 @@ class TestIdcSolve:
         assert err.value.node == 0
         assert err.value.sweep == 0
 
+    def test_overflow_mid_march_fails_the_step(self):
+        # h*lam = 1 - 1e-12: every backward Euler step grows 1e12-fold, so a
+        # later macro step would start from inf.  That fails the run at that
+        # step; it is not a bad initial value.
+        p = scalar_problem(lams=(3 * (1 - 1e-12),), T=6.0)
+        cfg = IDCConfig(corrections=1, predictor="lie-trotter", M=3)
+        with pytest.raises(StepperError, match="macro step 5 would start from a non-finite") \
+                as err:
+            with np.errstate(over="ignore", invalid="ignore"):
+                idc_solve(p, 6, cfg)
+        assert (err.value.macro_step, err.value.time) == (5, 5.0)
+
+    def test_non_finite_initial_value_rejected_by_the_call(self):
+        with pytest.raises(UsageError, match="initial value contains non-finite"):
+            idc_march(scalar_problem(u0=np.inf), 2, IDCConfig())
+
+
+class TestOverrides:
+    """An override is a stepper, called as (problem, t, dt, u); a corrector
+    override's problem is its sweep's ErrorProblem."""
+
+    @staticmethod
+    def problem(**overrides):
+        ops = (DiagonalLinearOperator(-0.4), DiagonalLinearOperator(-0.9))
+        return SplitIVP(operators=ops, initial_state=np.array([1.0, -2.0]),
+                        t_span=(0.0, 1.0), **overrides)
+
+    def test_generic_stepper_as_corrector_override(self):
+        cfg = IDCConfig(corrections=2, predictor="lie-trotter", M=3)
+        nodes = UniformNodeSet(t0=0.0, h=0.1, M=3)
+        plain = self.problem()
+        overridden = self.problem(corrector_overrides={"lie-trotter": get_stepper("lie-trotter")})
+        a = solve_macro_interval(plain, nodes, plain.initial_state, cfg)
+        b = solve_macro_interval(overridden, nodes, overridden.initial_state, cfg)
+        assert b.values.tobytes() == a.values.tobytes()
+
+    @pytest.mark.parametrize("table,fail_at,sweep,what", [
+        ("predictor_overrides", 4, 0, "prediction"),
+        ("corrector_overrides", 10, 2, "correction sweep 2"),
+    ], ids=["predictor", "corrector"])
+    def test_failure_inside_an_override(self, table, fail_at, sweep, what):
+        # three calls per sweep and macro step: call 4 of the predictor and
+        # call 10 of the corrector are node 1 of macro step 1
+        lie_trotter = get_stepper("lie-trotter")
+        times = []
+
+        def stepper(problem, t, dt, u):
+            times.append(t)
+            if len(times) == fail_at + 1:
+                raise NewtonError("stalled")
+            return lie_trotter(problem, t, dt, u)
+
+        p = self.problem(**{table: {"lie-trotter": stepper}})
+        cfg = IDCConfig(corrections=2, predictor="lie-trotter", M=3)
+        with pytest.raises(StepperError, match=f"{what} failed on sub-interval 1: stalled") \
+                as err:
+            idc_solve(p, 3, cfg)
+        e = err.value
+        assert (e.macro_step, e.node, e.sweep, e.time) == (1, 1, sweep, times[-1])
+        assert isinstance(e.__cause__, NewtonError)
+
 
 class CountingOperator(DiagonalLinearOperator):
     """lam * u, counting evaluations; implicit solves do not evaluate."""
@@ -462,7 +524,7 @@ class TestErrorProblem:
         gc.disable()
         try:
             ep = ErrorProblem(p, level)
-            ep.ivp.operators[0](0.1, ep.shift(0.1))
+            ep.operators[0](0.1, ep.shift(0.1))
             ref = weakref.ref(ep)
             del ep
             assert ref() is None
@@ -478,5 +540,5 @@ class TestErrorProblem:
         ep = ErrorProblem(p, level)
         for t in (0.05, 0.33, 0.55):
             w = ep.shift(t)
-            for op in ep.ivp.operators:
+            for op in ep.operators:
                 assert np.max(np.abs(op(t, w))) <= 1e-14

@@ -303,7 +303,7 @@ class TestErrorProblemBC:
         ep = adi_error_problem(example1(N=10))
         nodes = ep.level.nodes
         for t in (*nodes.times, nodes.t0 + 0.5 * nodes.h):
-            for op in ep.ivp.operators:
+            for op in ep.operators:
                 assert np.max(np.abs(op(t, ep.nodal_shift(t)))) == 0.0
 
     def test_homogeneous_variant_matches_linear_action(self):
@@ -312,7 +312,7 @@ class TestErrorProblemBC:
         rng = np.random.default_rng(2)
         w = rng.normal(size=prob.grid.shape)
         t = ep.level.nodes.times[1]
-        G_x = ep.ivp.operators[0]
+        G_x = ep.operators[0]
         assert np.allclose(G_x(t, w),
                            prob.system.op_x.apply_homogeneous(t, w - ep.shift(t)))
 
@@ -322,7 +322,7 @@ class TestErrorProblemBC:
         rng = np.random.default_rng(3)
         rhs = rng.normal(size=prob.grid.shape)
         t, alpha = ep.level.nodes.times[2], 0.02
-        for op in ep.ivp.operators:
+        for op in ep.operators:
             x = op.solve_implicit(t, alpha, rhs)
             assert np.max(np.abs(x - alpha * op(t, x) - rhs)) <= 1e-10
 
@@ -332,7 +332,7 @@ class TestErrorProblemBC:
         rhs = np.random.default_rng(4).normal(size=prob.grid.shape)
         nodes, alpha = ep.level.nodes, 0.02
         for t in (nodes.t0 + 0.5 * nodes.h, nodes.times[1] + 0.3 * nodes.h):
-            for op in ep.ivp.operators:
+            for op in ep.operators:
                 x = op.solve_implicit(t, alpha, rhs)
                 assert np.max(np.abs(x - alpha * op(t, x) - rhs)) <= 1e-10
 
