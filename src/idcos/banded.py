@@ -11,8 +11,13 @@ Periodic lines carry a handful of wrap entries in the corners; each line is
 handled as a banded core plus a low-rank correction (Woodbury identity).
 
 Stacked lines are solved through that banded LU and Woodbury correction,
-O(n) per line.  A shared line is instead solved once against the identity
-at construction: its n x n inverse then solves every batch as one dense
+O(n) per line.  When gbtrf swapped no row, L and U are plain bands, and a
+solve of the whole stack is two BLAS tbsv sweeps (unit lower, then upper)
+over one vector of length L*n; gbtrs would make one rank-1 update per
+column.  gbtrs still serves stacks in which some line swapped rows and the
+multi-column solves made at construction (the Woodbury factors, a shared
+line's inverse).  A shared line is solved once against the identity at
+construction: its n x n inverse then solves every batch as one dense
 matrix product, which at grid-line sizes outruns the column-by-column
 banded solve.
 """
@@ -29,9 +34,11 @@ class BandedMatrix:
 
     ``ab`` holds the lines in LAPACK band storage, shape (L, kl + ku + 1, n);
     ``wrap_U`` holds the wrap entries of columns ``wrap_cols``, shape (L, n, r).
-    Stacked lines (L > 1) keep their banded LU and Woodbury factors; a
-    shared line (L = 1) keeps only its inverse, built from those factors,
-    and applies it as one matrix product.
+    Stacked lines (L > 1) keep their Woodbury factors and either the two
+    triangular bands of an LU without row swaps, solved by two tbsv sweeps,
+    or gbtrf's pivoted factor, solved by gbtrs; a shared line (L = 1) keeps
+    only its inverse, built from those factors, and applies it as one
+    matrix product.
     """
 
     def __init__(self, ab, kl, ku, wrap_cols=None, wrap_U=None):
@@ -51,6 +58,7 @@ class BandedMatrix:
             raise LinearSolveError(f"banded LU factorization failed (info={info})")
         self._lu = lu
         self._piv = piv
+        self._bands = None
         self._wrap = None
         if wrap_cols is not None and len(wrap_cols):
             # Woodbury: x = y - Z C^-1 y[wrap_cols] with Z = core^-1 U and
@@ -67,6 +75,13 @@ class BandedMatrix:
             # a shared line keeps only its inverse: every solve is one GEMM
             self._inv = self._solve_lines(np.eye(self.n, dtype=ab.dtype)[None])[0]
             del self._gbtrs, self._lu, self._piv, self._wrap
+        elif np.array_equal(piv, np.arange(len(piv))):
+            # no row swapped: L and U are plain bands, each one triangular
+            # sweep over the whole stack
+            self._tbsv = scipy.linalg.get_blas_funcs("tbsv", (ab,))
+            self._bands = (np.asfortranarray(lu[kl + ku:]),
+                           np.asfortranarray(lu[kl:kl + ku + 1]))
+            del self._gbtrs, self._lu, self._piv
 
     @classmethod
     def from_sparse(cls, A):
@@ -91,7 +106,14 @@ class BandedMatrix:
         return cls(ab, kl, ku, wrap_cols=wrap_cols, wrap_U=wrap_U)
 
     def _solve_core(self, B):
-        """Banded solve of an (L, n, m) stack, m right-hand sides per line."""
+        """Banded solve of an (L, n, m) stack, m right-hand sides per line;
+        with bands kept, m = 1 and B is a copy the sweeps may overwrite."""
+        if self._bands is not None:
+            lower, upper = self._bands
+            x = self._tbsv(self.kl, lower, B.reshape(-1), lower=1, diag=1,
+                           overwrite_x=1)
+            x = self._tbsv(self.ku, upper, x, overwrite_x=1)
+            return x.reshape(B.shape)
         x, info = self._gbtrs(self._lu, self.kl, self.ku,
                               np.asarray(B.reshape(-1, B.shape[2]), order="F"),
                               self._piv)
@@ -104,17 +126,22 @@ class BandedMatrix:
         X = self._solve_core(B)
         if self._wrap is not None:
             cols, W = self._wrap
-            X = X - W @ X[:, cols, :]
+            X -= W @ X[:, cols, :]
         return X
 
     def solve(self, b):
         """Solve for one vector (n,) or a batch (n, k) against a shared line;
         L stacked lines take an (n, L) batch, column k line k's right-hand side.
         """
-        if self.lines == 1:
-            return self._inv @ b
         b = np.asarray(b)
-        if b.ndim != 2 or b.shape[1] != self.lines:
-            raise UsageError(f"{self.lines} lines need one right-hand side "
-                             f"each, got shape {b.shape}")
-        return self._solve_lines(b.T[:, :, None])[:, :, 0].T
+        if self.lines == 1:
+            if b.ndim not in (1, 2) or b.shape[0] != self.n:
+                raise UsageError(f"a shared line of {self.n} unknowns needs a "
+                                 f"right-hand side ({self.n},) or ({self.n}, k), "
+                                 f"got shape {b.shape}")
+            return self._inv @ b
+        if b.shape != (self.n, self.lines):
+            raise UsageError(f"{self.lines} lines of {self.n} unknowns need one "
+                             f"right-hand side each, shape ({self.n}, {self.lines}), "
+                             f"got shape {b.shape}")
+        return self._solve_lines(b.T.copy()[:, :, None])[:, :, 0].T

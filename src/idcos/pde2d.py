@@ -10,7 +10,8 @@ Application, wall terms and implicit sub-steps all read that L; an implicit
 sub-step is independent line solves, one ``BandedMatrix`` of I - alpha*L per
 direction and step size.  A shared line is solved by its precomputed
 inverse, one matrix product over the whole field; stacked lines by their
-banded LU.
+banded LU, as two triangular band sweeps over the whole stack when no line
+swapped rows (LAPACK gbtrs otherwise).
 
 Fields are stored row-major with y as the outer index, shape (N_y, N_x);
 multi-component states prepend the component axis.  x-direction lines are
@@ -125,7 +126,8 @@ class DirectionalDiffusionOperator:
     It is applied as one multi-vector product with the shared line or one
     block-diagonal matvec over the stack.  (I - alpha*L) is built once per
     alpha: the shared line as its inverse, applied to the whole field as one
-    matrix product, stacked lines as their banded LU.  On Dirichlet grids
+    matrix product, stacked lines as their banded LU (two triangular band
+    sweeps per solve when no row was swapped).  On Dirichlet grids
     ``wall_weights`` holds the folded weights of each line's two wall values,
     one row per line, for the boundary contribution: the only time-dependent
     piece.  Those weights are nonzero only within the first and last

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from idcos.banded import BandedMatrix
@@ -117,6 +118,12 @@ class TestSharedLine:
         bm.solve(B[:, 0])
         assert np.array_equal(B, before)
 
+    @pytest.mark.parametrize("shape", [(4,), (6, 2), (5, 2, 2)])
+    def test_batch_needs_n_rows(self, shape):
+        bm = BandedMatrix.from_sparse(random_banded(np.random.default_rng(24), 5, 1, 1))
+        with pytest.raises(UsageError, match=r"shared line of 5 unknowns.*got shape"):
+            bm.solve(np.ones(shape))
+
     def test_singular_wrap_capacitance(self):
         # the banded core is the identity, but the wrap entries (0, 3) and
         # (3, 0) make rows 0 and 3 equal: only the capacitance is singular
@@ -155,3 +162,51 @@ class TestStackedLines:
         bm = BandedMatrix.from_sparse(sp.vstack([random_banded(rng, 8, 1, 1)] * 3))
         with pytest.raises(UsageError):
             bm.solve(rng.normal(size=(8, 2)))
+
+    @pytest.mark.parametrize("shape", [(7, 3), (9, 3), (8, 3, 1)])
+    def test_needs_n_rows_per_line(self, shape):
+        rng = np.random.default_rng(15)
+        bm = BandedMatrix.from_sparse(sp.vstack([random_banded(rng, 8, 1, 1)] * 3))
+        with pytest.raises(UsageError, match=r"3 lines of 8 unknowns.*got shape"):
+            bm.solve(np.ones(shape))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_unchanged(self, order):
+        # the triangular sweeps overwrite their vector: it must be a copy
+        rng = np.random.default_rng(16)
+        bm = BandedMatrix.from_sparse(sp.vstack([random_periodic(rng, 20, 2)
+                                                 for _ in range(4)]))
+        assert bm._bands is not None
+        B = np.asarray(rng.normal(size=(20, 4)), order=order)
+        before = B.copy()
+        bm.solve(B)
+        assert np.array_equal(B, before)
+
+    @pytest.mark.parametrize("build", [
+        lambda rng, n: random_banded(rng, n, 3, 2),
+        lambda rng, n: random_periodic(rng, n, 3),
+    ], ids=["banded", "periodic"])
+    def test_row_swaps_keep_gbtrs(self, build):
+        # a zero first diagonal entry on line 2 makes gbtrf swap rows there,
+        # so the stack keeps the pivoted factor and solves through gbtrs
+        rng = np.random.default_rng(14)
+        n, lines = 23, 5
+        mats = [build(rng, n).tolil() for _ in range(lines)]
+        mats[2][0, 0] = 0.0
+        mats = [A.tocsr() for A in mats]
+        bm = BandedMatrix.from_sparse(sp.vstack(mats))
+        core = sp.tril(sp.triu(sp.block_diag(mats), -bm.kl), bm.ku).todia()
+        ab = np.zeros((2 * bm.kl + bm.ku + 1, n * lines))
+        ab[bm.kl + bm.ku - core.offsets] = core.data
+        _, piv, info = scipy.linalg.lapack.dgbtrf(ab, bm.kl, bm.ku)
+        assert info == 0
+        swapped = piv != np.arange(n * lines)
+        assert swapped[2 * n:3 * n].any()
+        assert bm._bands is None
+        B = rng.normal(size=(n, lines))
+        before = B.copy()
+        X = bm.solve(B)
+        assert np.array_equal(B, before)
+        for k, A in enumerate(mats):
+            assert np.max(np.abs(X[:, k] - np.linalg.solve(A.toarray(), B[:, k]))) \
+                <= 1e-12 * np.max(np.abs(X[:, k]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from idcos.errors import LinearSolveError, NewtonError, UsageError
@@ -206,6 +207,54 @@ class TestDirectionalOperator:
         a = op.solve_implicit(0.1, 0.02, rhs)
         b = op.solve_implicit(0.1, 0.02, rhs)
         assert np.array_equal(a, b)
+
+
+def ladder_alphas(end_time, nts, Ms=(1, 3, 5)):
+    """The ADI half steps dt/2, dt = T/(N_t M), of an example2 self-convergence
+    ladder: every rung and its N_t/2 reference, at M = 1, 3, 5 (cs = 0, 1, 2)."""
+    nts = set(nts) | {nt // 2 for nt in nts}
+    return sorted({end_time / (nt * M) / 2 for nt in nts for M in Ms})
+
+
+def gbtrs_solve(A, n, kl, ku, B):
+    """LAPACK gbtrf and gbtrs on the banded core of lines stacked as an
+    (L*n, n) matrix, wrap entries dropped; column k of B is line k's."""
+    lines = A.shape[0] // n
+    core = sp.block_diag([A[k * n:(k + 1) * n] for k in range(lines)])
+    core = sp.tril(sp.triu(core, -kl), ku).todia()
+    ab = np.zeros((2 * kl + ku + 1, n * lines))
+    ab[kl + ku - core.offsets] = core.data
+    lu, piv, info = dgbtrf(ab, kl, ku)
+    assert info == 0
+    x, info = dgbtrs(lu, kl, ku, B.T.ravel(), piv)
+    assert info == 0
+    return x.reshape(lines, n).T
+
+
+class TestStackedLineFactors:
+    """example2's variable-coefficient lines swap no row in gbtrf, so every
+    factor of the benchmark ladder (N=40) and of the paper's table (N=200)
+    solves by the two triangular band sweeps."""
+
+    def test_ladder_factors_match_gbtrs(self):
+        prob = example2(N=40)
+        rng = np.random.default_rng(31)
+        for op in (prob.system.op_x, prob.system.op_y):
+            n = op.L.shape[1]
+            eye = sp.vstack([sp.eye(n, format="csr")] * (op.L.shape[0] // n))
+            for alpha in ladder_alphas(0.05, (40, 80, 160)):
+                solver = op._solver(alpha)
+                assert solver._bands is not None
+                B = rng.normal(size=(n, solver.lines))
+                ref = gbtrs_solve(eye - alpha * op.L, n, solver.kl, solver.ku, B)
+                X = solver._solve_core(B.T.copy()[:, :, None])[:, :, 0].T
+                assert np.max(np.abs(X - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_paper_size_factors_swap_no_row(self):
+        prob = example2(N=200)
+        for op in (prob.system.op_x, prob.system.op_y):
+            for alpha in ladder_alphas(0.05, (40, 80, 160, 320)):
+                assert op._solver(alpha)._bands is not None
 
 
 class TestSemiDiscreteResidual:
