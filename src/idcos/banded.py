@@ -86,23 +86,29 @@ class BandedMatrix:
     @classmethod
     def from_sparse(cls, A):
         """Build from sparse line matrices stacked as an (L*n, n) matrix, line l
-        in rows l*n to l*n + n - 1; far-corner entries become the wrap."""
-        A = sp.coo_matrix(A, copy=True)
+        in rows l*n to l*n + n - 1; far-corner entries become the wrap.  A
+        canonical CSR (sorted, no duplicates) is read in place; any other
+        input is copied to COO with its duplicates summed."""
+        if sp.issparse(A) and A.format == "csr" and A.has_canonical_format:
+            row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+            j, data = A.indices, A.data
+        else:
+            A = sp.coo_matrix(A, copy=True)
+            A.sum_duplicates()
+            row, j, data = A.row, A.col, A.data
         rows, n = A.shape
         if n == 0 or rows % n:
             raise UsageError("line matrices must be square, stacked as (L*n, n)")
-        A.sum_duplicates()
-        line, i = np.divmod(A.row, n)
-        j = A.col
+        line, i = np.divmod(row, n)
         off = j - i
         band = np.abs(off) <= n // 2
         kl = int(max(0, (-off[band]).max(initial=0)))
         ku = int(max(0, off[band].max(initial=0)))
         ab = np.zeros((rows // n, kl + ku + 1, n), dtype=A.dtype)
-        ab[line[band], ku - off[band], j[band]] = A.data[band]
+        ab[line[band], ku - off[band], j[band]] = data[band]
         wrap_cols, wrap_col = np.unique(j[~band], return_inverse=True)
         wrap_U = np.zeros((rows // n, n, len(wrap_cols)), dtype=A.dtype)
-        wrap_U[line[~band], i[~band], wrap_col] = A.data[~band]
+        wrap_U[line[~band], i[~band], wrap_col] = data[~band]
         return cls(ab, kl, ku, wrap_cols=wrap_cols, wrap_U=wrap_U)
 
     def _solve_core(self, B):

@@ -44,8 +44,9 @@ class SplitIVP:
             if not callable(getattr(op, "solve_implicit", None)):
                 raise UsageError(f"operator {nu} has no solve_implicit method")
         t0, t1 = self.t_span
-        if not t1 > t0:
-            raise UsageError(f"time span must have positive length, got {self.t_span}")
+        if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
+            raise UsageError(f"time span must be finite with positive length, "
+                             f"got {self.t_span}")
 
     @property
     def num_operators(self):

@@ -352,31 +352,24 @@ class SemiDiscreteSystem:
         if components == 1:
             if not isinstance(coefficients, CoefficientField):
                 coefficients = CoefficientField.constant(grid, coefficients)
-            self.coefficients = coefficients
-            self.op_x = DirectionalDiffusionOperator(grid, "x", coefficients,
-                                                     order=order, boundary=boundary)
-            self.op_y = DirectionalDiffusionOperator(grid, "y", coefficients,
-                                                     order=order, boundary=boundary)
+            per_component = (coefficients,)
         else:
             if isinstance(coefficients, CoefficientField) or np.isscalar(coefficients):
                 raise UsageError("multi-component systems need one coefficient per component")
-            coefficients = tuple(coefficients)
+            coefficients = per_component = tuple(coefficients)
             if len(coefficients) != components or not all(
                     D is None or (isinstance(D, numbers.Real) and 0 <= D < np.inf)
                     for D in coefficients):
                 raise UsageError(f"{components} components need {components} diffusion "
                                  f"coefficients, each None or finite >= 0: {coefficients!r}")
-            ops_x, ops_y = [], []
-            for D in coefficients:
-                if not D:
-                    ops_x.append(None)
-                    ops_y.append(None)
-                else:
-                    ops_x.append(DirectionalDiffusionOperator(
-                        grid, "x", D, order=order, boundary=boundary))
-                    ops_y.append(DirectionalDiffusionOperator(
-                        grid, "y", D, order=order, boundary=boundary))
-            self.coefficients = coefficients
+        self.coefficients = coefficients
+        # one operator per direction and component, None where D is 0 or None
+        ops_x, ops_y = ([DirectionalDiffusionOperator(grid, axis, D, order=order,
+                                                      boundary=boundary) if D else None
+                         for D in per_component] for axis in ("x", "y"))
+        if components == 1:
+            (self.op_x,), (self.op_y,) = ops_x, ops_y
+        else:
             self.op_x = ComponentWiseOperator(ops_x)
             self.op_y = ComponentWiseOperator(ops_y)
         self.op_source = None

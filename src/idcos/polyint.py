@@ -1,12 +1,17 @@
-"""Lagrange interpolation and quadrature on uniform nodes.
+"""Exact Lagrange cardinals, and interpolation and quadrature on uniform nodes.
 
-Everything here works on M+1 equispaced nodes t_m = t0 + m*h.  There is one
-quadrature: ``integral_weights(M, tau)`` generates the exact integrals of the
-cardinal functions from 0 to tau in rational arithmetic and rounds each once,
-so every integral of the interpolant (``partial_integral``, to a node or to
-any time between nodes) is exact on polynomials up to degree M.  Uniform-node
-interpolation degrades quickly beyond moderate M (Runge phenomenon), so M is
-capped at MAX_SUBINTERVALS.
+One exact toolkit: ``_cardinal_coefficients`` gives the Lagrange cardinals on
+any distinct nodes as rational polynomials, and every weight row is a linear
+functional of them, evaluated exactly and rounded once.  Integrals of the
+cardinals are the residual quadrature rows; their derivatives at the row's
+own node, offset 0, are the finite-difference rows of ``stencils.fd_weights``.
+
+Interpolation and quadrature work on M+1 equispaced nodes t_m = t0 + m*h.
+There is one quadrature: ``integral_weights(M, tau)`` integrates the
+cardinals on 0..M from 0 to tau, so every integral of the interpolant
+(``partial_integral``, to a node or to any time between nodes) is exact on
+polynomials up to degree M.  Uniform-node interpolation degrades quickly
+beyond moderate M (Runge phenomenon), so M is capped at MAX_SUBINTERVALS.
 """
 
 from dataclasses import dataclass
@@ -59,20 +64,23 @@ def check_subintervals(M):
             "interpolation on more equispaced nodes is not trustworthy")
 
 
-def _cardinal_coefficients(M):
-    """Exact coefficients (ascending powers) of the Lagrange cardinals on 0..M."""
+def _cardinal_coefficients(nodes):
+    """Exact coefficients (ascending powers) of the Lagrange cardinals on the
+    distinct nodes, each read as an exact Fraction; an int M means 0..M."""
+    nodes = nodes if isinstance(nodes, tuple) else range(nodes + 1)
+    nodes = [Fraction(x) for x in nodes]
     cards = []
-    for j in range(M + 1):
+    for j, xj in enumerate(nodes):
         coeffs = [Fraction(1)]
         denom = Fraction(1)
-        for n in range(M + 1):
+        for n, xn in enumerate(nodes):
             if n == j:
                 continue
-            # multiply by (tau - n)
+            # multiply by (tau - xn)
             coeffs = [Fraction(0)] + coeffs
             for k in range(len(coeffs) - 1):
-                coeffs[k] -= n * coeffs[k + 1]
-            denom *= Fraction(j - n)
+                coeffs[k] -= xn * coeffs[k + 1]
+            denom *= xj - xn
         cards.append([c / denom for c in coeffs])
     return cards
 
@@ -86,6 +94,11 @@ def _poly_eval(coeffs, x):
 
 def _poly_antiderivative(coeffs):
     return [Fraction(0)] + [c / (k + 1) for k, c in enumerate(coeffs)]
+
+
+def _poly_derivative(coeffs, order):
+    """Coefficients of the order-th derivative: c_k k!/(k-order)! at power k-order."""
+    return [c * math.perm(k, order) for k, c in enumerate(coeffs)][order:]
 
 
 @lru_cache(maxsize=None)

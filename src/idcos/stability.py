@@ -76,6 +76,9 @@ class StabilityScan:
         if len(self.re_range) != 2 or len(self.im_range) != 2:
             raise UsageError("scan ranges need two values each, got "
                              f"re {self.re_range} and im {self.im_range}")
+        if not np.isfinite([*self.re_range, *self.im_range]).all():
+            raise UsageError("scan ranges need finite ends, got "
+                             f"re {self.re_range} and im {self.im_range}")
         if len(self.resolution) != 2 or not all(
                 isinstance(n, (int, np.integer)) and n >= 2 for n in self.resolution):
             raise UsageError("resolution needs two integer sample counts of at least 2, "

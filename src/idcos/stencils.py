@@ -4,56 +4,38 @@ Interior rows are the classical centered coefficients; Dirichlet rows within
 reach of a wall switch to biased stencils of the same formal order that
 reference only grid nodes and the wall itself.  Wall coefficients are kept
 separate so the known boundary values enter as an additive contribution.
-Weights are generated from an exact rational Vandermonde solve, so rows
-annihilate constants exactly and differentiate polynomials of degree below
-the stencil size without roundoff beyond a final float conversion.
+A row's weights are the derivatives at its own node of the exact Lagrange
+cardinals on its offsets (Fornberg 1988), from the same rational toolkit as
+the residual quadrature (``polyint``), each rounded once to a float.  Rows
+therefore annihilate constants exactly and differentiate polynomials of
+degree below the stencil size without roundoff beyond that rounding.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import UsageError
+from .polyint import _cardinal_coefficients, _poly_derivative, _poly_eval
 
 SUPPORTED_ORDERS = (2, 4, 6)
 
 
-def _solve_rational(rows, rhs):
-    """Gaussian elimination over Fractions for the small weight systems."""
-    n = len(rhs)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
-
-
 @lru_cache(maxsize=None)
 def fd_weights(offsets, derivative):
-    """Finite-difference weights on integer offsets for the given derivative.
-
-    Exact rational solve of  sum_k w_k * o_k^j = j! * [j == derivative],
-    returned as floats; multiply by spacing**-derivative to use them.
+    """Finite-difference weights on distinct offsets for the given
+    derivative: each cardinal's derivative at offset 0, returned as floats;
+    multiply by spacing**-derivative to use them.
     """
     offsets = tuple(offsets)
-    p = len(offsets)
-    if derivative >= p:
+    if derivative >= len(offsets):
         raise UsageError("need more points than the derivative order")
-    rows = [[Fraction(o) ** j for o in offsets] for j in range(p)]
-    rhs = [Fraction(math.factorial(j)) if j == derivative else Fraction(0)
-           for j in range(p)]
-    w = _solve_rational(rows, rhs)
-    return np.array([float(v) for v in w])
+    if len(set(offsets)) != len(offsets):
+        raise UsageError(f"stencil offsets must be distinct, got {offsets}")
+    return np.array([float(_poly_eval(_poly_derivative(card, derivative), 0))
+                     for card in _cardinal_coefficients(offsets)])
 
 
 @dataclass(frozen=True)
@@ -86,10 +68,12 @@ class StencilOperator:
 def build_stencil(grid, axis, derivative, order):
     """Stencil operator for one axis of the grid.
 
-    Dirichlet grids index the walls as extended nodes 0 and n+1; rows whose
-    centered stencil would leave the grid use a one-sided stencil of
-    ``order + derivative`` points anchored at the wall, which keeps the
-    formal order and a bandwidth of at most six.
+    One loop builds the rows of both boundary kinds.  Periodic rows take the
+    centered offsets modulo n.  Dirichlet lines have the walls as extended
+    nodes -1 and n; rows whose centered stencil would leave them use a
+    one-sided stencil of ``order + derivative`` points anchored at the wall,
+    which keeps the formal order and a bandwidth of at most six.  Zero
+    weights (the center of a first-derivative row) are not stored.
 
     Periodic lines need n >= 2*reach nodes (reach = order/2).  At exactly
     n = 2*reach the offsets +reach and -reach land on the same node, and
@@ -108,47 +92,37 @@ def build_stencil(grid, axis, derivative, order):
     biased_points = order + derivative
     scale = spacing ** (-derivative)
 
-    if grid.bc == "periodic":
-        if n < 2 * reach:
-            raise UsageError(f"periodic line of {n} nodes is too small for order {order}")
-        w = fd_weights(tuple(range(-reach, reach + 1)), derivative) * scale
-        rows, cols, vals = [], [], []
-        for o, wo in zip(range(-reach, reach + 1), w):
-            if wo == 0.0:
-                continue
-            idx = np.arange(n)
-            rows.append(idx)
-            cols.append((idx + o) % n)
-            vals.append(np.full(n, wo))
-        matrix = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
-        return StencilOperator(axis=axis, derivative=derivative, order=order,
-                               n=n, spacing=spacing, bc="periodic", matrix=matrix)
-
-    if n < biased_points - 1:
+    periodic = grid.bc == "periodic"
+    if periodic and n < 2 * reach:
+        raise UsageError(f"periodic line of {n} nodes is too small for order {order}")
+    if not periodic and n < biased_points - 1:
         raise UsageError(f"Dirichlet line of {n} nodes is too small for order {order}")
-    lil = sp.lil_matrix((n, n))
-    wall_left = np.zeros(n)
-    wall_right = np.zeros(n)
+    centered = tuple(range(-reach, reach + 1))
+    rows, cols, vals = [], [], []
+    wall_left, wall_right = (None, None) if periodic else (np.zeros(n), np.zeros(n))
     for i in range(n):
-        I = i + 1  # extended coordinate; walls at 0 and n+1
-        if I - reach >= 0 and I + reach <= n + 1:
-            ext = range(I - reach, I + reach + 1)
-        elif I - reach < 0:
-            ext = range(0, biased_points)
+        # node i's offsets; Dirichlet walls are the extended nodes -1 and n
+        if periodic or -1 <= i - reach and i + reach <= n:
+            offs = centered
+        elif i - reach < -1:
+            offs = tuple(range(-1 - i, biased_points - 1 - i))
         else:
-            ext = range(n + 2 - biased_points, n + 2)
-        offs = tuple(e - I for e in ext)
-        w = fd_weights(offs, derivative) * scale
-        for e, we in zip(ext, w):
-            if e == 0:
-                wall_left[i] = we
-            elif e == n + 1:
-                wall_right[i] = we
+            offs = tuple(range(n + 1 - biased_points - i, n + 1 - i))
+        for o, w in zip(offs, (fd_weights(offs, derivative) * scale).tolist()):
+            if w == 0.0:
+                continue
+            j = i + o
+            if periodic or 0 <= j < n:
+                rows.append(i)
+                cols.append(j % n)
+                vals.append(w)
+            elif j < 0:
+                wall_left[i] = w
             else:
-                lil[i, e - 1] = we
+                wall_right[i] = w
+    # the COO sum adds the two weights of an n = 2*reach periodic line that
+    # land on one node
+    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     return StencilOperator(axis=axis, derivative=derivative, order=order,
-                           n=n, spacing=spacing, bc="dirichlet",
-                           matrix=lil.tocsr(), wall_left=wall_left,
-                           wall_right=wall_right)
+                           n=n, spacing=spacing, bc=grid.bc, matrix=matrix,
+                           wall_left=wall_left, wall_right=wall_right)

@@ -70,6 +70,24 @@ class TestBandedMatrix:
         with pytest.raises(UsageError):
             BandedMatrix.from_sparse(sp.csr_matrix(np.ones((3, 4))))
 
+    def test_canonical_csr_matches_coo(self):
+        # a canonical CSR is read in place; the COO path sums duplicates
+        rng = np.random.default_rng(11)
+        A = sp.vstack([random_periodic(rng, 20, 3) for _ in range(3)], format="csr")
+        assert A.has_canonical_format
+        before = (A.data.copy(), A.indices.copy(), A.indptr.copy())
+        fast = BandedMatrix.from_sparse(A)
+        for kept, now in zip(before, (A.data, A.indices, A.indptr)):
+            assert np.array_equal(kept, now)
+        coo = A.tocoo()
+        half = coo.data / 2  # every entry split into two duplicates
+        dup = sp.coo_matrix((np.concatenate([half, coo.data - half]),
+                             (np.tile(coo.row, 2), np.tile(coo.col, 2))), shape=A.shape)
+        B = rng.normal(size=(20, 3))
+        assert np.array_equal(fast.solve(B), BandedMatrix.from_sparse(coo).solve(B))
+        assert np.allclose(BandedMatrix.from_sparse(dup).solve(B), fast.solve(B),
+                           rtol=1e-13, atol=0)
+
 
 def closure_line(n, alpha=1e-3):
     """I - alpha*d2 on a sixth-order Dirichlet line: kl = ku = 6 from the

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from idcos import harness
+from idcos import harness, pde2d
 from idcos.cli import main
 from idcos.errors import SolverError, UsageError
 from idcos.harness import RunConfig, run_convergence, run_simulation, run_stability
@@ -75,6 +75,25 @@ def counting_solves(monkeypatch):
 
     monkeypatch.setattr(harness, "idc_solve", counted)
     return calls
+
+
+class TestSpatialOrder:
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_ladder_builds_requested_order(self, tmp_path, monkeypatch, order):
+        built = []
+        build = pde2d.build_stencil
+        monkeypatch.setattr(pde2d, "build_stencil",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        assert main(["convergence", "--problem", "example1", "--scheme", "strang",
+                     "--grid", "8", "--nt", "4,8", "--corrections", "0",
+                     "--end-time", "0.01", "--order-space", str(order),
+                     "--out", str(tmp_path)]) == 0
+        assert len(built) == 2 and {st.order for st in built} == {order}
+        # an interior row holds the order + 1 weights of the centered stencil
+        assert all(st.matrix[4].nnz == order + 1 for st in built)
+        info = manifest(tmp_path, "example1_strang")
+        assert info["config"]["order_space"] == order
+        assert info["failures"] == []
 
 
 class TestRunSimulation:
@@ -354,12 +373,16 @@ class TestCli:
         SIMULATION + ["--problem", "fhn"],
         SIMULATION + ["--problem", "example3", "--snap-times", "0,0.02"],
         LADDER + ["--nt", "4,4"],
-        SCAN + ["--corrections", "0,0"]],
+        SCAN + ["--corrections", "0,0"],
+        LADDER + ["--end-time", "inf"],
+        SCAN + ["--im-range=-1,inf"],
+        SCAN + ["--re-range=nan,1"]],
         ids=["negative-end-time", "one-sample-scan", "scan-residual-mode",
              "scan-sub-intervals", "ladder-residual-mode", "simulation-residual-mode",
              "simulation-sub-intervals", "simulation-empty-grid", "ladder-operator-count",
              "simulation-operator-count", "initial-snapshot-operator-count",
-             "repeated-rung", "repeated-correction-count"])
+             "repeated-rung", "repeated-correction-count", "infinite-end-time",
+             "infinite-scan-window", "nan-scan-window"])
     def test_rejected_run_leaves_no_directory(self, tmp_path, flags):
         assert main([*flags, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()

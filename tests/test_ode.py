@@ -34,6 +34,13 @@ class TestSplitIVP:
                 operators=(ZeroOperator(),), initial_state=np.array(1.0),
                 t_span=(1.0, 1.0))
 
+    @pytest.mark.parametrize("t_span", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan),
+                                        (np.nan, 1.0)])
+    def test_non_finite_time_span(self, t_span):
+        with pytest.raises(UsageError, match="finite"):
+            SplitIVP(operators=(ZeroOperator(),), initial_state=np.array(1.0),
+                     t_span=t_span)
+
     def test_total_rhs_matches_sum(self):
         rng = np.random.default_rng(0)
         p = SplitIVP(

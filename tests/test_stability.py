@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from idcos.errors import PoleError, StepperError, UnsupportedSchemeError
+from idcos.errors import PoleError, StepperError, UnsupportedSchemeError, UsageError
 from idcos.stability import (StabilityScan, _stitch_segments, amplification,
                              amplification_field, marching_squares,
                              stability_boundary_real_axis, write_contour_csv,
@@ -137,6 +137,17 @@ class TestMarchingSquares:
         xs = ys = np.linspace(0.0, 1.0, 4)
         assert marching_squares(xs, ys, np.full((4, 4), 2.0), 1.0) == []
         assert marching_squares(xs, ys, np.full((4, 4), np.nan), 1.0) == []
+
+
+class TestScanWindow:
+    @pytest.mark.parametrize("re_range,im_range", [
+        ((-1.0, 1.0), (-1.0, np.inf)), ((np.nan, 1.0), (-1.0, 1.0)),
+        ((-np.inf, 1.0), (-1.0, 1.0))])
+    def test_non_finite_range_end(self, re_range, im_range):
+        scan = StabilityScan(scheme="strang", corrections=0, re_range=re_range,
+                             im_range=im_range, resolution=(5, 5))
+        with pytest.raises(UsageError, match="finite"):
+            scan.axes()
 
 
 class TestScanWriters:

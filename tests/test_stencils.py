@@ -38,9 +38,24 @@ class TestWeights:
         ref = np.linalg.solve(V, rhs)
         assert np.allclose(w, ref, atol=1e-10)
 
+    @pytest.mark.parametrize("offs", [(-2, 0, 1, 3), (-0.5, 0.5, 1.5, 2.5)],
+                             ids=["gapped", "half-integer"])
+    @pytest.mark.parametrize("derivative", [1, 2])
+    def test_uneven_row_against_vandermonde(self, offs, derivative):
+        V = np.vander(np.array(offs, dtype=float), increasing=True).T
+        rhs = np.zeros(len(offs))
+        rhs[derivative] = float(derivative)  # d! for d = 1, 2
+        assert np.allclose(fd_weights(offs, derivative), np.linalg.solve(V, rhs),
+                           atol=1e-13)
+
     def test_too_few_points(self):
         with pytest.raises(UsageError):
             fd_weights((0, 1), 2)
+
+    @pytest.mark.parametrize("offsets", [(0, 0, 1), (-1, 1, 0, 1)])
+    def test_repeated_offsets(self, offsets):
+        with pytest.raises(UsageError, match="distinct"):
+            fd_weights(offsets, 1)
 
 
 class TestBuildStencil:
