@@ -56,9 +56,9 @@ class RunConfig:
     out_dir: str = "out"
     run_name: str = None
     # stability scan window
-    re_range: tuple[float, ...] = (-20.0, 4.0)
-    im_range: tuple[float, ...] = (-12.0, 12.0)
-    resolution: tuple[int, ...] = (601, 601)
+    re_range: tuple[float, ...] = StabilityScan.re_range
+    im_range: tuple[float, ...] = StabilityScan.im_range
+    resolution: tuple[int, ...] = StabilityScan.resolution
 
     def __post_init__(self):
         if self.experiment not in ("convergence", "stability", "simulate"):
@@ -176,16 +176,17 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(cfg, out_dir, t_start, artifacts, extra=None):
+def _write_manifest(cfg, t_start, paths, extra=None):
+    """The run manifest: config echo, wall time and each artifact's sha256."""
     manifest = {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in asdict(cfg).items()},
         "wall_time_s": time.perf_counter() - t_start,
-        "artifacts": artifacts,
+        "artifacts": {os.path.basename(p): {"sha256": _sha256(p)} for p in paths},
     }
     if extra:
         manifest.update(extra)
-    path = os.path.join(out_dir, f"{cfg.name}_run.json")
+    path = os.path.join(cfg.out_dir, f"{cfg.name}_run.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -278,8 +279,7 @@ def run_convergence(cfg):
     _write_csv(csv_path, "correction,Nt,error,order",
                [(str(cs), str(nt), repr(e), repr(o))
                 for cs, nt, e, o in rows])
-    artifacts = {os.path.basename(csv_path): {"sha256": _sha256(csv_path)}}
-    _write_manifest(cfg, cfg.out_dir, t_start, artifacts,
+    _write_manifest(cfg, t_start, [csv_path],
                     extra={"failures": failures, "metric": metric,
                            "sub_intervals": {c.corrections: c.resolved_M() for _, c in plan}})
     if failures:
@@ -306,29 +306,28 @@ def run_stability(cfg):
         IDCConfig(corrections=spec.corrections, predictor=spec.scheme, M=spec.M,
                   residual_mode=spec.residual_mode)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = {}
+    paths = []
     scans = []
     for spec in specs:
         scan = scan_region(spec)
         base = os.path.join(cfg.out_dir, f"{cfg.name}_cs{spec.corrections}")
-        write_field_csv(base + "_field.csv", scan)
-        write_contour_csv(base + "_contour.csv", scan)
-        for suffix in ("_field.csv", "_contour.csv"):
-            p = base + suffix
-            artifacts[os.path.basename(p)] = {"sha256": _sha256(p)}
+        field, contour = base + "_field.csv", base + "_contour.csv"
+        write_field_csv(field, scan)
+        write_contour_csv(contour, scan)
+        paths += [field, contour]
         scans.append(scan)
-    _write_manifest(cfg, cfg.out_dir, t_start, artifacts)
+    _write_manifest(cfg, t_start, paths)
     return scans
 
 
 def _snapshot_steps(cfg):
     """Map each snapshot's macro-step index round(t/dt) to its time."""
-    if not cfg.dt > 0:
-        raise UsageError(f"simulation step must be positive, got dt={cfg.dt}")
+    if not 0 < cfg.dt < np.inf:
+        raise UsageError(f"simulation step must be finite and positive, got dt={cfg.dt}")
     steps = {}
     for t_snap in sorted(cfg.snap_times):
-        if t_snap < 0:
-            raise UsageError(f"snapshot time {t_snap} is negative")
+        if not 0 <= t_snap < np.inf:
+            raise UsageError(f"snapshot time {t_snap} is negative or not finite")
         if cfg.end_time is not None and t_snap > cfg.end_time:
             raise UsageError(f"snapshot time {t_snap} is after end time {cfg.end_time}")
         n = round(t_snap / cfg.dt)
@@ -368,7 +367,7 @@ def run_simulation(cfg):
     last = max(steps)
     ivp = prob.split_ivp(steps[last]) if last else None
     os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = {}
+    paths = []
     summaries = []
 
     def snapshot(t_snap, u):
@@ -378,7 +377,7 @@ def run_simulation(cfg):
         summaries.append({"time": t_snap,
                           "min": [float(c.min()) for c in comp],
                           "max": [float(c.max()) for c in comp]})
-        artifacts[os.path.basename(path)] = {"sha256": _sha256(path)}
+        paths.append(path)
 
     if 0 in steps:
         snapshot(steps[0], prob.initial)
@@ -392,7 +391,7 @@ def run_simulation(cfg):
                 raise SolverError(f"non-finite field at t={nodes.t_end} node {node}")
             if n in steps:
                 snapshot(steps[n], u)
-    _write_manifest(cfg, cfg.out_dir, t_start, artifacts,
+    _write_manifest(cfg, t_start, paths,
                     extra={"snapshots": summaries,
                            "sub_intervals": {cs: idc_cfg.resolved_M()}})
     return summaries

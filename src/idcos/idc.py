@@ -13,10 +13,10 @@ recovers the error estimate delta_m = Q_m - Int(t_m) and adds it to the
 level.  Each sweep lifts the observable order by the corrector's order until
 the M+1-node quadrature saturates.
 
-Every residual integral is h times a row of the one exact weight generator
-``polyint.integral_weights``: the M+1 node integrals are one product per
-sweep, and a stage time between nodes builds its own row.  At a node time
-ups(t) is the node value itself; only stage times interpolate.
+Every residual integral (``polyint.integral_weights``) and interpolation
+between nodes (``polyint.lagrange_eval``) is a row of the one exact cardinal
+generator: the M+1 node integrals are one product per sweep, and a stage time
+builds its own rows.  At a node time ups(t) is the node value itself.
 """
 
 from dataclasses import dataclass

@@ -1,17 +1,20 @@
 """Exact Lagrange cardinals, and interpolation and quadrature on uniform nodes.
 
-One exact toolkit: ``_cardinal_coefficients`` gives the Lagrange cardinals on
-any distinct nodes as rational polynomials, and every weight row is a linear
-functional of them, evaluated exactly and rounded once.  Integrals of the
-cardinals are the residual quadrature rows; their derivatives at the row's
-own node, offset 0, are the finite-difference rows of ``stencils.fd_weights``.
+One exact generator: ``_cardinal_coefficients`` gives the Lagrange cardinals
+on any distinct nodes as rational polynomials, and every weight row is a
+linear functional of them, evaluated exactly and rounded once.  There are
+three: the cardinals at a point are the interpolation rows
+(``lagrange_eval``), their integrals the residual quadrature rows
+(``integral_weights``), and their derivatives at the row's own node,
+offset 0, the finite-difference rows of ``stencils.fd_weights``.
 
 Interpolation and quadrature work on M+1 equispaced nodes t_m = t0 + m*h.
-There is one quadrature: ``integral_weights(M, tau)`` integrates the
-cardinals on 0..M from 0 to tau, so every integral of the interpolant
-(``partial_integral``, to a node or to any time between nodes) is exact on
-polynomials up to degree M.  Uniform-node interpolation degrades quickly
-beyond moderate M (Runge phenomenon), so M is capped at MAX_SUBINTERVALS.
+There is one interpolant and one quadrature: ``integral_weights(M, tau)``
+integrates the cardinals on 0..M from 0 to tau, so every integral of the
+interpolant (``partial_integral``, to a node or to any time between nodes)
+is exact on polynomials up to degree M.  Uniform-node interpolation degrades
+quickly beyond moderate M (Runge phenomenon), so M is capped at
+MAX_SUBINTERVALS.
 """
 
 from dataclasses import dataclass
@@ -96,25 +99,25 @@ def _poly_antiderivative(coeffs):
     return [Fraction(0)] + [c / (k + 1) for k, c in enumerate(coeffs)]
 
 
-def _poly_derivative(coeffs, order):
-    """Coefficients of the order-th derivative: c_k k!/(k-order)! at power k-order."""
-    return [c * math.perm(k, order) for k, c in enumerate(coeffs)][order:]
-
-
 @lru_cache(maxsize=None)
-def _antiderivative_numerators(M):
-    # the cardinal antiderivatives as integer coefficients over one common
-    # denominator, so a row needs integer arithmetic and one division each
-    anti = [_poly_antiderivative(c) for c in _cardinal_coefficients(M)]
-    den = math.lcm(*(c.denominator for a in anti for c in a))
-    return tuple(tuple(int(c * den) for c in a) for a in anti), den
+def _cardinal_numerators(M, integrated):
+    # the cardinals on 0..M, or their antiderivatives, as integer coefficients
+    # over one common denominator, so a row needs integer arithmetic and one
+    # division each
+    polys = _cardinal_coefficients(M)
+    if integrated:
+        polys = [_poly_antiderivative(c) for c in polys]
+    den = math.lcm(*(c.denominator for a in polys for c in a))
+    return tuple(tuple(int(c * den) for c in a) for a in polys), den
 
 
-def _weight_row(M, tau):
-    nums, den = _antiderivative_numerators(M)
-    # tau = p/q exactly (q a power of two); A_j(p/q) = sum_k c_jk p^k q^(K-k) / (den q^K)
+def _weight_row(M, tau, integrated=True):
+    """The cardinals on 0..M at tau, or their integrals from 0 to tau, each
+    evaluated exactly at the float's rational value and rounded once."""
+    nums, den = _cardinal_numerators(M, integrated)
+    # tau = p/q exactly (q a power of two); P_j(p/q) = sum_k c_jk p^k q^(K-k) / (den q^K)
     p, q = float(tau).as_integer_ratio()
-    K = M + 1
+    K = len(nums[0]) - 1
     powers = [p ** k * q ** (K - k) for k in range(K + 1)]
     scale = den * q ** K
     return np.array([sum(map(operator.mul, c, powers)) / scale for c in nums])
@@ -139,15 +142,6 @@ def integral_weights(M, tau):
     """
     m = node_index(M, tau)
     return _node_weights(M)[m] if m is not None else _weight_row(M, tau)
-
-
-@lru_cache(maxsize=None)
-def _barycentric_weights(M):
-    # Uniform-node barycentric weights (-1)^j * binomial(M, j); the common
-    # scale cancels in the barycentric ratio.
-    w = np.array([(-1.0) ** j * math.comb(M, j) for j in range(M + 1)])
-    w.setflags(write=False)
-    return w
 
 
 def _stack_values(nodes, values):
@@ -185,15 +179,14 @@ def lagrange_eval(nodes, values, t):
     t must lie in the node range [t0, t_end]; the interpolant is never
     extrapolated.  At a node the result is a copy of that node's value, so
     a non-finite value elsewhere does not reach it.  Between nodes it is the
-    barycentric form, stable for all admissible M.
+    node values weighted by the exact cardinals at tau, each rounded once.
     """
     vals = _stack_values(nodes, values)
     tau = _local(nodes, t, "t")
     m = node_index(nodes.M, tau)
     if m is not None:
         return np.array(vals[m])
-    q = _barycentric_weights(nodes.M) / (tau - np.arange(nodes.M + 1.0))
-    return np.tensordot(q / q.sum(), vals, axes=(0, 0))
+    return np.tensordot(_weight_row(nodes.M, tau, integrated=False), vals, axes=(0, 0))
 
 
 def partial_integral(nodes, values, t_upper):

@@ -4,21 +4,22 @@ Interior rows are the classical centered coefficients; Dirichlet rows within
 reach of a wall switch to biased stencils of the same formal order that
 reference only grid nodes and the wall itself.  Wall coefficients are kept
 separate so the known boundary values enter as an additive contribution.
-A row's weights are the derivatives at its own node of the exact Lagrange
-cardinals on its offsets (Fornberg 1988), from the same rational toolkit as
-the residual quadrature (``polyint``), each rounded once to a float.  Rows
+A row's weights are the d-th derivatives at its own node of the exact
+Lagrange cardinals on its offsets (Fornberg 1988): d! times their d-th
+coefficients from ``polyint``'s one generator, each rounded once.  Rows
 therefore annihilate constants exactly and differentiate polynomials of
 degree below the stencil size without roundoff beyond that rounding.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import UsageError
-from .polyint import _cardinal_coefficients, _poly_derivative, _poly_eval
+from .polyint import _cardinal_coefficients
 
 SUPPORTED_ORDERS = (2, 4, 6)
 
@@ -26,16 +27,18 @@ SUPPORTED_ORDERS = (2, 4, 6)
 @lru_cache(maxsize=None)
 def fd_weights(offsets, derivative):
     """Finite-difference weights on distinct offsets for the given
-    derivative: each cardinal's derivative at offset 0, returned as floats;
-    multiply by spacing**-derivative to use them.
+    derivative: each cardinal's derivative at offset 0, as a read-only
+    (cached) float array; multiply by spacing**-derivative to use them.
     """
     offsets = tuple(offsets)
     if derivative >= len(offsets):
         raise UsageError("need more points than the derivative order")
     if len(set(offsets)) != len(offsets):
         raise UsageError(f"stencil offsets must be distinct, got {offsets}")
-    return np.array([float(_poly_eval(_poly_derivative(card, derivative), 0))
-                     for card in _cardinal_coefficients(offsets)])
+    w = np.array([float(card[derivative] * math.factorial(derivative))
+                  for card in _cardinal_coefficients(offsets)])
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)

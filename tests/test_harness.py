@@ -376,13 +376,17 @@ class TestCli:
         SCAN + ["--corrections", "0,0"],
         LADDER + ["--end-time", "inf"],
         SCAN + ["--im-range=-1,inf"],
-        SCAN + ["--re-range=nan,1"]],
+        SCAN + ["--re-range=nan,1"],
+        SIMULATION + ["--dt", "inf"],
+        SIMULATION + ["--snap-times", "nan"],
+        SIMULATION + ["--problem", "fhn", "--scheme", "strang", "--snap-times", "inf"]],
         ids=["negative-end-time", "one-sample-scan", "scan-residual-mode",
              "scan-sub-intervals", "ladder-residual-mode", "simulation-residual-mode",
              "simulation-sub-intervals", "simulation-empty-grid", "ladder-operator-count",
              "simulation-operator-count", "initial-snapshot-operator-count",
              "repeated-rung", "repeated-correction-count", "infinite-end-time",
-             "infinite-scan-window", "nan-scan-window"])
+             "infinite-scan-window", "nan-scan-window", "infinite-dt", "nan-snapshot-time",
+             "infinite-snapshot-time"])
     def test_rejected_run_leaves_no_directory(self, tmp_path, flags):
         assert main([*flags, "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()

@@ -89,6 +89,17 @@ class TestIntegrationMatrix:
 
 
 class TestLagrangeEval:
+    @pytest.mark.parametrize("M", range(1, 17))
+    def test_rows_are_rounded_rational_cardinals(self, M):
+        # between nodes, bit for bit the cardinals evaluated in Fraction
+        # arithmetic at the float's exact value, rounded once
+        cards = polyint._cardinal_coefficients(M)
+        for tau in (0.5, M / 3, M - 0.3, 1e-3, M - 1e-3):
+            if polyint.node_index(M, tau) is not None:
+                continue
+            ref = [float(polyint._poly_eval(c, Fraction(tau))) for c in cards]
+            assert np.array_equal(lagrange_eval(nodes_for(M), np.eye(M + 1), tau), ref)
+
     def test_linear_midpoint(self):
         assert lagrange_eval(nodes_for(1), [0.0, 1.0], 0.5) == pytest.approx(0.5)
 

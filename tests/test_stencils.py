@@ -57,6 +57,12 @@ class TestWeights:
         with pytest.raises(UsageError, match="distinct"):
             fd_weights(offsets, 1)
 
+    def test_cached_weights_are_read_only(self):
+        # the array is cached: an in-place write would reach every later stencil
+        with pytest.raises(ValueError, match="read-only"):
+            fd_weights((-1, 0, 1), 2)[0] = 5.0
+        assert np.array_equal(fd_weights((-1, 0, 1), 2), [1.0, -2.0, 1.0])
+
 
 class TestBuildStencil:
     def test_interior_second_order_row(self):
