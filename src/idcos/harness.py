@@ -293,7 +293,7 @@ def run_stability(cfg):
     """Stability field + unit-contour CSVs for each correction count.
 
     Every scan's window and IDC configuration are checked before the output
-    directory is made.
+    directory is made; the manifest records each scan's sub-interval count.
     """
     t_start = time.perf_counter()
     specs = [StabilityScan(
@@ -301,10 +301,12 @@ def run_stability(cfg):
         im_range=tuple(cfg.im_range), resolution=tuple(cfg.resolution),
         M=cfg.M, residual_mode=cfg.residual_mode)
         for cs in cfg.corrections]
+    sub_intervals = {}
     for spec in specs:
         spec.axes()
-        IDCConfig(corrections=spec.corrections, predictor=spec.scheme, M=spec.M,
-                  residual_mode=spec.residual_mode)
+        sub_intervals[spec.corrections] = IDCConfig(
+            corrections=spec.corrections, predictor=spec.scheme, M=spec.M,
+            residual_mode=spec.residual_mode).resolved_M()
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = []
     scans = []
@@ -316,7 +318,7 @@ def run_stability(cfg):
         write_contour_csv(contour, scan)
         paths += [field, contour]
         scans.append(scan)
-    _write_manifest(cfg, t_start, paths)
+    _write_manifest(cfg, t_start, paths, extra={"sub_intervals": sub_intervals})
     return scans
 
 
@@ -372,7 +374,7 @@ def run_simulation(cfg):
 
     def snapshot(t_snap, u):
         path = os.path.join(cfg.out_dir, f"{cfg.name}_t{t_snap:.6g}.csv")
-        write_field_snapshot(path, prob.grid, u, names=prob.field_names)
+        write_field_snapshot(path, prob.grid, u)
         comp = u if u.ndim == 3 else u[None]
         summaries.append({"time": t_snap,
                           "min": [float(c.min()) for c in comp],

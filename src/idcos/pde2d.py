@@ -55,8 +55,8 @@ class Grid2D:
         if self.N_x < 1 or self.N_y < 1:
             raise UsageError("grid needs at least one node per axis")
         for lo, hi in (self.x_span, self.y_span):
-            if not hi > lo:
-                raise UsageError("grid spans must have positive length")
+            if not (np.isfinite([lo, hi]).all() and hi > lo):
+                raise UsageError("grid spans must be finite with positive length")
 
     @property
     def dx(self):
@@ -98,8 +98,9 @@ class CoefficientField:
     a_y: np.ndarray
 
     def __post_init__(self):
-        if not (np.asarray(self.a) > 0).all():
-            raise UsageError("parabolicity requires a > 0 everywhere")
+        if not (all(np.isfinite(v).all() for v in (self.a, self.a_x, self.a_y))
+                and (np.asarray(self.a) > 0).all()):
+            raise UsageError("parabolicity requires a > 0 everywhere, and a, a_x, a_y finite")
 
     @classmethod
     def from_callables(cls, grid, a, a_x=None, a_y=None):
@@ -338,36 +339,34 @@ class SemiDiscreteSystem:
     """A 2D parabolic problem reduced to a split IVP.
 
     f_1 holds the x-direction terms, f_2 the y-direction terms and f_3 the
-    pointwise source (when present).  Scalar problems take a CoefficientField;
-    multi-component systems take one finite constant diffusion coefficient
-    >= 0 per component (zero or None disables diffusion for that component).
+    pointwise source (when present).  A tuple or list of two or more
+    coefficients gives one constant diffusion coefficient per component, each
+    None or finite >= 0 (0 or None: no diffusion); anything else, a
+    CoefficientField or a constant, is the one coefficient of a scalar problem.
     """
 
     def __init__(self, grid, coefficients, order=6, boundary=None,
-                 source=None, source_jacobian=None, components=1):
+                 source=None, source_jacobian=None):
         self.grid = grid
         self.order = order
-        self.components = components
         self.boundary = boundary
-        if components == 1:
-            if not isinstance(coefficients, CoefficientField):
-                coefficients = CoefficientField.constant(grid, coefficients)
-            per_component = (coefficients,)
-        else:
-            if isinstance(coefficients, CoefficientField) or np.isscalar(coefficients):
-                raise UsageError("multi-component systems need one coefficient per component")
-            coefficients = per_component = tuple(coefficients)
-            if len(coefficients) != components or not all(
+        if isinstance(coefficients, (tuple, list)):
+            coefficients = tuple(coefficients)
+            if len(coefficients) < 2 or not all(
                     D is None or (isinstance(D, numbers.Real) and 0 <= D < np.inf)
                     for D in coefficients):
-                raise UsageError(f"{components} components need {components} diffusion "
-                                 f"coefficients, each None or finite >= 0: {coefficients!r}")
+                raise UsageError(f"a system takes two or more diffusion coefficients, "
+                                 f"each None or finite >= 0: {coefficients!r}")
+        elif not isinstance(coefficients, CoefficientField):
+            coefficients = CoefficientField.constant(grid, coefficients)
         self.coefficients = coefficients
+        per_component = coefficients if isinstance(coefficients, tuple) else (coefficients,)
+        self.components = len(per_component)
         # one operator per direction and component, None where D is 0 or None
         ops_x, ops_y = ([DirectionalDiffusionOperator(grid, axis, D, order=order,
                                                       boundary=boundary) if D else None
                          for D in per_component] for axis in ("x", "y"))
-        if components == 1:
+        if self.components == 1:
             (self.op_x,), (self.op_y,) = ops_x, ops_y
         else:
             self.op_x = ComponentWiseOperator(ops_x)
@@ -377,7 +376,7 @@ class SemiDiscreteSystem:
             if source_jacobian is None:
                 raise UsageError("a pointwise source needs its jacobian for Newton")
             self.op_source = PointwiseSourceOperator(source, source_jacobian,
-                                                     components=components)
+                                                     components=self.components)
 
     @property
     def state_shape(self):
@@ -496,14 +495,14 @@ def _intermediate_x_walls(system, t, dt):
     return walls
 
 
-def write_field_snapshot(path, grid, field, names=("u",)):
-    """Snapshot CSV: x,y,u[,v] rows of float reprs, y as the outer loop."""
-    field = np.asarray(field, dtype=float)
-    if field.ndim == 2:
-        field = field[None, :, :]
+def write_field_snapshot(path, grid, field):
+    """Snapshot CSV: x,y,u or x,y,u,v rows of float reprs, y as the outer loop."""
+    field = np.asarray(field, dtype=float).reshape((-1,) + grid.shape)
+    if len(field) > 2:
+        raise UsageError(f"snapshots hold one or two components, not {len(field)}")
     xs = [repr(x) for x in grid.xs.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y," + ",".join(names[:field.shape[0]]) + "\n")
+        fh.write("x,y," + ",".join(("u", "v")[:len(field)]) + "\n")
         for y, rows in zip(grid.ys.tolist(), field.transpose(1, 0, 2)):
             cells = [xs, [repr(y)] * len(xs)] + [list(map(repr, r)) for r in rows.tolist()]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

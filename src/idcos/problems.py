@@ -1,8 +1,10 @@
 """The benchmark problems: three manufactured parabolic cases and two
 reaction-diffusion systems (FitzHugh-Nagumo and Schnakenberg).
 
-Each builder returns a PDEProblem bundling the grid, the semi-discrete
-system, the initial field and (when known) the exact solution.
+Each builder takes the grid size N and the spatial order and returns a
+PDEProblem bundling the grid, the semi-discrete system, the initial field and
+(when known) the exact solution; the FHN_* and SCHNAKENBERG_* constants are
+the two systems' model parameters.
 """
 
 from dataclasses import dataclass
@@ -11,15 +13,18 @@ import numpy as np
 
 from .pde2d import CoefficientField, Grid2D, SemiDiscreteSystem
 
+FHN_DIFFUSION = (1.0, 0.0)
+FHN_A, FHN_C, FHN_D, FHN_DELTA = 0.1, 1.0, 0.5, 0.005
+SCHNAKENBERG_DIFFUSION = (0.05, 1.0)
+SCHNAKENBERG_KAPPA, SCHNAKENBERG_A, SCHNAKENBERG_B = 100.0, 0.1305, 0.7695
+
 
 @dataclass(frozen=True)
 class PDEProblem:
-    name: str
     grid: Grid2D
     system: SemiDiscreteSystem
     initial: np.ndarray
     exact: object            # exact(t) -> field, or None
-    field_names: tuple
 
     def split_ivp(self, T):
         return self.system.split_ivp(self.initial, (0.0, float(T)))
@@ -33,15 +38,13 @@ def example1(N=45, order=6):
     def g(x, y, t):
         return (1.0 - y) * np.exp(t + x)
 
-    system = SemiDiscreteSystem(grid, CoefficientField.constant(grid, 1.0),
-                                order=order, boundary=g)
+    system = SemiDiscreteSystem(grid, 1.0, order=order, boundary=g)
     X, Y = grid.mesh()
 
     def exact(t):
         return (1.0 - Y) * np.exp(t + X)
 
-    return PDEProblem(name="example1", grid=grid, system=system,
-                      initial=exact(0.0), exact=exact, field_names=("u",))
+    return PDEProblem(grid=grid, system=system, initial=exact(0.0), exact=exact)
 
 
 def example2(N=45, order=6):
@@ -60,8 +63,7 @@ def example2(N=45, order=6):
     system = SemiDiscreteSystem(grid, coeff, order=order)
     X, Y = grid.mesh()
     initial = np.sin(2 * np.pi * (X + Y))
-    return PDEProblem(name="example2", grid=grid, system=system,
-                      initial=initial, exact=None, field_names=("u",))
+    return PDEProblem(grid=grid, system=system, initial=initial, exact=None)
 
 
 def example3(N=45, order=6):
@@ -85,20 +87,19 @@ def example3(N=45, order=6):
     def source_jacobian(t, u):
         return -2.0 * u
 
-    system = SemiDiscreteSystem(grid, CoefficientField.constant(grid, 1.0),
-                                order=order, boundary=g,
+    system = SemiDiscreteSystem(grid, 1.0, order=order, boundary=g,
                                 source=source, source_jacobian=source_jacobian)
-    return PDEProblem(name="example3", grid=grid, system=system,
-                      initial=exact(0.0), exact=exact, field_names=("u",))
+    return PDEProblem(grid=grid, system=system, initial=exact(0.0), exact=exact)
 
 
-def fhn(N=200, order=6, D_u=1.0, D_v=0.0, a=0.1, C=1.0, d=0.5, delta=0.005):
+def fhn(N=200, order=6):
     """FitzHugh-Nagumo reaction-diffusion system on [-20,20]^2, periodic.
 
-    Activator u diffuses; the inhibitor v does not (D_v = 0 by default).
-    The cubic local dynamics are h(u,v) = C*u*(1-u)*(u-a) - v scaled by
-    1/delta, and g(u,v) = u - d*v.
+    Activator u diffuses; the inhibitor v does not (FHN_DIFFUSION).  The
+    cubic local dynamics are h(u,v) = C*u*(1-u)*(u-a) - v scaled by 1/delta,
+    and g(u,v) = u - d*v.
     """
+    a, C, d, delta = FHN_A, FHN_C, FHN_D, FHN_DELTA
     grid = Grid2D(x_span=(-20.0, 20.0), y_span=(-20.0, 20.0), N_x=N, N_y=N,
                   bc="periodic")
 
@@ -116,26 +117,24 @@ def fhn(N=200, order=6, D_u=1.0, D_v=0.0, a=0.1, C=1.0, d=0.5, delta=0.005):
         J[1, 1] = -d
         return J
 
-    system = SemiDiscreteSystem(grid, (D_u, D_v), order=order,
-                                source=source, source_jacobian=source_jacobian,
-                                components=2)
+    system = SemiDiscreteSystem(grid, FHN_DIFFUSION, order=order,
+                                source=source, source_jacobian=source_jacobian)
     X, Y = grid.mesh()
     bump = (1.0 / (1.0 + np.exp(4.0 * (np.abs(X) - 5.0))) ** 2
             - 1.0 / (1.0 + np.exp(4.0 * (np.abs(X) - 1.0))) ** 2)
     u0 = np.where((X < 0) | (Y > 5), 0.0, bump)
     v0 = np.where((X < 1) & (Y > -10), 0.15, 0.0)
-    return PDEProblem(name="fhn", grid=grid, system=system,
-                      initial=np.stack([u0, v0]), exact=None,
-                      field_names=("u", "v"))
+    return PDEProblem(grid=grid, system=system, initial=np.stack([u0, v0]), exact=None)
 
 
-def schnakenberg(N=200, order=6, kappa=100.0, a=0.1305, b=0.7695,
-                 D1=0.05, D2=1.0):
+def schnakenberg(N=200, order=6):
     """Schnakenberg activator-inhibitor system on the unit square, periodic.
 
-    Starts from the homogeneous steady state (a+b, b/(a+b)^2) with a small
-    Gaussian bump on the activator.
+    Kinetics kappa*(a - Ca + Ca^2*Ci) and kappa*(b - Ca^2*Ci).  Starts from
+    the homogeneous steady state (a+b, b/(a+b)^2) with a small Gaussian bump
+    on the activator.
     """
+    kappa, a, b = SCHNAKENBERG_KAPPA, SCHNAKENBERG_A, SCHNAKENBERG_B
     grid = Grid2D(x_span=(0.0, 1.0), y_span=(0.0, 1.0), N_x=N, N_y=N,
                   bc="periodic")
 
@@ -153,16 +152,13 @@ def schnakenberg(N=200, order=6, kappa=100.0, a=0.1305, b=0.7695,
         J[1, 1] = -J[0, 1]
         return J
 
-    system = SemiDiscreteSystem(grid, (D1, D2), order=order,
-                                source=source, source_jacobian=source_jacobian,
-                                components=2)
+    system = SemiDiscreteSystem(grid, SCHNAKENBERG_DIFFUSION, order=order,
+                                source=source, source_jacobian=source_jacobian)
     X, Y = grid.mesh()
     Ca0 = a + b + 1e-3 * np.exp(-100.0 * ((X - 1.0 / 3.0) ** 2
                                           + (Y - 0.5) ** 2))
     Ci0 = np.full(grid.shape, b / (a + b) ** 2)
-    return PDEProblem(name="schnakenberg", grid=grid, system=system,
-                      initial=np.stack([Ca0, Ci0]), exact=None,
-                      field_names=("u", "v"))
+    return PDEProblem(grid=grid, system=system, initial=np.stack([Ca0, Ci0]), exact=None)
 
 
 PROBLEM_BUILDERS = {

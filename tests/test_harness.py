@@ -118,8 +118,7 @@ class TestRunSimulation:
                                      corrections=(1,), dt=0.005, snap_times=snaps,
                                      out_dir=str(tmp_path / name)))
         prob = fhn(N=8)
-        write_field_snapshot(tmp_path / "initial.csv", prob.grid, prob.initial,
-                             names=prob.field_names)
+        write_field_snapshot(tmp_path / "initial.csv", prob.grid, prob.initial)
         all_dir = tmp_path / "all"
         assert (all_dir / "fhn_lietrotter_t0.csv").read_bytes() == \
             (tmp_path / "initial.csv").read_bytes()
@@ -183,8 +182,8 @@ class TestRunStability:
 
 
 class TestManifest:
-    """The manifest's config echo holds the resolved defaults, and ladders
-    and simulations record the M each correction count ran."""
+    """The manifest's config echo holds the resolved defaults, and ladders,
+    scans and simulations record the M each correction count ran."""
 
     def test_resolved_at_construction(self):
         cfg = RunConfig(problem="example2", scheme="adi")
@@ -206,6 +205,13 @@ class TestManifest:
                      "--resolution", "5,5", "--out", str(tmp_path)]) == 0
         config = manifest(tmp_path, "strang")["config"]
         assert config["residual_mode"] == "oversampled(13)"
+
+    @pytest.mark.parametrize("flags,sub_intervals", [
+        ([], {"0": 3, "1": 4, "2": 6}), (["--sub-intervals", "5"], {"0": 5, "1": 5, "2": 5})])
+    def test_scan_sub_intervals(self, tmp_path, flags, sub_intervals):
+        assert main(["stability", "--scheme", "strang", "--resolution", "5,5",
+                     "--out", str(tmp_path)] + flags) == 0
+        assert manifest(tmp_path, "strang")["sub_intervals"] == sub_intervals
 
     @pytest.mark.parametrize("scheme,unit,sub_intervals", [
         ("adi", "macro", {"0": 1, "1": 3}), ("strang", "substep", {"0": 1, "1": 4})])

@@ -36,12 +36,27 @@ class TestGrid:
         with pytest.raises(UsageError):
             Grid2D((1, 0), (0, 1), 4, 4)
 
+    @pytest.mark.parametrize("span", [(0, np.inf), (-np.inf, 1), (0, np.nan)])
+    def test_rejects_non_finite_span(self, span):
+        for x_span, y_span in ((span, (0, 1)), ((0, 1), span)):
+            with pytest.raises(UsageError, match="finite"):
+                Grid2D(x_span, y_span, 4, 4, bc="periodic")
+
 
 class TestCoefficientField:
     def test_positive_required(self):
         g = Grid2D((0, 1), (0, 1), 4, 4, bc="periodic")
         with pytest.raises(UsageError):
             CoefficientField.from_callables(g, a=lambda x, y: x - 10.0)
+
+    @pytest.mark.parametrize("field", ["a", "a_x", "a_y"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, field, bad):
+        g = Grid2D((0, 1), (0, 1), 4, 4, bc="periodic")
+        values = {"a": np.ones(g.shape), "a_x": np.zeros(g.shape), "a_y": np.zeros(g.shape)}
+        values[field][1, 2] = bad
+        with pytest.raises(UsageError, match="finite"):
+            CoefficientField(**values)
 
     def test_constant(self):
         g = Grid2D((0, 1), (0, 1), 4, 4, bc="periodic")
@@ -559,7 +574,7 @@ class TestPointwiseSolve:
         grid = Grid2D((0, 1), (0, 1), 8, 8, bc="periodic")
         with pytest.raises(UsageError, match="1 or 2 components"):
             SemiDiscreteSystem(grid, (1.0, 1.0, 1.0), order=2, source=lambda t, x: x,
-                               source_jacobian=lambda t, x: x, components=3)
+                               source_jacobian=lambda t, x: x)
 
 
 class TestMulticomponent:
@@ -572,15 +587,27 @@ class TestMulticomponent:
         assert not np.array_equal(out[0], rhs[0])
 
     @pytest.mark.parametrize("coefficients", [
-        (1.0,), (1.0, 0.0, 1.0), (1.0, -0.5), (float("nan"), 0.0), (1.0, float("inf"))],
-        ids=["too-few", "too-many", "negative", "nan", "infinite"])
+        (1.0,), (1.0, -0.5), (float("nan"), 0.0), (1.0, float("inf"))],
+        ids=["too-few", "negative", "nan", "infinite"])
     def test_rejects_bad_coefficients(self, coefficients):
         grid = Grid2D((0, 1), (0, 1), 8, 8, bc="periodic")
-        with pytest.raises(UsageError, match="2 components need 2 diffusion coefficients"):
-            SemiDiscreteSystem(grid, coefficients, order=2, components=2)
+        with pytest.raises(UsageError, match="two or more diffusion coefficients"):
+            SemiDiscreteSystem(grid, coefficients, order=2)
+
+    @pytest.mark.parametrize("coefficients", [(1.0, None), [0.5, 0.0, 2.0]])
+    def test_component_count_from_coefficients(self, coefficients):
+        grid = Grid2D((0, 1), (0, 1), 8, 8, bc="periodic")
+        system = SemiDiscreteSystem(grid, coefficients, order=2)
+        n = len(coefficients)
+        assert system.components == n and system.state_shape == (n, 8, 8)
+        rng = np.random.default_rng(1)
+        rhs = rng.normal(size=(n, 8, 8))
+        out = system.op_x.solve_implicit(0.0, 0.1, rhs)
+        for c, D in enumerate(coefficients):
+            assert np.array_equal(out[c], rhs[c]) == (not D)
 
     def test_schnakenberg_steady_reaction(self):
-        prob = schnakenberg(N=6, a=0.1305, b=0.7695)
+        prob = schnakenberg(N=6)
         Ca = np.full(prob.grid.shape, 0.9)
         Ci = np.full(prob.grid.shape, 0.7695 / 0.81)
         rates = prob.system.op_source(0.0, np.stack([Ca, Ci]))
@@ -621,12 +648,19 @@ class TestFieldSnapshot:
         grid = Grid2D((-0.3, 1.1), (0.7, 2.9), N_x=7, N_y=5)
         field = np.random.default_rng(5).normal(size=shape) * 10.0 ** np.arange(7)
         field.flat[3] = 1e-320
-        names = ("u", "v")
-        write_field_snapshot(tmp_path / "out.csv", grid, field, names=names)
+        write_field_snapshot(tmp_path / "out.csv", grid, field)
         cells = field if field.ndim == 3 else field[None]
-        lines = ["x,y," + ",".join(names[:len(cells)])]
+        lines = ["x,y," + ",".join(("u", "v")[:len(cells)])]
         for j, y in enumerate(grid.ys):
             for i, x in enumerate(grid.xs):
                 vals = ",".join(repr(float(c[j, i])) for c in cells)
                 lines.append(f"{float(x)!r},{float(y)!r},{vals}")
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+    def test_header_names_every_component(self, tmp_path):
+        grid = Grid2D((0, 1), (0, 1), 8, 8)
+        write_field_snapshot(tmp_path / "two.csv", grid, np.zeros((2, 8, 8)))
+        assert (tmp_path / "two.csv").read_text(encoding="utf-8").split("\n", 1)[0] == "x,y,u,v"
+        with pytest.raises(UsageError, match="one or two components"):
+            write_field_snapshot(tmp_path / "three.csv", grid, np.zeros((3, 8, 8)))
+        assert not (tmp_path / "three.csv").exists()
