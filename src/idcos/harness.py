@@ -152,8 +152,6 @@ def pick_subintervals(target_order, nt_list, nt_unit):
 class ConvergenceReport:
     """Rows of (correction, Nt, error, order) plus the metric used."""
 
-    problem: str
-    scheme: str
     metric: str              # 'exact' or 'self'
     rows: tuple
 
@@ -273,8 +271,7 @@ def run_convergence(cfg):
                 order = float(np.log(prev_err / err) / np.log(nt / prev_nt))
             rows.append((cs, nt, err, order))
             prev_err, prev_nt = err, nt
-    report = ConvergenceReport(problem=cfg.problem, scheme=cfg.scheme,
-                               metric=metric, rows=tuple(rows))
+    report = ConvergenceReport(metric=metric, rows=tuple(rows))
     csv_path = os.path.join(cfg.out_dir, f"{cfg.name}_convergence.csv")
     _write_csv(csv_path, "correction,Nt,error,order",
                [(str(cs), str(nt), repr(e), repr(o))
@@ -351,7 +348,8 @@ def run_simulation(cfg):
     exactly one correction count, (2,) unless set; more than one raises
     UsageError.  Every input is checked, and the problem, its split IVP and
     the IDC configuration are built, before the output directory is made.
-    A non-finite field aborts with the offending time and node.
+    A non-finite field aborts with the offending time and node.  A solver
+    failure writes the manifest, with ``failures``, before it is raised.
     Returns per-snapshot (time, min, max) summaries.
     """
     if cfg.dt is None or not cfg.snap_times:
@@ -383,17 +381,21 @@ def run_simulation(cfg):
 
     if 0 in steps:
         snapshot(steps[0], prob.initial)
-    if last:
-        march = idc_march(ivp, last, idc_cfg)
-        for n, (nodes, level) in enumerate(march, start=1):
-            u = level.final_state
-            if not np.isfinite(u).all():
-                flat_index = int(np.argmin(np.isfinite(u).ravel()))
-                node = tuple(int(i) for i in np.unravel_index(flat_index, u.shape))
-                raise SolverError(f"non-finite field at t={nodes.t_end} node {node}")
-            if n in steps:
-                snapshot(steps[n], u)
-    _write_manifest(cfg, t_start, paths,
-                    extra={"snapshots": summaries,
-                           "sub_intervals": {cs: idc_cfg.resolved_M()}})
+    extra = {"snapshots": summaries, "sub_intervals": {cs: idc_cfg.resolved_M()}}
+    try:
+        if last:
+            for n, (nodes, level) in enumerate(idc_march(ivp, last, idc_cfg), start=1):
+                u = level.final_state
+                if not np.isfinite(u).all():
+                    flat_index = int(np.argmin(np.isfinite(u).ravel()))
+                    node = tuple(int(i) for i in np.unravel_index(flat_index, u.shape))
+                    raise SolverError(f"non-finite field at t={nodes.t_end} node {node}")
+                if n in steps:
+                    snapshot(steps[n], u)
+    except SolverError as exc:
+        step = getattr(exc, "macro_step", None)
+        failure = str(exc) if step is None else f"macro step {step} at t={exc.time}: {exc}"
+        _write_manifest(cfg, t_start, paths, extra={**extra, "failures": [failure]})
+        raise
+    _write_manifest(cfg, t_start, paths, extra={**extra, "failures": []})
     return summaries

@@ -14,8 +14,8 @@ banded LU, as two triangular band sweeps over the whole stack when no line
 swapped rows (LAPACK gbtrs otherwise).
 
 Fields are stored row-major with y as the outer index, shape (N_y, N_x);
-multi-component states prepend the component axis.  x-direction lines are
-the rows of a field, y-direction lines its columns.
+multi-component states (periodic grids only) prepend the component axis.
+x-direction lines are the rows of a field, y-direction lines its columns.
 """
 
 from dataclasses import dataclass
@@ -252,42 +252,38 @@ class DirectionalDiffusionOperator:
 class ComponentWiseOperator:
     """Applies an independent directional operator to each state component.
 
-    Components without diffusion carry None; their solve is the identity.
+    The grid is periodic: no wall terms.  Components without diffusion carry
+    None, with zero rate and the identity as solve.
     """
 
     def __init__(self, ops):
         self.ops = tuple(ops)
-
-    def __call__(self, t, U):
-        return np.stack([np.zeros_like(U[c]) if op is None else op(t, U[c])
-                         for c, op in enumerate(self.ops)])
 
     def apply_homogeneous(self, t, U):
         return np.stack([np.zeros_like(U[c]) if op is None
                          else op.apply_homogeneous(t, U[c])
                          for c, op in enumerate(self.ops)])
 
-    def solve_homogeneous(self, t, alpha, rhs):
+    def solve_homogeneous(self, t, alpha, rhs, guess=None):
         return np.stack([rhs[c].copy() if op is None
                          else op.solve_homogeneous(t, alpha, rhs[c])
                          for c, op in enumerate(self.ops)])
 
-    def solve_implicit(self, t, alpha, rhs, guess=None):
-        return np.stack([rhs[c].copy() if op is None
-                         else op.solve_implicit(t, alpha, rhs[c])
-                         for c, op in enumerate(self.ops)])
+    __call__ = apply_homogeneous
+    solve_implicit = solve_homogeneous
 
 
 class PointwiseSourceOperator:
     """A source acting node-by-node, solved by vectorized per-node Newton.
 
-    ``jacobian(t, U)`` returns ds/du per node: shape (N_y, N_x) for scalar
-    states or (2, 2, N_y, N_x) for two components, the only counts supported.
-    Each Newton step divides by the pivot 1 - alpha*J, or solves every node's
-    2x2 block I - alpha*J by Cramer's rule on whole fields.  A zero or
-    non-finite pivot or determinant raises ``LinearSolveError`` naming the
-    time and the first such node; no convergence within ``NEWTON_MAX_ITERS``
-    raises ``NewtonError`` naming the node of the largest residual.
+    ``jacobian(t, U)`` returns ds/du per node, a field or a scalar; for two
+    components, the only other count supported, its 2x2 entries
+    ((j11, j12), (j21, j22)), each a field or a scalar.  Each Newton step
+    divides by the pivot 1 - alpha*J, or solves every node's 2x2 block
+    I - alpha*J by Cramer's rule on whole fields.  A zero or non-finite pivot
+    or determinant raises ``LinearSolveError`` naming the time and the first
+    such node; no convergence within ``NEWTON_MAX_ITERS`` raises
+    ``NewtonError`` naming the node of the largest residual.
     """
 
     def __init__(self, source, jacobian, components=1):
@@ -314,15 +310,17 @@ class PointwiseSourceOperator:
                 target = NEWTON_TOL + NEWTON_TOL * norm
             if norm <= target:
                 return x
-            J = np.asarray(self.source_jacobian(t, x))
+            J = self.source_jacobian(t, x)
             if self.components == 1:
                 det, num = 1.0 - alpha * J, r
             else:  # Cramer's rule on every node's 2x2 block
-                a11, a12 = 1.0 - alpha * J[0, 0], -alpha * J[0, 1]
-                a21, a22 = -alpha * J[1, 0], 1.0 - alpha * J[1, 1]
+                (j11, j12), (j21, j22) = J
+                a11, a12 = 1.0 - alpha * j11, -alpha * j12
+                a21, a22 = -alpha * j21, 1.0 - alpha * j22
                 det = a11 * a22 - a12 * a21
                 num = np.stack([a22 * r[0] - a12 * r[1], a11 * r[1] - a21 * r[0]])
-            singular = (det == 0) | ~np.isfinite(det)
+            singular = np.broadcast_to((det == 0) | ~np.isfinite(det),
+                                       r.shape[self.components - 1:])
             if singular.any():
                 node = tuple(int(i) for i in np.unravel_index(np.argmax(singular),
                                                               singular.shape))
@@ -341,8 +339,9 @@ class SemiDiscreteSystem:
     f_1 holds the x-direction terms, f_2 the y-direction terms and f_3 the
     pointwise source (when present).  A tuple or list of two or more
     coefficients gives one constant diffusion coefficient per component, each
-    None or finite >= 0 (0 or None: no diffusion); anything else, a
-    CoefficientField or a constant, is the one coefficient of a scalar problem.
+    None or finite >= 0 (0 or None: no diffusion), on a periodic grid only; a
+    CoefficientField or a real constant is the one coefficient of a scalar
+    problem.  Anything else raises UsageError.
     """
 
     def __init__(self, grid, coefficients, order=6, boundary=None,
@@ -357,8 +356,13 @@ class SemiDiscreteSystem:
                     for D in coefficients):
                 raise UsageError(f"a system takes two or more diffusion coefficients, "
                                  f"each None or finite >= 0: {coefficients!r}")
-        elif not isinstance(coefficients, CoefficientField):
+            if grid.bc != "periodic":
+                raise UsageError("multi-component systems need a periodic grid")
+        elif isinstance(coefficients, numbers.Real):
             coefficients = CoefficientField.constant(grid, coefficients)
+        elif not isinstance(coefficients, CoefficientField):
+            raise UsageError(f"a scalar problem takes a real or a CoefficientField; a tuple "
+                             f"or list gives one coefficient per component: {coefficients!r}")
         self.coefficients = coefficients
         per_component = coefficients if isinstance(coefficients, tuple) else (coefficients,)
         self.components = len(per_component)

@@ -110,12 +110,8 @@ def fhn(N=200, order=6):
 
     def source_jacobian(t, U):
         u = U[0]
-        J = np.empty((2, 2) + u.shape, dtype=np.result_type(U, 1.0))
-        J[0, 0] = C * (-3.0 * u * u + 2.0 * (1.0 + a) * u - a) / delta
-        J[0, 1] = -1.0 / delta
-        J[1, 0] = 1.0
-        J[1, 1] = -d
-        return J
+        return ((C * (-3.0 * u * u + 2.0 * (1.0 + a) * u - a) / delta, -1.0 / delta),
+                (1.0, -d))
 
     system = SemiDiscreteSystem(grid, FHN_DIFFUSION, order=order,
                                 source=source, source_jacobian=source_jacobian)
@@ -145,12 +141,9 @@ def schnakenberg(N=200, order=6):
 
     def source_jacobian(t, U):
         Ca, Ci = U
-        J = np.empty((2, 2) + Ca.shape, dtype=np.result_type(U, 1.0))
-        J[0, 0] = kappa * (-1.0 + 2.0 * Ca * Ci)
-        J[0, 1] = kappa * Ca * Ca
-        J[1, 0] = -2.0 * kappa * Ca * Ci
-        J[1, 1] = -J[0, 1]
-        return J
+        j12 = kappa * Ca * Ca
+        return ((kappa * (-1.0 + 2.0 * Ca * Ci), j12),
+                (-2.0 * kappa * Ca * Ci, -j12))
 
     system = SemiDiscreteSystem(grid, SCHNAKENBERG_DIFFUSION, order=order,
                                 source=source, source_jacobian=source_jacobian)

@@ -9,7 +9,7 @@ import pytest
 
 from idcos import harness, pde2d
 from idcos.cli import main
-from idcos.errors import SolverError, UsageError
+from idcos.errors import SolverError, StepperError, UsageError
 from idcos.harness import RunConfig, run_convergence, run_simulation, run_stability
 from idcos.pde2d import write_field_snapshot
 from idcos.problems import fhn
@@ -110,6 +110,7 @@ class TestRunSimulation:
         assert rows[0] == ["x", "y", "u", "v"]
         assert len(rows) == 1 + 8 * 8
         assert_all_floats(snap)
+        assert manifest(tmp_path, "fhn_lietrotter")["failures"] == []
 
     def test_initial_and_intermediate_snapshots(self, tmp_path):
         runs = {"all": (0.0, 0.005, 0.01), "last": (0.01,)}
@@ -135,13 +136,37 @@ class TestRunSimulation:
 
         monkeypatch.setitem(harness.PROBLEM_BUILDERS, "example2", huge)
         cfg = RunConfig(experiment="simulate", problem="example2", scheme="adi",
-                        grid_n=8, corrections=(0,), dt=0.01, snap_times=(0.02,),
+                        grid_n=8, corrections=(0,), dt=0.01, snap_times=(0.0, 0.02),
                         out_dir=str(tmp_path))
         with pytest.raises(SolverError, match=r"non-finite field at t=0\.01 node") as err:
             with np.errstate(over="ignore", invalid="ignore"):
                 run_simulation(cfg)
         assert str(err.value).endswith("node (0, 0)")
         assert not (tmp_path / "example2_adi_t0.02.csv").exists()
+        # the manifest is written before the error is raised again
+        info = manifest(tmp_path, "example2_adi")
+        assert info["failures"] == [str(err.value)]
+        assert [snap["time"] for snap in info["snapshots"]] == [0.0]
+        assert list(info["artifacts"]) == ["example2_adi_t0.csv"]
+
+    def test_newton_failure_names_macro_step(self, tmp_path, monkeypatch):
+        build = harness.PROBLEM_BUILDERS["fhn"]
+
+        def huge(**kwargs):
+            prob = build(**kwargs)
+            return dataclasses.replace(prob, initial=prob.initial * 1e20)
+
+        monkeypatch.setitem(harness.PROBLEM_BUILDERS, "fhn", huge)
+        cfg = RunConfig(experiment="simulate", problem="fhn", grid_n=8, corrections=(1,),
+                        dt=0.005, snap_times=(0.005, 0.01), out_dir=str(tmp_path))
+        with pytest.raises(StepperError, match="Newton residual is non-finite") as err:
+            with np.errstate(over="ignore", invalid="ignore"):
+                run_simulation(cfg)
+        assert err.value.macro_step == 1
+        info = manifest(tmp_path, "fhn_lietrotter")
+        assert info["failures"] == [f"macro step 1 at t=0.005: {err.value}"]
+        assert [snap["time"] for snap in info["snapshots"]] == [0.005]
+        assert list(info["artifacts"]) == ["fhn_lietrotter_t0.005.csv"]
 
     def test_one_correction_count(self, tmp_path):
         cfg = RunConfig(experiment="simulate", problem="fhn", grid_n=8, dt=0.01,

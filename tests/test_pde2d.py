@@ -401,8 +401,14 @@ class TestErrorProblemBC:
                 assert np.max(np.abs(x - alpha * op(t, x) - rhs)) <= 1e-10
 
 
+def broadcast_jacobian(J, shape):
+    """The 2x2 entries of J, each a field or scalar, as one (2, 2) + shape array."""
+    return np.array([[np.broadcast_to(entry, shape) for entry in row] for row in J])
+
+
 def lapack_step(J, alpha, r):
-    """Per-node np.linalg.solve of (I - alpha*J) d = r, J of shape (2, 2, ...)."""
+    """Per-node np.linalg.solve of (I - alpha*J) d = r, J as 2x2 entries."""
+    J = broadcast_jacobian(J, r.shape[1:])
     A = np.eye(2) - alpha * np.moveaxis(J, (0, 1), (-2, -1))
     return np.moveaxis(np.linalg.solve(A, np.moveaxis(r, 0, -1)[..., None])[..., 0], -1, 0)
 
@@ -554,6 +560,27 @@ class TestPointwiseSolve:
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.max(np.abs(out - rhs)) > 1e-4
 
+    @pytest.mark.parametrize("build, alpha", [(fhn, 0.01), (schnakenberg, 0.001)])
+    def test_entry_jacobian_matches_broadcast_array(self, build, alpha):
+        # the entry form builds no (2, 2, N, N) array and changes no bit
+        prob = build(N=16)
+        rng = np.random.default_rng(12)
+        rhs = prob.initial + 0.1 * rng.normal(size=prob.initial.shape)
+        op = prob.system.op_source
+        assert not isinstance(op.source_jacobian(0.2, rhs), np.ndarray)
+        block = PointwiseSourceOperator(
+            op.source, lambda t, U: broadcast_jacobian(op.source_jacobian(t, U), U.shape[1:]),
+            components=2)
+        assert np.array_equal(op.solve_implicit(0.2, alpha, rhs),
+                              block.solve_implicit(0.2, alpha, rhs))
+
+    def test_constant_jacobian_names_node(self):
+        # every entry a scalar: one singular block for every node, the first named
+        op = PointwiseSourceOperator(lambda t, U: 2.0 * U, lambda t, U: ((2.0, 0.0), (0.0, 2.0)),
+                                     components=2)
+        with pytest.raises(LinearSolveError, match=r"t=0\.3 node \(0, 0\)$"):
+            op.solve_implicit(0.3, 0.5, np.ones((2, 3, 4)))
+
     def test_singular_block_names_node(self):
         # I - alpha*J is singular at nodes (1, 2) and (2, 0): the first is named
         J = np.zeros((2, 2, 3, 4))
@@ -605,6 +632,24 @@ class TestMulticomponent:
         out = system.op_x.solve_implicit(0.0, 0.1, rhs)
         for c, D in enumerate(coefficients):
             assert np.array_equal(out[c], rhs[c]) == (not D)
+
+    def test_dirichlet_system_rejected(self):
+        # a Dirichlet grid has one wall function, which fits a scalar problem alone
+        grid = Grid2D((0, 1), (0, 1), 8, 8, bc="dirichlet")
+        with pytest.raises(UsageError, match="periodic grid"):
+            SemiDiscreteSystem(grid, (1.0, 0.5), order=2, boundary=lambda x, y, t: 0.0 * x)
+
+    @pytest.mark.parametrize("coefficient", [np.array([1.0, 0.0]), "abc", 1 + 2j])
+    def test_rejects_bad_scalar_coefficient(self, coefficient):
+        grid = Grid2D((0, 1), (0, 1), 8, 8, bc="periodic")
+        with pytest.raises(UsageError, match="a real or a CoefficientField.*tuple or list"):
+            SemiDiscreteSystem(grid, coefficient, order=2)
+
+    @pytest.mark.parametrize("coefficient", [np.float64(1.5), np.float32(1.5), 3])
+    def test_real_scalar_coefficient(self, coefficient):
+        grid = Grid2D((0, 1), (0, 1), 8, 8, bc="periodic")
+        system = SemiDiscreteSystem(grid, coefficient, order=2)
+        assert np.array_equal(system.coefficients.a, np.full((8, 8), float(coefficient)))
 
     def test_schnakenberg_steady_reaction(self):
         prob = schnakenberg(N=6)
