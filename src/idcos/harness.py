@@ -32,12 +32,14 @@ from .steppers import STEPPER_ORDERS, check_operator_count
 class RunConfig:
     """One batch run: a convergence study, a stability map, or a simulation.
 
-    Construction resolves each unset default, so the manifest echoes what
-    ran: a convergence or simulation run's table fields (``TABLE_DEFAULTS``);
-    ``corrections``, (0, 1, 2) or a simulation's one count (2,); a convergence
-    run's ``nt_unit``, 'macro' under ADI and 'substep' otherwise; and
-    ``residual_mode``, a stability map's ``DEFAULT_RESIDUAL_MODE`` and
-    'interpolant' otherwise.  Correction counts and N_t rungs must not repeat.
+    Construction resolves each unset default the run reads, so the manifest
+    echoes what ran: the ``TABLE_DEFAULTS`` fields a convergence study or a
+    simulation reads (not ``UNREAD_TABLE_KEYS``); ``corrections``, (0, 1, 2)
+    or a simulation's one count (2,); a convergence run's ``nt_unit``,
+    'macro' under ADI and 'substep' otherwise; ``residual_mode``, a stability
+    map's ``DEFAULT_RESIDUAL_MODE`` and 'interpolant' otherwise; and a
+    stability map's window, ``StabilityScan``'s.  Fields a run does not read
+    stay as set.  Correction counts and N_t rungs must not repeat.
     """
 
     experiment: str = "convergence"
@@ -56,9 +58,9 @@ class RunConfig:
     out_dir: str = "out"
     run_name: str = None
     # stability scan window
-    re_range: tuple[float, ...] = StabilityScan.re_range
-    im_range: tuple[float, ...] = StabilityScan.im_range
-    resolution: tuple[int, ...] = StabilityScan.resolution
+    re_range: tuple[float, ...] = None
+    im_range: tuple[float, ...] = None
+    resolution: tuple[int, ...] = None
 
     def __post_init__(self):
         if self.experiment not in ("convergence", "stability", "simulate"):
@@ -69,16 +71,19 @@ class RunConfig:
             raise UsageError(f"unknown problem {self.problem!r}")
         if self.nt_unit not in (None, "substep", "macro"):
             raise UsageError(f"unknown nt unit {self.nt_unit!r}")
-        if self.experiment != "stability":
+        scan = self.experiment == "stability"
+        if not scan:
             for key, value in TABLE_DEFAULTS.get((self.problem, self.scheme), {}).items():
-                if getattr(self, key) in (None, ()):
+                if key not in UNREAD_TABLE_KEYS[self.experiment] \
+                        and getattr(self, key) in (None, ()):
                     object.__setattr__(self, key, value)
         resolved = {
             "corrections": (2,) if self.experiment == "simulate" else (0, 1, 2),
             "nt_unit": ("macro" if self.scheme == "adi" else "substep")
             if self.experiment == "convergence" else None,
-            "residual_mode": DEFAULT_RESIDUAL_MODE
-            if self.experiment == "stability" else "interpolant"}
+            "residual_mode": DEFAULT_RESIDUAL_MODE if scan else "interpolant",
+            **{key: getattr(StabilityScan, key) if scan else None
+               for key in ("re_range", "im_range", "resolution")}}
         for key, value in resolved.items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
@@ -129,6 +134,10 @@ TABLE_DEFAULTS = {
     ("schnakenberg", "lie-trotter"): dict(grid_n=200, end_time=1.5, dt=0.001,
                                           snap_times=(0.5, 1.0, 1.5)),
 }
+
+# The table fields each experiment never reads: a ladder marches no snapshot
+# steps, and a simulation climbs no N_t ladder.
+UNREAD_TABLE_KEYS = {"convergence": ("dt", "snap_times"), "simulate": ("nt_list",)}
 
 
 def pick_subintervals(target_order, nt_list, nt_unit):

@@ -16,7 +16,8 @@ the M+1-node quadrature saturates.
 Every residual integral (``polyint.integral_weights``) and interpolation
 between nodes (``polyint.lagrange_eval``) is a row of the one exact cardinal
 generator: the M+1 node integrals are one product per sweep, and a stage time
-builds its own rows.  At a node time ups(t) is the node value itself.
+builds its own rows.  At a node time ups(t) is the node value itself.  A
+sweep memoises its stage-time reads, and each entry lives for one sub-interval.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import polyint
 from .errors import SolverError, StepperError, UnsupportedSchemeError, UsageError
-from .polyint import UniformNodeSet, lagrange_eval, node_index, partial_integral
+from .polyint import NODE_TOL, UniformNodeSet, lagrange_eval, node_index, partial_integral
 from .steppers import STEPPER_ORDERS, get_stepper
 
 _OVERSAMPLED_RE = re.compile(r"oversampled\((\d+)\)$")
@@ -201,6 +202,12 @@ class ErrorProblem:
     node time (``polyint.node_index``) is a row of it, and the interpolant
     there is the node value itself.  A time between nodes interpolates the
     level and builds its own weight row.
+
+    The four per-time reads (ups, shift, nodal shift, f at ups) are memoised
+    for one sub-interval.  A read at node t_m ends sub-interval m-1, and one
+    between nodes lies in floor(tau).  Steppers read forward only, so once
+    reads reach a later sub-interval the entries before its start go, and a
+    sweep holds a few stage fields, not O(M).
     """
 
     def __init__(self, problem, level, residual_mode="interpolant"):
@@ -210,7 +217,8 @@ class ErrorProblem:
         self._ups = {}
         self._shift = {}
         self._nodal_shift = {}
-        self._feval = {}
+        self._feval = {}             # t -> {nu: f_nu(t, ups(t))}
+        self._sub = 0                # sub-interval of the latest read
         if kind == "oversampled":
             self._quad_nodes, self._quad_values = _oversampled_rhs(level, problem, n_over)
         else:
@@ -225,9 +233,19 @@ class ErrorProblem:
                                for nu in range(self.num_operators))
 
     def _node(self, t):
-        """Index of the node at time t, or None between nodes."""
+        """Index of the node at time t, or None between nodes; a read in a
+        later sub-interval first drops the memo entries before its start."""
         nodes = self.level.nodes
-        return node_index(nodes.M, nodes.local(t))
+        tau = nodes.local(t)
+        m = node_index(nodes.M, tau)
+        sub = int(np.floor(tau)) if m is None else m - 1
+        if sub > self._sub:
+            self._sub = sub
+            start = nodes.t0 + nodes.h * (sub - NODE_TOL)
+            for memo in (self._ups, self._shift, self._nodal_shift, self._feval):
+                for old in [k for k in memo if k < start]:
+                    del memo[old]
+        return m
 
     def interpolant(self, t):
         m = self._node(t)
@@ -269,10 +287,11 @@ class ErrorProblem:
         return self._nodal_shift[t]
 
     def f_at_interpolant(self, nu, t):
-        if (nu, t) not in self._feval:
-            self._feval[nu, t] = np.asarray(
-                self.base.operators[nu](t, self.interpolant(t)))
-        return self._feval[nu, t]
+        self._node(t)
+        at_t = self._feval.setdefault(t, {})
+        if nu not in at_t:
+            at_t[nu] = np.asarray(self.base.operators[nu](t, self.interpolant(t)))
+        return at_t[nu]
 
 
 def correct_once(problem, level, sweep_index, cfg):

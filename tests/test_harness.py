@@ -225,6 +225,26 @@ class TestManifest:
         assert (cfg.grid_n, cfg.end_time) == (8, 0.05)
         assert (cfg.nt_unit, cfg.residual_mode) == ("substep", "oversampled(5)")
 
+    def test_echoes_only_what_the_run_reads(self, tmp_path):
+        # a simulation climbs no N_t ladder and scans no window; a ladder
+        # takes no snapshots; a scan resolves its window; a set value is echoed
+        assert main(["simulate", "--problem", "example2", "--scheme", "strang",
+                     "--grid", "8", "--dt", "0.005", "--snap-times", "0.01",
+                     "--corrections", "0", "--out", str(tmp_path / "sim")]) == 0
+        config = manifest(tmp_path / "sim", "example2_strang")["config"]
+        assert (config["grid_n"], config["end_time"], config["nt_list"]) == (8, 0.025, [])
+        assert [config[k] for k in ("re_range", "im_range", "resolution")] == [None] * 3
+        assert main(["stability", "--scheme", "strang", "--corrections", "0",
+                     "--resolution", "5,5", "--out", str(tmp_path / "scan")]) == 0
+        config = manifest(tmp_path / "scan", "strang")["config"]
+        assert [config[k] for k in ("re_range", "im_range", "resolution")] == [
+            [-20.0, 4.0], [-12.0, 12.0], [5, 5]]
+        assert (config["nt_list"], config["grid_n"], config["dt"]) == ([], None, None)
+        ladder = RunConfig(problem="fhn")
+        assert (ladder.grid_n, ladder.dt, ladder.snap_times) == (200, None, ())
+        assert RunConfig(experiment="simulate", problem="fhn", resolution=(5, 5)).resolution \
+            == (5, 5)
+
     def test_scan(self, tmp_path):
         assert main(["stability", "--scheme", "strang", "--corrections", "0",
                      "--resolution", "5,5", "--out", str(tmp_path)]) == 0

@@ -11,8 +11,9 @@ from idcos import idc, polyint
 from idcos.idc import (ErrorProblem, IDCConfig, IDCLevelResult, correct_once, idc_march,
                        idc_solve, predict, solve_macro_interval)
 from idcos.ode import DiagonalLinearOperator, SplitIVP, ZeroOperator
-from idcos.pde2d import PointwiseSourceOperator
+from idcos.pde2d import DirectionalDiffusionOperator, PointwiseSourceOperator
 from idcos.polyint import UniformNodeSet, lagrange_eval, partial_integral
+from idcos.problems import example2
 from idcos.steppers import get_stepper
 
 LD = np.longdouble
@@ -381,6 +382,77 @@ class TestNodeRhs:
         idc_solve(p, 3, IDCConfig(corrections=2, predictor="lie-trotter", M=3,
                                   residual_mode="oversampled(3)"))
         assert node_rhs_levels == []
+
+
+
+class TestBoundedMemo:
+    """A sweep's stage-time memo keeps one sub-interval: the march reads no
+    earlier time, so dropping the rest recomputes nothing.  The pinned counts
+    are those of a memo kept for the whole sweep."""
+
+    @staticmethod
+    def count(monkeypatch, counts, owner, *attrs):
+        for attr in attrs:
+            def counted(*args, _original=getattr(owner, attr), _name=attr, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counted)
+
+    @staticmethod
+    def check_each_step(monkeypatch):
+        """After every correction step from t, each memo holds no earlier time;
+        returns the list of checked step times."""
+        checked = []
+        get_stepper = idc.get_stepper
+
+        def bounded(name):
+            stepper = get_stepper(name)
+
+            def step(problem, t, h, u):
+                out = stepper(problem, t, h, u)
+                if isinstance(problem, ErrorProblem):
+                    for memo in (problem._ups, problem._shift, problem._nodal_shift,
+                                 problem._feval):
+                        assert all(s >= t - polyint.NODE_TOL * h for s in memo)
+                    checked.append(t)
+                return out
+            return step
+
+        monkeypatch.setattr(idc, "get_stepper", bounded)
+        return checked
+
+    def test_strang_dahlquist(self, monkeypatch):
+        # the interpolated path: ups, shift and f at the interpolant between nodes
+        lam = np.linspace(-20, 4, 7)[:, None] + 1j * np.linspace(-12, 12, 5)[None, :]
+        op = DiagonalLinearOperator(0.5 * lam, strict=False)
+        p = SplitIVP(operators=(op, op), initial_state=np.ones_like(lam), t_span=(0.0, 1.0))
+        counts = {name: 0 for name in ("lagrange_eval", "partial_integral", "shift",
+                                       "__call__", "solve_implicit")}
+        self.count(monkeypatch, counts, idc, "lagrange_eval", "partial_integral")
+        self.count(monkeypatch, counts, ErrorProblem, "shift")
+        self.count(monkeypatch, counts, DiagonalLinearOperator, "__call__", "solve_implicit")
+        checked = self.check_each_step(monkeypatch)
+        idc_solve(p, 1, IDCConfig(corrections=2, predictor="strang", M=6))
+        assert len(checked) == 2 * 6
+        assert counts == {"lagrange_eval": 12, "partial_integral": 14, "shift": 96,
+                          "__call__": 152, "solve_implicit": 72}
+
+    def test_strang_pde_correction(self, monkeypatch):
+        # the linear branch: node shifts joined linearly between nodes
+        ivp = example2(N=12).split_ivp(0.01)
+        cfg = IDCConfig(corrections=2, predictor="strang", M=5)
+        level = predict(ivp, UniformNodeSet(t0=0.0, h=0.002, M=5), ivp.initial_state, cfg)
+        counts = {name: 0 for name in ("lagrange_eval", "partial_integral", "shift",
+                                       "__call__", "apply_homogeneous", "solve_homogeneous")}
+        self.count(monkeypatch, counts, idc, "lagrange_eval", "partial_integral")
+        self.count(monkeypatch, counts, ErrorProblem, "shift")
+        self.count(monkeypatch, counts, DirectionalDiffusionOperator,
+                   "__call__", "apply_homogeneous", "solve_homogeneous")
+        checked = self.check_each_step(monkeypatch)
+        correct_once(ivp, level, 1, cfg)
+        assert len(checked) == 5
+        assert counts == {"lagrange_eval": 0, "partial_integral": 1, "shift": 30,
+                          "__call__": 12, "apply_homogeneous": 32, "solve_homogeneous": 20}
 
 
 class TestErrorProblem:

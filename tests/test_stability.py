@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,20 @@ class TestRealAxisBoundary:
     def test_unknown_scheme(self):
         with pytest.raises(UnsupportedSchemeError, match="unknown scheme 'rk4'"):
             amplification(-1.0, "rk4", 0)
+
+
+
+def test_field_peak_memory():
+    # a Strang cs=2 sweep keeps one sub-interval of stage values, not M of
+    # them: the heap peak stays below 60 fields of the scanned grid
+    lam = np.linspace(-20, 4, 101)[:, None] + 1j * np.linspace(-12, 12, 101)[None, :]
+    tracemalloc.start()
+    try:
+        amplification_field(lam, "strang", 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * lam.nbytes
 
 
 class TestPoles:
