@@ -33,8 +33,9 @@ class RunConfig:
     """One batch run: a convergence study, a stability map, or a simulation.
 
     Construction resolves each unset default the run reads, so the manifest
-    echoes what ran: the ``TABLE_DEFAULTS`` fields a convergence study or a
-    simulation reads (not ``UNREAD_TABLE_KEYS``); ``corrections``, (0, 1, 2)
+    echoes what ran: a convergence study's or a simulation's ``problem``
+    ('example1'), ``order_space`` (6) and the ``TABLE_DEFAULTS`` fields it
+    reads (not ``UNREAD_TABLE_KEYS``); ``corrections``, (0, 1, 2)
     or a simulation's one count (2,); a convergence run's ``nt_unit``,
     'macro' under ADI and 'substep' otherwise; ``residual_mode``, a stability
     map's ``DEFAULT_RESIDUAL_MODE`` and 'interpolant' otherwise; and a
@@ -43,14 +44,14 @@ class RunConfig:
     """
 
     experiment: str = "convergence"
-    problem: str = "example1"
+    problem: str = None          # 'example1' for ladders and simulations
     scheme: str = "lie-trotter"
     corrections: tuple[int, ...] = None
     nt_list: tuple[int, ...] = ()
     nt_unit: str = None          # 'substep' or 'macro'
     M: int = None                # sub-intervals per macro step; IDCConfig's if None
     grid_n: int = None
-    order_space: int = 6
+    order_space: int = None      # 6 for ladders and simulations
     end_time: float = None
     dt: float = None             # simulation macro step
     snap_times: tuple[float, ...] = ()
@@ -67,17 +68,12 @@ class RunConfig:
             raise UsageError(f"unknown experiment {self.experiment!r}")
         if self.scheme not in STEPPER_ORDERS:
             raise UsageError(f"unknown scheme {self.scheme!r}")
-        if self.problem not in PROBLEM_BUILDERS:
-            raise UsageError(f"unknown problem {self.problem!r}")
         if self.nt_unit not in (None, "substep", "macro"):
             raise UsageError(f"unknown nt unit {self.nt_unit!r}")
         scan = self.experiment == "stability"
-        if not scan:
-            for key, value in TABLE_DEFAULTS.get((self.problem, self.scheme), {}).items():
-                if key not in UNREAD_TABLE_KEYS[self.experiment] \
-                        and getattr(self, key) in (None, ()):
-                    object.__setattr__(self, key, value)
         resolved = {
+            "problem": None if scan else "example1",
+            "order_space": None if scan else 6,
             "corrections": (2,) if self.experiment == "simulate" else (0, 1, 2),
             "nt_unit": ("macro" if self.scheme == "adi" else "substep")
             if self.experiment == "convergence" else None,
@@ -87,6 +83,13 @@ class RunConfig:
         for key, value in resolved.items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
+        if self.problem is not None and self.problem not in PROBLEM_BUILDERS:
+            raise UsageError(f"unknown problem {self.problem!r}")
+        if not scan:
+            for key, value in TABLE_DEFAULTS.get((self.problem, self.scheme), {}).items():
+                if key not in UNREAD_TABLE_KEYS[self.experiment] \
+                        and getattr(self, key) in (None, ()):
+                    object.__setattr__(self, key, value)
         counts = self.corrections
         if not (isinstance(counts, (tuple, list)) and counts and all(
                 isinstance(cs, numbers.Integral) and cs >= 0 for cs in counts)

@@ -177,15 +177,20 @@ class _CorrectionOperator:
 
     def solve_implicit(self, t, alpha, rhs, guess=None):
         ep = self.ep
+        # each solve returns a new array, updated here in place
         if self.solve_hom is not None:
             s = ep.nodal_shift(t)
-            return self.solve_hom(t, alpha, rhs - s) + s
+            x = self.solve_hom(t, alpha, rhs - s)
+            x += s
+            return x
         # substitute z = offset + w, solve the base problem's sub-step for z
         offset = ep.interpolant(t) - ep.shift(t)
-        rhs_z = rhs + offset - alpha * ep.f_at_interpolant(self.nu, t)
+        rhs_z = rhs + offset
+        rhs_z -= alpha * ep.f_at_interpolant(self.nu, t)
         g = offset + (guess if guess is not None else np.zeros_like(offset))
         z = ep.base.operators[self.nu].solve_implicit(t, alpha, rhs_z, guess=g)
-        return z - offset
+        z -= offset
+        return z
 
 
 class ErrorProblem:

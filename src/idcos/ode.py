@@ -53,10 +53,10 @@ class SplitIVP:
         return len(self.operators)
 
     def f_total(self, t, u):
-        """Sum of all operator evaluations."""
+        """Sum of all operator evaluations, accumulated in a copy of the first."""
         total = np.asarray(self.operators[0](t, u)).copy()
         for op in self.operators[1:]:
-            total = total + op(t, u)
+            total += op(t, u)
         return total
 
 

@@ -253,21 +253,24 @@ class ComponentWiseOperator:
     """Applies an independent directional operator to each state component.
 
     The grid is periodic: no wall terms.  Components without diffusion carry
-    None, with zero rate and the identity as solve.
+    None, with zero rate and the identity as solve.  Each call fills one new
+    output with every component's result.
     """
 
     def __init__(self, ops):
         self.ops = tuple(ops)
 
     def apply_homogeneous(self, t, U):
-        return np.stack([np.zeros_like(U[c]) if op is None
-                         else op.apply_homogeneous(t, U[c])
-                         for c, op in enumerate(self.ops)])
+        out = np.empty(np.shape(U), np.result_type(U, float))
+        for c, op in enumerate(self.ops):
+            out[c] = 0.0 if op is None else op.apply_homogeneous(t, U[c])
+        return out
 
     def solve_homogeneous(self, t, alpha, rhs, guess=None):
-        return np.stack([rhs[c].copy() if op is None
-                         else op.solve_homogeneous(t, alpha, rhs[c])
-                         for c, op in enumerate(self.ops)])
+        out = np.empty(np.shape(rhs), np.result_type(rhs, float))
+        for c, op in enumerate(self.ops):
+            out[c] = rhs[c] if op is None else op.solve_homogeneous(t, alpha, rhs[c])
+        return out
 
     __call__ = apply_homogeneous
     solve_implicit = solve_homogeneous
@@ -284,6 +287,10 @@ class PointwiseSourceOperator:
     or determinant raises ``LinearSolveError`` naming the time and the first
     such node; no convergence within ``NEWTON_MAX_ITERS`` raises
     ``NewtonError`` naming the node of the largest residual.
+
+    A solve allocates its iterate, pivot and step buffers once and writes
+    each step's arithmetic into them and into the residual it forms; it never
+    writes into ``rhs``, ``guess`` or what the source or Jacobian returns.
     """
 
     def __init__(self, source, jacobian, components=1):
@@ -296,12 +303,23 @@ class PointwiseSourceOperator:
     def __call__(self, t, U):
         return np.asarray(self.source(t, U))
 
+    def _residual(self, t, alpha, x, rhs):
+        """x - alpha*s(t, x) - rhs in a new array (a scalar for a 0-d state)."""
+        r = alpha * np.asarray(self.source(t, x))
+        if not (isinstance(r, np.ndarray) and r.shape == x.shape and r.dtype == x.dtype):
+            return x - r - rhs
+        np.subtract(x, r, out=r)
+        r -= rhs
+        return r
+
     def solve_implicit(self, t, alpha, rhs, guess=None):
         x = np.array(rhs if guess is None else guess, copy=True, dtype=float)
+        det = np.empty(x.shape[self.components - 1:])   # one pivot per node
+        step = np.empty_like(x)
         target = None
         for it in range(NEWTON_MAX_ITERS):
-            r = x - alpha * np.asarray(self.source(t, x)) - rhs
-            norm = float(np.max(np.abs(r)))
+            r = self._residual(t, alpha, x, rhs)
+            norm = float(max(r.max(), -r.min()))   # max |r|, with no |r| field
             if not np.isfinite(norm):
                 raise NewtonError(
                     f"pointwise Newton residual is non-finite after {it} iterations",
@@ -312,21 +330,27 @@ class PointwiseSourceOperator:
                 return x
             J = self.source_jacobian(t, x)
             if self.components == 1:
-                det, num = 1.0 - alpha * J, r
-            else:  # Cramer's rule on every node's 2x2 block
+                np.multiply(alpha, J, out=det)
+                np.subtract(1.0, det, out=det)
+                num = r
+            else:  # Cramer's rule on every node's 2x2 block, det as scratch first
                 (j11, j12), (j21, j22) = J
                 a11, a12 = 1.0 - alpha * j11, -alpha * j12
                 a21, a22 = -alpha * j21, 1.0 - alpha * j22
-                det = a11 * a22 - a12 * a21
-                num = np.stack([a22 * r[0] - a12 * r[1], a11 * r[1] - a21 * r[0]])
-            singular = np.broadcast_to((det == 0) | ~np.isfinite(det),
-                                       r.shape[self.components - 1:])
-            if singular.any():
+                num = step
+                np.multiply(a22, r[0], out=num[0])
+                num[0] -= np.multiply(a12, r[1], out=det)
+                np.multiply(a11, r[1], out=num[1])
+                num[1] -= np.multiply(a21, r[0], out=det)
+                np.multiply(a11, a22, out=det)
+                det -= a12 * a21
+            if not (np.isfinite(det).all() and det.all()):
+                singular = (det == 0) | ~np.isfinite(det)
                 node = tuple(int(i) for i in np.unravel_index(np.argmax(singular),
                                                               singular.shape))
                 raise LinearSolveError(
                     f"singular pointwise Newton block at t={t} node {node}")
-            x = x - num / det
+            x -= np.divide(num, det, out=step)
         worst = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(r)), r.shape))
         raise NewtonError(
             f"pointwise Newton stalled at node {worst} (residual {norm:.3e})",

@@ -240,10 +240,17 @@ class TestManifest:
         assert [config[k] for k in ("re_range", "im_range", "resolution")] == [
             [-20.0, 4.0], [-12.0, 12.0], [5, 5]]
         assert (config["nt_list"], config["grid_n"], config["dt"]) == ([], None, None)
+        # a scan builds no problem and no stencil
+        assert (config["problem"], config["order_space"]) == (None, None)
         ladder = RunConfig(problem="fhn")
         assert (ladder.grid_n, ladder.dt, ladder.snap_times) == (200, None, ())
         assert RunConfig(experiment="simulate", problem="fhn", resolution=(5, 5)).resolution \
             == (5, 5)
+        for experiment in ("convergence", "simulate"):
+            run = RunConfig(experiment=experiment)
+            assert (run.problem, run.order_space) == ("example1", 6)
+        scan = RunConfig(experiment="stability", problem="fhn", order_space=4)
+        assert (scan.problem, scan.order_space) == ("fhn", 4)
 
     def test_scan(self, tmp_path):
         assert main(["stability", "--scheme", "strang", "--corrections", "0",

@@ -5,7 +5,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from idcos.errors import LinearSolveError, NewtonError, UsageError
-from idcos.idc import ErrorProblem, IDCConfig, idc_solve, predict
+from idcos.idc import ErrorProblem, IDCConfig, correct_once, idc_solve, predict
 from idcos.pde2d import (NEWTON_MAX_ITERS, NEWTON_TOL, CoefficientField,
                          DirectionalDiffusionOperator, Grid2D, PointwiseSourceOperator,
                          SemiDiscreteSystem, adi_pde_step, write_field_snapshot)
@@ -602,6 +602,179 @@ class TestPointwiseSolve:
         with pytest.raises(UsageError, match="1 or 2 components"):
             SemiDiscreteSystem(grid, (1.0, 1.0, 1.0), order=2, source=lambda t, x: x,
                                source_jacobian=lambda t, x: x)
+
+
+def whole_field_newton(op, t, alpha, rhs, guess=None):
+    """The pointwise Newton loop on whole fields, every residual, pivot,
+    Cramer numerator and step a new array; returns the solution and the
+    number of Jacobian calls."""
+    x = np.array(rhs if guess is None else guess, copy=True, dtype=float)
+    target, calls = None, 0
+    for _ in range(NEWTON_MAX_ITERS):
+        r = x - alpha * np.asarray(op.source(t, x)) - rhs
+        norm = float(np.max(np.abs(r)))
+        if target is None:
+            target = NEWTON_TOL + NEWTON_TOL * norm
+        if norm <= target:
+            return x, calls
+        J = op.source_jacobian(t, x)
+        calls += 1
+        if op.components == 1:
+            det, num = 1.0 - alpha * J, r
+        else:
+            (j11, j12), (j21, j22) = J
+            a11, a12 = 1.0 - alpha * j11, -alpha * j12
+            a21, a22 = -alpha * j21, 1.0 - alpha * j22
+            det = a11 * a22 - a12 * a21
+            num = np.stack([a22 * r[0] - a12 * r[1], a11 * r[1] - a21 * r[0]])
+        x = x - num / det
+    raise AssertionError("whole-field Newton did not converge")
+
+
+class Counted:
+    """A source or Jacobian that counts its calls and keeps every array it
+    returns beside a copy taken as it returned."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.kept = fn, 0, []
+
+    def __call__(self, t, x):
+        self.calls += 1
+        out = self.fn(t, x)
+        pending = [out]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, (tuple, list)):
+                pending.extend(item)
+            elif isinstance(item, np.ndarray):
+                self.kept.append((item, item.copy()))
+        return out
+
+    def unchanged(self):
+        return all(np.array_equal(a, copy) for a, copy in self.kept)
+
+
+def scalar_source_operator():
+    # x - alpha*(sin x - x^2) = rhs: a few Newton steps from a nearby guess
+    return PointwiseSourceOperator(lambda t, x: np.sin(x) - x * x,
+                                   lambda t, x: np.cos(x) - 2.0 * x)
+
+
+class TestNewtonIterates:
+    """The in-place Newton gives the whole-field loop's iterates bit for bit."""
+
+    def check(self, op, t, alpha, rhs, guess):
+        jac = Counted(op.source_jacobian)
+        out = PointwiseSourceOperator(op.source, jac, op.components).solve_implicit(
+            t, alpha, rhs, guess=guess)
+        ref, calls = whole_field_newton(op, t, alpha, rhs, guess=guess)
+        assert np.shape(out) == np.shape(ref)
+        assert np.array_equal(out, ref)
+        assert jac.calls == calls > 0
+
+    @pytest.mark.parametrize("build, alpha", [(fhn, 0.01), (schnakenberg, 0.001)])
+    def test_reaction(self, build, alpha):
+        prob = build(N=16)
+        rng = np.random.default_rng(13)
+        rhs = prob.initial + 0.1 * rng.normal(size=prob.initial.shape)
+        self.check(prob.system.op_source, 0.2, alpha, rhs, prob.initial)
+        self.check(prob.system.op_source, 0.2, alpha, rhs, None)
+
+    def test_one_component_field(self):
+        rng = np.random.default_rng(14)
+        rhs = rng.uniform(0.2, 0.8, size=(5, 6))
+        self.check(scalar_source_operator(), 0.1, 0.3, rhs, rhs + 0.05)
+
+    def test_scalar_state(self):
+        self.check(scalar_source_operator(), 0.1, 0.3, np.array(0.7), np.array(0.5))
+
+
+class TestInputsUnchanged:
+    """No solve or application writes into its arguments, a level, the
+    error equation's memo or an array a source or Jacobian returned."""
+
+    def test_pointwise_one_component(self):
+        # one array shared by every Jacobian call, which leaves out the small
+        # quadratic term: Newton still converges, in several steps
+        J = np.full((3, 4), -0.5)
+        source = Counted(lambda t, x: J * x - 0.1 * x * x)
+        jac = Counted(lambda t, x: J)
+        op = PointwiseSourceOperator(source, jac)
+        rhs = np.linspace(0.5, 1.5, 12).reshape(3, 4)
+        guess = rhs + 0.1
+        rhs0, guess0, J0 = rhs.copy(), guess.copy(), J.copy()
+        op.solve_implicit(0.1, 0.2, rhs, guess=guess)
+        op.solve_implicit(0.1, 0.2, rhs, guess=rhs)   # the steppers pass one array
+        assert np.array_equal(rhs, rhs0) and np.array_equal(guess, guess0)
+        assert np.array_equal(J, J0) and jac.calls > 2
+        assert source.unchanged() and jac.unchanged()
+
+    def test_pointwise_two_components(self):
+        prob = fhn(N=8)
+        base = prob.system.op_source
+        source, jac = Counted(base.source), Counted(base.source_jacobian)
+        op = PointwiseSourceOperator(source, jac, components=2)
+        rng = np.random.default_rng(15)
+        rhs = prob.initial + 0.1 * rng.normal(size=prob.initial.shape)
+        guess = prob.initial
+        rhs0, guess0 = rhs.copy(), guess.copy()
+        out = op.solve_implicit(0.2, 0.01, rhs, guess=guess)
+        assert np.array_equal(rhs, rhs0) and np.array_equal(guess, guess0)
+        assert jac.calls > 0 and source.unchanged() and jac.unchanged()
+        assert not np.shares_memory(out, rhs) and not np.shares_memory(out, guess)
+
+    def test_component_wise(self):
+        prob = fhn(N=8)
+        op = prob.system.op_x
+        U = np.random.default_rng(16).normal(size=prob.initial.shape)
+        U0 = U.copy()
+        for out in (op.apply_homogeneous(0.0, U), op.solve_homogeneous(0.0, 0.1, U)):
+            assert np.array_equal(U, U0) and not np.shares_memory(out, U)
+        # a copy, not a view: the undiffused component of the solve is U's own
+        assert np.array_equal(op.solve_homogeneous(0.0, 0.1, U)[1], U[1])
+
+    @pytest.mark.parametrize("nu", [0, 2], ids=["homogeneous", "pointwise"])
+    def test_correction_operator(self, nu):
+        prob = fhn(N=8)
+        ivp = prob.split_ivp(0.05)
+        nodes = UniformNodeSet(t0=0.0, h=0.01, M=3)
+        level = predict(ivp, nodes, prob.initial, IDCConfig(predictor="lie-trotter"))
+        values0 = level.values.copy()
+        ep = ErrorProblem(ivp, level)
+        rng = np.random.default_rng(17)
+        rhs = 1e-3 * rng.normal(size=prob.initial.shape)
+        guess = rhs + 1e-4
+        rhs0, guess0 = rhs.copy(), guess.copy()
+        op = ep.operators[nu]
+        for t in (nodes.t0 + 0.5 * nodes.h, nodes.times[1]):
+            op(t, rhs)
+            op.solve_implicit(t, 0.005, rhs, guess=guess)
+            op.solve_implicit(t, 0.005, rhs)
+        assert np.array_equal(rhs, rhs0) and np.array_equal(guess, guess0)
+        assert np.array_equal(level.values, values0)
+        # every memo entry equals a fresh error equation's read at its time
+        fresh = ErrorProblem(ivp, level)
+        reads = [(ep._ups, fresh.interpolant), (ep._shift, fresh.shift),
+                 (ep._nodal_shift, fresh.nodal_shift)]
+        assert any(memo for memo, _ in reads) and bool(ep._feval) == (nu == 2)
+        for memo, read in reads:
+            for t, value in memo.items():
+                assert np.array_equal(value, read(t))
+        for t, at_t in ep._feval.items():
+            for k, value in at_t.items():
+                assert np.array_equal(value, fresh.f_at_interpolant(k, t))
+
+    def test_correct_once(self):
+        prob = fhn(N=8)
+        ivp = prob.split_ivp(0.05)
+        nodes = UniformNodeSet(t0=0.0, h=0.01, M=3)
+        cfg = IDCConfig(corrections=1, predictor="lie-trotter", M=3)
+        level = predict(ivp, nodes, prob.initial, cfg)
+        values0, initial0 = level.values.copy(), prob.initial.copy()
+        out = correct_once(ivp, level, 1, cfg)
+        assert np.array_equal(level.values, values0)
+        assert np.array_equal(ivp.initial_state, initial0)
+        assert not np.shares_memory(out.values, level.values)
 
 
 class TestMulticomponent:
