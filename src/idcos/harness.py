@@ -143,23 +143,6 @@ TABLE_DEFAULTS = {
 UNREAD_TABLE_KEYS = {"convergence": ("dt", "snap_times"), "simulate": ("nt_list",)}
 
 
-def pick_subintervals(target_order, nt_list, nt_unit):
-    """Smallest M whose quadrature supports the target order.
-
-    Under the substep reading M must also divide every N_t so macro counts
-    stay integral.
-    """
-    M = max(target_order - 1, 1)
-    if nt_unit == "substep":
-        while M <= MAX_SUBINTERVALS and any(nt % M for nt in nt_list):
-            M += 1
-    if M > MAX_SUBINTERVALS:
-        raise UsageError(
-            f"no admissible sub-interval count for order {target_order} "
-            f"dividing {nt_list}")
-    return M
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Rows of (correction, Nt, error, order) plus the metric used."""
@@ -220,9 +203,15 @@ def run_convergence(cfg):
     Problems with an exact solution use the max-norm error at the end time;
     the periodic variable-coefficient problem uses the successive-refinement
     difference, which needs each N_t/2 run as its reference, so its N_t must
-    be even.  The problem, its split IVP, every rung, references included,
+    be even.  Unless set, a correction count's sub-interval count M is the
+    smallest that supports its target order, max(target - 1, 1); counted in
+    sub-steps, M is raised, up to ``MAX_SUBINTERVALS``, until it divides
+    every rung.  A rung that is no positive whole number of macro steps is
+    rejected.  The problem, its split IVP, every rung, references included,
     and every correction count's IDC configuration are built and checked
-    before the output directory is made.
+    before the output directory is made.  A rung whose solve fails or comes
+    back non-finite is named in ``failures``, and every error and order that
+    reads it is nan.
     """
     if not cfg.nt_list:
         raise UsageError("convergence runs need an N_t ladder")
@@ -240,8 +229,10 @@ def run_convergence(cfg):
     for cs in cfg.corrections:
         M = cfg.M
         if M is None:
-            target = IDCConfig(corrections=cs, predictor=cfg.scheme).target_order()
-            M = pick_subintervals(target, run_nts, cfg.nt_unit)
+            M = max(IDCConfig(corrections=cs, predictor=cfg.scheme).target_order() - 1, 1)
+            while cfg.nt_unit == "substep" and M < MAX_SUBINTERVALS \
+                    and any(nt % M for nt in run_nts):
+                M += 1
         idc_cfg = IDCConfig(corrections=cs, predictor=cfg.scheme, M=M,
                             residual_mode=cfg.residual_mode)
         unit = M if cfg.nt_unit == "substep" else 1
@@ -260,29 +251,20 @@ def run_convergence(cfg):
         for nt in run_nts:
             try:
                 final = idc_solve(ivp, nt // unit, idc_cfg)
-                if not np.isfinite(final).all():
-                    failures.append(f"cs={cs} Nt={nt}: non-finite solution")
-                    final = None
-                finals[nt] = final
             except SolverError as exc:
-                finals[nt] = None
                 failures.append(f"cs={cs} Nt={nt}: {exc}")
-        prev_err = None
-        prev_nt = None
-        for nt in nts:
-            ref = exact if metric == "exact" else finals[nt // 2]
-            cur = finals[nt]
-            if cur is None or ref is None or not np.isfinite(cur).all():
-                err = float("nan")
+                continue
+            if np.isfinite(final).all():
+                finals[nt] = final
             else:
-                err = float(np.max(np.abs(cur - ref)))
-            if prev_err is None or not np.isfinite(err) or not np.isfinite(prev_err) \
-                    or err <= 0 or prev_err <= 0:
-                order = float("nan")
-            else:
-                order = float(np.log(prev_err / err) / np.log(nt / prev_nt))
-            rows.append((cs, nt, err, order))
-            prev_err, prev_nt = err, nt
+                failures.append(f"cs={cs} Nt={nt}: non-finite solution")
+        refs = {nt: exact if metric == "exact" else finals.get(nt // 2) for nt in nts}
+        errs = [float(np.max(np.abs(finals[nt] - refs[nt])))
+                if nt in finals and refs[nt] is not None else float("nan") for nt in nts]
+        orders = [float("nan")] + [
+            float(np.log(e0 / e1) / np.log(n1 / n0)) if 0 < e0 < np.inf and 0 < e1 < np.inf
+            else float("nan") for n0, n1, e0, e1 in zip(nts, nts[1:], errs, errs[1:])]
+        rows += [(cs, nt, e, o) for nt, e, o in zip(nts, errs, orders)]
     report = ConvergenceReport(metric=metric, rows=tuple(rows))
     csv_path = os.path.join(cfg.out_dir, f"{cfg.name}_convergence.csv")
     _write_csv(csv_path, "correction,Nt,error,order",

@@ -288,9 +288,9 @@ class PointwiseSourceOperator:
     such node; no convergence within ``NEWTON_MAX_ITERS`` raises
     ``NewtonError`` naming the node of the largest residual.
 
-    A solve allocates its iterate, pivot and step buffers once and writes
-    each step's arithmetic into them and into the residual it forms; it never
-    writes into ``rhs``, ``guess`` or what the source or Jacobian returns.
+    A solve allocates its iterate, residual, pivot and step buffers once and
+    writes each step's arithmetic into them; it never writes into ``rhs``,
+    ``guess`` or what the source or Jacobian returns.
     """
 
     def __init__(self, source, jacobian, components=1):
@@ -303,22 +303,16 @@ class PointwiseSourceOperator:
     def __call__(self, t, U):
         return np.asarray(self.source(t, U))
 
-    def _residual(self, t, alpha, x, rhs):
-        """x - alpha*s(t, x) - rhs in a new array (a scalar for a 0-d state)."""
-        r = alpha * np.asarray(self.source(t, x))
-        if not (isinstance(r, np.ndarray) and r.shape == x.shape and r.dtype == x.dtype):
-            return x - r - rhs
-        np.subtract(x, r, out=r)
-        r -= rhs
-        return r
-
     def solve_implicit(self, t, alpha, rhs, guess=None):
         x = np.array(rhs if guess is None else guess, copy=True, dtype=float)
         det = np.empty(x.shape[self.components - 1:])   # one pivot per node
         step = np.empty_like(x)
+        r = np.empty_like(x)
         target = None
         for it in range(NEWTON_MAX_ITERS):
-            r = self._residual(t, alpha, x, rhs)
+            np.multiply(alpha, self.source(t, x), out=r)
+            np.subtract(x, r, out=r)
+            r -= rhs
             norm = float(max(r.max(), -r.min()))   # max |r|, with no |r| field
             if not np.isfinite(norm):
                 raise NewtonError(

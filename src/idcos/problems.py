@@ -105,8 +105,10 @@ def fhn(N=200, order=6):
 
     def source(t, U):
         u, v = U
-        h = C * u * (1.0 - u) * (u - a) - v
-        return np.stack([h / delta, u - d * v])
+        rates = np.empty(np.shape(U))
+        np.divide(C * u * (1.0 - u) * (u - a) - v, delta, out=rates[0])
+        np.subtract(u, d * v, out=rates[1])
+        return rates
 
     def source_jacobian(t, U):
         u = U[0]
@@ -136,8 +138,10 @@ def schnakenberg(N=200, order=6):
 
     def source(t, U):
         Ca, Ci = U
-        return np.stack([kappa * (a - Ca + Ca * Ca * Ci),
-                         kappa * (b - Ca * Ca * Ci)])
+        rates = np.empty(np.shape(U))
+        np.multiply(kappa, a - Ca + Ca * Ca * Ci, out=rates[0])
+        np.multiply(kappa, b - Ca * Ca * Ci, out=rates[1])
+        return rates
 
     def source_jacobian(t, U):
         Ca, Ci = U

@@ -77,6 +77,90 @@ def counting_solves(monkeypatch):
     return calls
 
 
+def initial_state_solves(monkeypatch):
+    """Replace every ladder solve by the initial state; returns the N_t each
+    solve was asked for."""
+    calls = []
+    monkeypatch.setattr(harness, "idc_solve",
+                        lambda ivp, n, cfg: calls.append(n) or ivp.initial_state)
+    return calls
+
+
+class TestLadderPlan:
+    """The sub-interval count each table and benchmark ladder runs, and how
+    a ladder scores rungs whose error is zero or missing."""
+
+    LADDERS = [("example1", "lie-trotter", {}), ("example2", "lie-trotter", {}),
+               ("example3", "lie-trotter", {}), ("example1", "strang", {}),
+               ("example2", "strang", {}), ("example3", "strang", {}),
+               ("example1", "adi", {}), ("example2", "adi", {}),
+               # the heat-adi-ladder and varcoef-adi-ladder benchmark workloads
+               ("example1", "adi", dict(end_time=0.0125, nt_list=(30, 40, 50, 60))),
+               ("example2", "adi", dict(end_time=0.05, nt_list=(40, 80, 160)))]
+    SUB_INTERVALS = {"lie-trotter": {"0": 1, "1": 1, "2": 2},
+                     "strang": {"0": 1, "1": 4, "2": 5},
+                     "adi": {"0": 1, "1": 3, "2": 5}}
+
+    @pytest.mark.parametrize("problem,scheme,spec", LADDERS, ids=[
+        "example1-lt", "example2-lt", "example3-lt", "example1-strang", "example2-strang",
+        "example3-strang", "example1-adi", "example2-adi", "heat-adi-ladder",
+        "varcoef-adi-ladder"])
+    def test_sub_intervals(self, tmp_path, monkeypatch, problem, scheme, spec):
+        # M does not depend on the grid: a small one keeps the build cheap
+        initial_state_solves(monkeypatch)
+        cfg = RunConfig(problem=problem, scheme=scheme, grid_n=8, out_dir=str(tmp_path),
+                        **spec)
+        run_convergence(cfg)
+        assert manifest(tmp_path, cfg.name)["sub_intervals"] == self.SUB_INTERVALS[scheme]
+
+    def test_zero_self_errors_give_nan_orders(self, tmp_path, monkeypatch):
+        # every rung equals its reference: errors exactly 0, no order to read
+        calls = initial_state_solves(monkeypatch)
+        cfg = RunConfig(problem="example2", scheme="strang", grid_n=8,
+                        out_dir=str(tmp_path))
+        report = run_convergence(cfg)
+        assert report.metric == "self" and len(calls) == 3 * 5
+        rows = read_rows(tmp_path / "example2_strang_convergence.csv")[1:]
+        assert len(rows) == 3 * 4
+        assert all(float(row[2]) == 0.0 and row[3] == "nan" for row in rows)
+        assert manifest(tmp_path, cfg.name)["failures"] == []
+
+    @pytest.mark.parametrize("flags", [["--nt", "17,19", "--corrections", "1"],
+                                       ["--corrections", "20"]],
+                             ids=["no-admissible-M", "order-past-node-cap"])
+    def test_rejected_before_any_solve(self, tmp_path, monkeypatch, flags):
+        calls = counting_solves(monkeypatch)
+        assert main(TestCli.LADDER + flags + ["--out", str(tmp_path / "out")]) == 2
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_rungs_are_named_once_and_written_as_nan(self, tmp_path, monkeypatch):
+        solve = harness.idc_solve
+
+        def failing(ivp, n, cfg):
+            if n == 8:
+                raise SolverError("stalled")
+            if n == 12:
+                return np.full(np.shape(ivp.initial_state), np.nan)
+            return solve(ivp, n, cfg)
+
+        monkeypatch.setattr(harness, "idc_solve", failing)
+        cfg = RunConfig(problem="example1", scheme="strang", grid_n=8,
+                        nt_list=(4, 8, 12, 16, 20), corrections=(0,), end_time=0.01,
+                        out_dir=str(tmp_path))
+        with pytest.raises(SolverError, match="2 ladder cells failed"):
+            run_convergence(cfg)
+        assert manifest(tmp_path, cfg.name)["failures"] == [
+            "cs=0 Nt=8: stalled", "cs=0 Nt=12: non-finite solution"]
+        rows = [[float(cell) for cell in row[2:]]
+                for row in read_rows(tmp_path / "example1_strang_convergence.csv")[1:]]
+        errors, orders = zip(*rows)
+        assert np.isfinite([errors[0], errors[3], errors[4]]).all()
+        assert np.isnan([errors[1], errors[2]]).all()
+        # the first rung has no predecessor, and 8, 12 and 16 read a failed rung
+        assert np.isnan(orders[:4]).all() and np.isfinite(orders[4])
+
+
 class TestSpatialOrder:
     @pytest.mark.parametrize("order", [2, 4])
     def test_ladder_builds_requested_order(self, tmp_path, monkeypatch, order):

@@ -688,6 +688,12 @@ class TestNewtonIterates:
     def test_scalar_state(self):
         self.check(scalar_source_operator(), 0.1, 0.3, np.array(0.7), np.array(0.5))
 
+    def test_python_float_source_on_a_field(self):
+        # a uniform source: its one value broadcasts over every node
+        op = PointwiseSourceOperator(lambda t, x: 0.25, lambda t, x: 0.0)
+        rhs = np.random.default_rng(17).uniform(0.2, 0.8, size=(5, 6))
+        self.check(op, 0.1, 0.3, rhs, rhs + 0.05)
+
 
 class TestInputsUnchanged:
     """No solve or application writes into its arguments, a level, the
