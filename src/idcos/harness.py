@@ -229,7 +229,8 @@ def run_convergence(cfg):
     for cs in cfg.corrections:
         M = cfg.M
         if M is None:
-            M = max(IDCConfig(corrections=cs, predictor=cfg.scheme).target_order() - 1, 1)
+            # the target order, read without checking a default M this run never uses
+            M = max(STEPPER_ORDERS[cfg.scheme] * (cs + 1) - 1, 1)
             while cfg.nt_unit == "substep" and M < MAX_SUBINTERVALS \
                     and any(nt % M for nt in run_nts):
                 M += 1

@@ -6,11 +6,13 @@ The magnitude of u(1) as a function of complex lambda is the amplification
 field; its unit level set bounds the stability region.
 
 The scalar problem is solved by DiagonalLinearOperator's direct division,
-so a whole grid of lambda values can be scanned in one vectorized run; in
-its lenient mode a pole gives inf in its own cell only.
+so a grid of lambda values is scanned as vectorized runs over fixed blocks
+of cells, and the scan's memory does not grow with the grid; in its lenient
+mode a pole gives inf in its own cell only.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+import warnings
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .idc import IDCConfig, idc_solve
 from .ode import DiagonalLinearOperator, SplitIVP
 
 DEFAULT_RESIDUAL_MODE = "oversampled(13)"
+_BLOCK = 8192  # cells per vectorized run: a stage value of a block is 128 KiB
 
 
 def _dahlquist_problem(lam, strict=True):
@@ -45,16 +48,27 @@ def amplification_field(lams, scheme, corrections, M=None,
                         residual_mode=DEFAULT_RESIDUAL_MODE):
     """Vectorized |amplification| over an array of lambda values.
 
-    Pole cells come back as inf, without a floating-point warning; cells
-    never couple, so a pole stays in its own cell.
+    The flattened cells are marched in blocks of ``_BLOCK``, each its own
+    problem and IDC run, into one output of the grid's shape.  No cell
+    couples to another, so each runs the arithmetic of a one-pass run and
+    the field is the same bit for bit; the order-saturation warning is
+    given once per field.  Pole cells come back as inf, without a
+    floating-point warning, and a pole stays in its own cell.
     """
-    problem = _dahlquist_problem(lams, strict=False)
+    lams = np.asarray(lams, dtype=complex)
     cfg = IDCConfig(corrections=corrections, predictor=scheme, M=M,
                     residual_mode=residual_mode)
-    with np.errstate(invalid="ignore"):  # inf * 0 downstream of a pole cell
-        amp = np.abs(idc_solve(problem, 1, cfg))
+    flat = lams.ravel()
+    amp = np.empty(flat.shape)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):  # inf * 0 past a pole
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            amp[block] = np.abs(idc_solve(_dahlquist_problem(flat[block], strict=False),
+                                          1, cfg))
+            # the first block has given any order-saturation warning
+            warnings.filterwarnings("ignore", message="requested order")
     amp[~np.isfinite(amp)] = np.inf
-    return amp
+    return amp.reshape(lams.shape)
 
 
 @dataclass(frozen=True)

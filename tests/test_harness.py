@@ -125,12 +125,17 @@ class TestLadderPlan:
         assert all(float(row[2]) == 0.0 and row[3] == "nan" for row in rows)
         assert manifest(tmp_path, cfg.name)["failures"] == []
 
-    @pytest.mark.parametrize("flags", [["--nt", "17,19", "--corrections", "1"],
-                                       ["--corrections", "20"]],
-                             ids=["no-admissible-M", "order-past-node-cap"])
-    def test_rejected_before_any_solve(self, tmp_path, monkeypatch, flags):
+    # past the node cap the message names the ladder's M, max(target - 1, 1)
+    @pytest.mark.parametrize("flags,message", [
+        (["--nt", "17,19", "--corrections", "1"], "of M=16"),
+        (["--corrections", "20"], "M=41 exceeds the uniform-node cap 16"),
+        (["--scheme", "lie-trotter", "--corrections", "20"],
+         "M=20 exceeds the uniform-node cap 16")],
+        ids=["no-admissible-M", "order-past-node-cap", "lie-trotter-past-node-cap"])
+    def test_rejected_before_any_solve(self, tmp_path, monkeypatch, capsys, flags, message):
         calls = counting_solves(monkeypatch)
         assert main(TestCli.LADDER + flags + ["--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "out").exists()
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from idcos.errors import PoleError, StepperError, UnsupportedSchemeError, UsageError
-from idcos.stability import (StabilityScan, _stitch_segments, amplification,
-                             amplification_field, marching_squares,
+from idcos.idc import IDCConfig, idc_solve
+from idcos.stability import (_BLOCK, StabilityScan, _dahlquist_problem, _stitch_segments,
+                             amplification, amplification_field, marching_squares,
                              stability_boundary_real_axis, write_contour_csv,
                              write_field_csv)
 
@@ -31,17 +32,76 @@ class TestRealAxisBoundary:
 
 
 
-def test_field_peak_memory():
-    # a Strang cs=2 sweep keeps one sub-interval of stage values, not M of
-    # them: the heap peak stays below 60 fields of the scanned grid
-    lam = np.linspace(-20, 4, 101)[:, None] + 1j * np.linspace(-12, 12, 101)[None, :]
+def scan_grid(n_re, n_im):
+    return np.linspace(-20, 4, n_re)[:, None] + 1j * np.linspace(-12, 12, n_im)[None, :]
+
+
+def field_peak(lam):
+    """The traced heap peak of a Strang cs=2 field, and the field."""
     tracemalloc.start()
     try:
-        amplification_field(lam, "strang", 2)
+        amp = amplification_field(lam, "strang", 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, amp
+
+
+def test_field_peak_memory():
+    # a Strang cs=2 sweep keeps one sub-interval of stage values, not M of
+    # them: the heap peak stays below 60 fields of the scanned grid
+    lam = scan_grid(101, 101)
+    peak, _ = field_peak(lam)
     assert peak < 60 * lam.nbytes
+
+
+def test_field_peak_memory_is_per_block():
+    # the scan's grid is 11 blocks; a Strang cs=2 block peaks at 53 stage
+    # values of one block (measured at 101x101, 301x301 and 601x601) beside
+    # the output field
+    peak, amp = field_peak(scan_grid(301, 301))
+    assert peak < 60 * np.zeros(_BLOCK, dtype=complex).nbytes + amp.nbytes
+
+
+class TestFieldBlocks:
+    # 161 x 128 cells are three blocks, the last one ragged
+    GRID = scan_grid(161, 128)
+    POLE = (100, 5)  # flat index 12805: in the second block
+
+    def one_pass(self, lams, cfg):
+        with np.errstate(all="ignore"):
+            return np.abs(idc_solve(_dahlquist_problem(lams, strict=False), 1, cfg))
+
+    @pytest.mark.parametrize("corrections", [0, 1, 2])
+    def test_blocks_equal_one_pass_bitwise(self, corrections):
+        assert 2 * _BLOCK < self.GRID.size < 3 * _BLOCK
+        cfg = IDCConfig(corrections=corrections, predictor="strang",
+                        residual_mode="oversampled(13)")
+        # Strang's first trapezoid factor 1 - (h/4)(lambda/2) vanishes at 8M
+        lam = self.GRID.copy()
+        lam[self.POLE] = 8.0 * cfg.resolved_M()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amp = amplification_field(lam, "strang", corrections,
+                                      residual_mode="oversampled(13)")
+        assert amp.shape == lam.shape
+        assert amp[self.POLE] == np.inf
+        assert np.isinf(amp).sum() == 1
+        rest = np.ones(lam.shape, dtype=bool)
+        rest[self.POLE] = False
+        assert np.array_equal(amp[rest], self.one_pass(lam, cfg)[rest])
+        assert np.array_equal(amplification_field(self.GRID, "strang", corrections,
+                                                  residual_mode="oversampled(13)"),
+                              self.one_pass(self.GRID, cfg))
+
+    def test_order_saturation_warns_once_per_field(self):
+        # Strang cs=2 targets order 6 on M+1 = 4 nodes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                amplification_field(self.GRID, "strang", 2, M=3)
+        saturation = [w for w in caught if "requested order 6 exceeds M+1=4" in str(w.message)]
+        assert len(saturation) == 2
 
 
 class TestPoles:
