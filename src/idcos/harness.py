@@ -209,9 +209,9 @@ def run_convergence(cfg):
     every rung.  A rung that is no positive whole number of macro steps is
     rejected.  The problem, its split IVP, every rung, references included,
     and every correction count's IDC configuration are built and checked
-    before the output directory is made.  A rung whose solve fails or comes
-    back non-finite is named in ``failures``, and every error and order that
-    reads it is nan.
+    before the output directory is made.  A failed rung, a non-finite state
+    included, is named in ``failures`` with the macro step and time of its
+    failure, and every error and order that reads it is nan.
     """
     if not cfg.nt_list:
         raise UsageError("convergence runs need an N_t ladder")
@@ -251,14 +251,9 @@ def run_convergence(cfg):
         finals = {}
         for nt in run_nts:
             try:
-                final = idc_solve(ivp, nt // unit, idc_cfg)
+                finals[nt] = idc_solve(ivp, nt // unit, idc_cfg)
             except SolverError as exc:
                 failures.append(f"cs={cs} Nt={nt}: {exc}")
-                continue
-            if np.isfinite(final).all():
-                finals[nt] = final
-            else:
-                failures.append(f"cs={cs} Nt={nt}: non-finite solution")
         refs = {nt: exact if metric == "exact" else finals.get(nt // 2) for nt in nts}
         errs = [float(np.max(np.abs(finals[nt] - refs[nt])))
                 if nt in finals and refs[nt] is not None else float("nan") for nt in nts]
@@ -343,8 +338,8 @@ def run_simulation(cfg):
     exactly one correction count, (2,) unless set; more than one raises
     UsageError.  Every input is checked, and the problem, its split IVP and
     the IDC configuration are built, before the output directory is made.
-    A non-finite field aborts with the offending time and node.  A solver
-    failure writes the manifest, with ``failures``, before it is raised.
+    A solver failure, a non-finite field included, names its macro step and
+    time, and writes the manifest, with ``failures``, before it is raised.
     Returns per-snapshot (time, min, max) summaries.
     """
     if cfg.dt is None or not cfg.snap_times:
@@ -379,18 +374,11 @@ def run_simulation(cfg):
     extra = {"snapshots": summaries, "sub_intervals": {cs: idc_cfg.resolved_M()}}
     try:
         if last:
-            for n, (nodes, level) in enumerate(idc_march(ivp, last, idc_cfg), start=1):
-                u = level.final_state
-                if not np.isfinite(u).all():
-                    flat_index = int(np.argmin(np.isfinite(u).ravel()))
-                    node = tuple(int(i) for i in np.unravel_index(flat_index, u.shape))
-                    raise SolverError(f"non-finite field at t={nodes.t_end} node {node}")
+            for n, (_, level) in enumerate(idc_march(ivp, last, idc_cfg), start=1):
                 if n in steps:
-                    snapshot(steps[n], u)
+                    snapshot(steps[n], level.final_state)
     except SolverError as exc:
-        step = getattr(exc, "macro_step", None)
-        failure = str(exc) if step is None else f"macro step {step} at t={exc.time}: {exc}"
-        _write_manifest(cfg, t_start, paths, extra={**extra, "failures": [failure]})
+        _write_manifest(cfg, t_start, paths, extra={**extra, "failures": [str(exc)]})
         raise
     _write_manifest(cfg, t_start, paths, extra={**extra, "failures": []})
     return summaries

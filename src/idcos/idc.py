@@ -98,6 +98,13 @@ class IDCConfig:
     def resolved_M(self):
         return self.M if self.M is not None else max(self.target_order(), 3)
 
+    def warn_if_saturated(self):
+        """Warn, at the caller's caller, when the target order exceeds M+1."""
+        if self.target_order() > self.resolved_M() + 1:
+            warnings.warn(f"requested order {self.target_order()} exceeds M+1="
+                          f"{self.resolved_M() + 1}; the order will saturate at the "
+                          "quadrature accuracy", stacklevel=3)
+
 
 @dataclass(frozen=True)
 class IDCLevelResult:
@@ -328,36 +335,39 @@ def idc_march(problem, macro_steps, cfg):
     Step n covers [t0 + n*H, t0 + (n+1)*H] and starts from the final state of
     step n-1; its level is the last correction level.  The step count and
     the initial state are checked, and the order-saturation warning given,
-    when this is called.  A failed step, or one that would start from a
-    non-finite state, raises StepperError annotated with its ``macro_step``.
+    when this is called: a non-finite initial state is a UsageError.  A step
+    that fails, or whose final state is non-finite, raises StepperError
+    naming its ``macro_step`` (``_march``); no yielded state is non-finite.
     """
     if macro_steps < 1:
         raise UsageError("need at least one macro step")
     if not np.isfinite(problem.initial_state).all():
         raise UsageError("initial value contains non-finite entries")
-    M = cfg.resolved_M()
-    if cfg.target_order() > M + 1:
-        warnings.warn(
-            f"requested order {cfg.target_order()} exceeds M+1={M + 1}; "
-            "the order will saturate at the quadrature accuracy", stacklevel=2)
-    return _march(problem, macro_steps, cfg, M)
+    cfg.warn_if_saturated()
+    return _march(problem, macro_steps, cfg)
 
 
-def _march(problem, macro_steps, cfg, M):
+def _march(problem, macro_steps, cfg):
+    """``idc_march``'s loop, and the one finiteness check of a marched state:
+    a step ending non-finite fails with its step, end time and first
+    non-finite node, and a sweep's failure gets ``macro step n at t=...: ``."""
     t0, t1 = problem.t_span
+    M = cfg.resolved_M()
     H = (t1 - t0) / macro_steps
     u = np.asarray(problem.initial_state)
     for n in range(macro_steps):
         nodes = UniformNodeSet(t0=t0 + n * H, h=H / M, M=M)
-        if not np.isfinite(u).all():
-            raise StepperError(f"macro step {n} would start from a non-finite state at "
-                               f"t={nodes.t0}", time=nodes.t0, macro_step=n)
         try:
             level = solve_macro_interval(problem, nodes, u, cfg)
         except StepperError as exc:
             exc.macro_step = n
+            exc.args = (f"macro step {n} at t={exc.time}: {exc}",)
             raise
         u = level.final_state
+        if not np.isfinite(u).all():
+            node = tuple(map(int, np.unravel_index(np.argmin(np.isfinite(u)), u.shape)))
+            raise StepperError(f"macro step {n} at t={nodes.t_end}: non-finite state at "
+                               f"node {node}", time=nodes.t_end, macro_step=n)
         yield nodes, level
 
 

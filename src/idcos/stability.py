@@ -8,28 +8,32 @@ field; its unit level set bounds the stability region.
 The scalar problem is solved by DiagonalLinearOperator's direct division,
 so a grid of lambda values is scanned as vectorized runs over fixed blocks
 of cells, and the scan's memory does not grow with the grid; in its lenient
-mode a pole gives inf in its own cell only.
+mode a pole gives inf in its own cell only.  Unstable and pole cells are
+non-finite by design, which ``idc_march`` would fail, so the map takes its
+single step with ``solve_macro_interval`` on the nodes the march would build.
 """
 
 from dataclasses import dataclass, replace
-import warnings
 
 import numpy as np
 
 from .errors import StepperError, UsageError
-from .idc import IDCConfig, idc_solve
+from .idc import IDCConfig, solve_macro_interval
 from .ode import DiagonalLinearOperator, SplitIVP
+from .polyint import UniformNodeSet
 
 DEFAULT_RESIDUAL_MODE = "oversampled(13)"
 _BLOCK = 8192  # cells per vectorized run: a stage value of a block is 128 KiB
 
 
-def _dahlquist_problem(lam, strict=True):
+def _dahlquist_step(lam, cfg, strict=True):
+    """u(1) of the split test problem after its single macro step, taken on
+    the nodes ``idc_march`` builds for the span (0, 1)."""
     lam = np.asarray(lam, dtype=complex)
     op = DiagonalLinearOperator(0.5 * lam, strict=strict)
-    return SplitIVP(operators=(op, op),
-                    initial_state=np.ones_like(lam),
-                    t_span=(0.0, 1.0))
+    problem = SplitIVP(operators=(op, op), initial_state=np.ones_like(lam), t_span=(0.0, 1.0))
+    nodes = UniformNodeSet(t0=0.0, h=1.0 / cfg.resolved_M(), M=cfg.resolved_M())
+    return solve_macro_interval(problem, nodes, problem.initial_state, cfg).final_state
 
 
 def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDUAL_MODE):
@@ -38,10 +42,10 @@ def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDU
     Raises StepperError, caused by a PoleError, when an implicit stage
     factor is singular.
     """
-    problem = _dahlquist_problem(np.asarray([lam], dtype=complex), strict=True)
     cfg = IDCConfig(corrections=corrections, predictor=scheme, M=M,
                     residual_mode=residual_mode)
-    return complex(idc_solve(problem, 1, cfg)[0])
+    cfg.warn_if_saturated()
+    return complex(_dahlquist_step([lam], cfg)[0])
 
 
 def amplification_field(lams, scheme, corrections, M=None,
@@ -49,24 +53,22 @@ def amplification_field(lams, scheme, corrections, M=None,
     """Vectorized |amplification| over an array of lambda values.
 
     The flattened cells are marched in blocks of ``_BLOCK``, each its own
-    problem and IDC run, into one output of the grid's shape.  No cell
+    problem and IDC step, into one output of the grid's shape.  No cell
     couples to another, so each runs the arithmetic of a one-pass run and
     the field is the same bit for bit; the order-saturation warning is
-    given once per field.  Pole cells come back as inf, without a
-    floating-point warning, and a pole stays in its own cell.
+    given once per field.  Pole and overflowing cells come back as inf,
+    without a floating-point warning, and each stays in its own cell.
     """
     lams = np.asarray(lams, dtype=complex)
     cfg = IDCConfig(corrections=corrections, predictor=scheme, M=M,
                     residual_mode=residual_mode)
+    cfg.warn_if_saturated()
     flat = lams.ravel()
     amp = np.empty(flat.shape)
-    with warnings.catch_warnings(), np.errstate(invalid="ignore"):  # inf * 0 past a pole
+    with np.errstate(invalid="ignore", over="ignore"):  # inf by design: poles, overflow
         for start in range(0, flat.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            amp[block] = np.abs(idc_solve(_dahlquist_problem(flat[block], strict=False),
-                                          1, cfg))
-            # the first block has given any order-saturation warning
-            warnings.filterwarnings("ignore", message="requested order")
+            amp[block] = np.abs(_dahlquist_step(flat[block], cfg, strict=False))
     amp[~np.isfinite(amp)] = np.inf
     return amp.reshape(lams.shape)
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -145,8 +146,9 @@ class TestLadderPlan:
         def failing(ivp, n, cfg):
             if n == 8:
                 raise SolverError("stalled")
-            if n == 12:
-                return np.full(np.shape(ivp.initial_state), np.nan)
+            if n == 12:  # the march fails a step whose state ends non-finite
+                raise StepperError("macro step 2 at t=0.0025: non-finite state at node (0, 0)",
+                                   time=0.0025, macro_step=2)
             return solve(ivp, n, cfg)
 
         monkeypatch.setattr(harness, "idc_solve", failing)
@@ -156,7 +158,8 @@ class TestLadderPlan:
         with pytest.raises(SolverError, match="2 ladder cells failed"):
             run_convergence(cfg)
         assert manifest(tmp_path, cfg.name)["failures"] == [
-            "cs=0 Nt=8: stalled", "cs=0 Nt=12: non-finite solution"]
+            "cs=0 Nt=8: stalled",
+            "cs=0 Nt=12: macro step 2 at t=0.0025: non-finite state at node (0, 0)"]
         rows = [[float(cell) for cell in row[2:]]
                 for row in read_rows(tmp_path / "example1_strang_convergence.csv")[1:]]
         errors, orders = zip(*rows)
@@ -164,6 +167,17 @@ class TestLadderPlan:
         assert np.isnan([errors[1], errors[2]]).all()
         # the first rung has no predecessor, and 8, 12 and 16 read a failed rung
         assert np.isnan(orders[:4]).all() and np.isfinite(orders[4])
+
+
+def test_fhn_strang_newton_stalls_name_their_step_and_time(tmp_path):
+    # Strang FHN on a 16x16 grid to T=0.5: the coarse Newton solves stall
+    assert main(["convergence", "--problem", "fhn", "--scheme", "strang", "--grid", "16",
+                 "--nt", "12,24", "--end-time", "0.5", "--out", str(tmp_path)]) == 3
+    failures = manifest(tmp_path, "fhn_strang")["failures"]
+    assert [f.split(": ")[0] for f in failures] == [
+        "cs=0 Nt=6", "cs=1 Nt=6", "cs=2 Nt=6", "cs=2 Nt=12"]
+    for failure in failures:
+        assert re.search(r": macro step \d+ at t=[0-9.]+: .*pointwise Newton stalled", failure)
 
 
 class TestSpatialOrder:
@@ -227,10 +241,11 @@ class TestRunSimulation:
         cfg = RunConfig(experiment="simulate", problem="example2", scheme="adi",
                         grid_n=8, corrections=(0,), dt=0.01, snap_times=(0.0, 0.02),
                         out_dir=str(tmp_path))
-        with pytest.raises(SolverError, match=r"non-finite field at t=0\.01 node") as err:
+        with pytest.raises(StepperError) as err:
             with np.errstate(over="ignore", invalid="ignore"):
                 run_simulation(cfg)
-        assert str(err.value).endswith("node (0, 0)")
+        assert str(err.value) == "macro step 0 at t=0.01: non-finite state at node (0, 0)"
+        assert (err.value.macro_step, err.value.time) == (0, 0.01)
         assert not (tmp_path / "example2_adi_t0.02.csv").exists()
         # the manifest is written before the error is raised again
         info = manifest(tmp_path, "example2_adi")
@@ -253,7 +268,8 @@ class TestRunSimulation:
                 run_simulation(cfg)
         assert err.value.macro_step == 1
         info = manifest(tmp_path, "fhn_lietrotter")
-        assert info["failures"] == [f"macro step 1 at t=0.005: {err.value}"]
+        assert str(err.value).startswith("macro step 1 at t=0.005: correction sweep 1 failed")
+        assert info["failures"] == [str(err.value)]
         assert [snap["time"] for snap in info["snapshots"]] == [0.005]
         assert list(info["artifacts"]) == ["fhn_lietrotter_t0.005.csv"]
 

@@ -267,18 +267,37 @@ class TestIdcSolve:
         assert err.value.macro_step == 0
         assert err.value.node == 0
         assert err.value.sweep == 0
+        assert str(err.value).startswith("macro step 0 at t=0.0: prediction failed on "
+                                         "sub-interval 0: ")
 
     def test_overflow_mid_march_fails_the_step(self):
-        # h*lam = 1 - 1e-12: every backward Euler step grows 1e12-fold, so a
-        # later macro step would start from inf.  That fails the run at that
-        # step; it is not a bad initial value.
+        # h*lam = 1 - 1e-12: every backward Euler step grows 1e12-fold, so
+        # the state of macro step 4 ends inf.  That fails the run at that
+        # step, naming its end time; it is not a bad initial value.
         p = scalar_problem(lams=(3 * (1 - 1e-12),), T=6.0)
         cfg = IDCConfig(corrections=1, predictor="lie-trotter", M=3)
-        with pytest.raises(StepperError, match="macro step 5 would start from a non-finite") \
+        with pytest.raises(StepperError, match=r"^macro step 4 at t=5\.0: non-finite state") \
                 as err:
             with np.errstate(over="ignore", invalid="ignore"):
                 idc_solve(p, 6, cfg)
-        assert (err.value.macro_step, err.value.time) == (5, 5.0)
+        assert (err.value.macro_step, err.value.time) == (4, 5.0)
+
+    def test_overflow_at_the_last_step_fails_it(self):
+        # the same growth over five steps: the last one ends non-finite, and
+        # the march raises there instead of yielding or returning that state
+        p = scalar_problem(lams=(3 * (1 - 1e-12),), T=5.0)
+        cfg = IDCConfig(corrections=1, predictor="lie-trotter", M=3)
+        finals = []
+        with pytest.raises(StepperError, match=r"^macro step 4 at t=5\.0: non-finite state") \
+                as err:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _, level in idc_march(p, 5, cfg):
+                    finals.append(level.final_state)
+        assert (err.value.macro_step, err.value.time) == (4, 5.0)
+        assert len(finals) == 4 and np.isfinite(finals).all()
+        with pytest.raises(StepperError, match=r"^macro step 4 at t=5\.0: non-finite state"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                idc_solve(p, 5, cfg)
 
     def test_non_finite_initial_value_rejected_by_the_call(self):
         with pytest.raises(UsageError, match="initial value contains non-finite"):

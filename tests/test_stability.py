@@ -6,7 +6,8 @@ import pytest
 
 from idcos.errors import PoleError, StepperError, UnsupportedSchemeError, UsageError
 from idcos.idc import IDCConfig, idc_solve
-from idcos.stability import (_BLOCK, StabilityScan, _dahlquist_problem, _stitch_segments,
+from idcos.ode import DiagonalLinearOperator, SplitIVP
+from idcos.stability import (_BLOCK, StabilityScan, _dahlquist_step, _stitch_segments,
                              amplification, amplification_field, marching_squares,
                              stability_boundary_real_axis, write_contour_csv,
                              write_field_csv)
@@ -70,7 +71,7 @@ class TestFieldBlocks:
 
     def one_pass(self, lams, cfg):
         with np.errstate(all="ignore"):
-            return np.abs(idc_solve(_dahlquist_problem(lams, strict=False), 1, cfg))
+            return np.abs(_dahlquist_step(lams, cfg, strict=False))
 
     @pytest.mark.parametrize("corrections", [0, 1, 2])
     def test_blocks_equal_one_pass_bitwise(self, corrections):
@@ -117,6 +118,36 @@ class TestPoles:
             amp = amplification_field(np.array([6.0, -1.0]), "lie-trotter", 0)
         assert amp[0] == np.inf
         assert np.isfinite(amp[1])
+
+
+class TestMarchBoundary:
+    """The map takes its one step outside ``idc_march``, on the march's nodes,
+    because its unstable and pole cells are non-finite by design."""
+
+    # Strang on M=3: the factor 1 - (h/4)(lambda/2) vanishes at lambda = 24,
+    # and a cs=1 sweep overflows at |lambda| = 1e155
+    LAMS = np.array([24.0, 1e155, -1.0])
+
+    def test_pole_and_overflow_cells_of_one_block_are_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amp = amplification_field(self.LAMS, "strang", 1, M=3)
+        assert amp[0] == np.inf and amp[1] == np.inf
+        assert np.isfinite(amp[2])
+        # the scalar path still raises at the pole
+        with pytest.raises(StepperError) as err:
+            amplification(self.LAMS[0], "strang", 1, M=3)
+        assert isinstance(err.value.__cause__, PoleError)
+
+    @pytest.mark.parametrize("corrections", [0, 2])
+    def test_finite_field_equals_one_marched_step_bitwise(self, corrections):
+        lam = scan_grid(21, 17).ravel()
+        cfg = IDCConfig(corrections=corrections, predictor="strang",
+                        residual_mode="oversampled(13)")
+        op = DiagonalLinearOperator(0.5 * lam)
+        ivp = SplitIVP(operators=(op, op), initial_state=np.ones_like(lam), t_span=(0.0, 1.0))
+        assert np.array_equal(amplification_field(lam, "strang", corrections),
+                              np.abs(idc_solve(ivp, 1, cfg)))
 
 
 def cell_loop_marching_squares(xs, ys, field, level):
