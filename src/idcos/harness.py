@@ -7,6 +7,11 @@ in-memory result.  Floats are written with
 round-trip repr formatting so identical configurations produce byte-identical
 artifacts when each runs in a fresh process; after other runs in the same
 process a few stability-scan cells can differ in their last digits.
+
+The artifact writers live here, the field snapshot's too
+(``write_field_snapshot``, which reads only a grid's axes and shape).  The
+PDE backend (``problems`` and the scipy layers under it) is imported only
+when a run builds a problem, so a stability map loads no scipy.
 """
 
 from dataclasses import dataclass, asdict
@@ -20,9 +25,7 @@ import numpy as np
 
 from .errors import SolverError, UsageError
 from .idc import IDCConfig, idc_march, idc_solve
-from .pde2d import write_field_snapshot
 from .polyint import MAX_SUBINTERVALS
-from .problems import PROBLEM_BUILDERS
 from .stability import (DEFAULT_RESIDUAL_MODE, StabilityScan, scan_region,
                         write_contour_csv, write_field_csv)
 from .steppers import STEPPER_ORDERS, check_operator_count
@@ -83,8 +86,10 @@ class RunConfig:
         for key, value in resolved.items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
-        if self.problem is not None and self.problem not in PROBLEM_BUILDERS:
-            raise UsageError(f"unknown problem {self.problem!r}")
+        if self.problem is not None:
+            from .problems import PROBLEM_BUILDERS
+            if self.problem not in PROBLEM_BUILDERS:
+                raise UsageError(f"unknown problem {self.problem!r}")
         if not scan:
             for key, value in TABLE_DEFAULTS.get((self.problem, self.scheme), {}).items():
                 if key not in UNREAD_TABLE_KEYS[self.experiment] \
@@ -161,6 +166,19 @@ def _write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
+def write_field_snapshot(path, grid, field):
+    """Snapshot CSV: x,y,u or x,y,u,v rows of float reprs, y as the outer loop."""
+    field = np.asarray(field, dtype=float).reshape((-1,) + grid.shape)
+    if len(field) > 2:
+        raise UsageError(f"snapshots hold one or two components, not {len(field)}")
+    xs = [repr(x) for x in grid.xs.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("x,y," + ",".join(("u", "v")[:len(field)]) + "\n")
+        for y, rows in zip(grid.ys.tolist(), field.transpose(1, 0, 2)):
+            cells = [xs, [repr(y)] * len(xs)] + [list(map(repr, r)) for r in rows.tolist()]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -188,6 +206,7 @@ def _write_manifest(cfg, t_start, paths, extra=None):
 
 def _build_problem(cfg):
     """The run's problem, rejecting a scheme that cannot take its operators."""
+    from .problems import PROBLEM_BUILDERS
     builder = PROBLEM_BUILDERS[cfg.problem]
     kwargs = {"order": cfg.order_space}
     if cfg.grid_n is not None:

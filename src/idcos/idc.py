@@ -358,7 +358,9 @@ def _march(problem, macro_steps, cfg):
     for n in range(macro_steps):
         nodes = UniformNodeSet(t0=t0 + n * H, h=H / M, M=M)
         try:
-            level = solve_macro_interval(problem, nodes, u, cfg)
+            # overflow is this loop's to report, as a non-finite step below
+            with np.errstate(over="ignore", invalid="ignore"):
+                level = solve_macro_interval(problem, nodes, u, cfg)
         except StepperError as exc:
             exc.macro_step = n
             exc.args = (f"macro step {n} at t={exc.time}: {exc}",)

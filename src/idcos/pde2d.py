@@ -516,15 +516,3 @@ def _intermediate_x_walls(system, t, dt):
         walls.append(0.5 * (now + new) + 0.25 * dt * curvature)
     return walls
 
-
-def write_field_snapshot(path, grid, field):
-    """Snapshot CSV: x,y,u or x,y,u,v rows of float reprs, y as the outer loop."""
-    field = np.asarray(field, dtype=float).reshape((-1,) + grid.shape)
-    if len(field) > 2:
-        raise UsageError(f"snapshots hold one or two components, not {len(field)}")
-    xs = [repr(x) for x in grid.xs.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y," + ",".join(("u", "v")[:len(field)]) + "\n")
-        for y, rows in zip(grid.ys.tolist(), field.transpose(1, 0, 2)):
-            cells = [xs, [repr(y)] * len(xs)] + [list(map(repr, r)) for r in rows.tolist()]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -8,11 +8,11 @@ import re
 import numpy as np
 import pytest
 
-from idcos import harness, pde2d
+from idcos import harness, pde2d, problems
 from idcos.cli import main
 from idcos.errors import SolverError, StepperError, UsageError
-from idcos.harness import RunConfig, run_convergence, run_simulation, run_stability
-from idcos.pde2d import write_field_snapshot
+from idcos.harness import (RunConfig, run_convergence, run_simulation, run_stability,
+                           write_field_snapshot)
 from idcos.problems import fhn
 
 
@@ -231,13 +231,13 @@ class TestRunSimulation:
             (tmp_path / "last" / "fhn_lietrotter_t0.01.csv").read_bytes()
 
     def test_overflow_names_time_and_node(self, tmp_path, monkeypatch):
-        build = harness.PROBLEM_BUILDERS["example2"]
+        build = problems.PROBLEM_BUILDERS["example2"]
 
         def huge(**kwargs):
             prob = build(**kwargs)
             return dataclasses.replace(prob, initial=prob.initial * 1e308)
 
-        monkeypatch.setitem(harness.PROBLEM_BUILDERS, "example2", huge)
+        monkeypatch.setitem(problems.PROBLEM_BUILDERS, "example2", huge)
         cfg = RunConfig(experiment="simulate", problem="example2", scheme="adi",
                         grid_n=8, corrections=(0,), dt=0.01, snap_times=(0.0, 0.02),
                         out_dir=str(tmp_path))
@@ -253,14 +253,34 @@ class TestRunSimulation:
         assert [snap["time"] for snap in info["snapshots"]] == [0.0]
         assert list(info["artifacts"]) == ["example2_adi_t0.csv"]
 
+    @pytest.mark.parametrize("cs", [1, 2])
+    def test_overflow_is_a_stepper_error_not_a_warning(self, tmp_path, monkeypatch, cs):
+        # no np.errstate: warnings are errors under pytest.  At this scale the
+        # prediction stays finite and the correction sweep overflows in numpy
+        # arithmetic; its warning must not escape the march before the record
+        build = problems.PROBLEM_BUILDERS["example2"]
+
+        def huge(**kwargs):
+            prob = build(**kwargs)
+            return dataclasses.replace(prob, initial=prob.initial * 2e307)
+
+        monkeypatch.setitem(problems.PROBLEM_BUILDERS, "example2", huge)
+        cfg = RunConfig(experiment="simulate", problem="example2", scheme="adi",
+                        grid_n=8, corrections=(cs,), dt=0.01, snap_times=(0.02,),
+                        out_dir=str(tmp_path))
+        with pytest.raises(StepperError) as err:
+            run_simulation(cfg)
+        assert str(err.value) == "macro step 0 at t=0.01: non-finite state at node (0, 0)"
+        assert manifest(tmp_path, "example2_adi")["failures"] == [str(err.value)]
+
     def test_newton_failure_names_macro_step(self, tmp_path, monkeypatch):
-        build = harness.PROBLEM_BUILDERS["fhn"]
+        build = problems.PROBLEM_BUILDERS["fhn"]
 
         def huge(**kwargs):
             prob = build(**kwargs)
             return dataclasses.replace(prob, initial=prob.initial * 1e20)
 
-        monkeypatch.setitem(harness.PROBLEM_BUILDERS, "fhn", huge)
+        monkeypatch.setitem(problems.PROBLEM_BUILDERS, "fhn", huge)
         cfg = RunConfig(experiment="simulate", problem="fhn", grid_n=8, corrections=(1,),
                         dt=0.005, snap_times=(0.005, 0.01), out_dir=str(tmp_path))
         with pytest.raises(StepperError, match="Newton residual is non-finite") as err:

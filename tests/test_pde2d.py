@@ -5,10 +5,11 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from idcos.errors import LinearSolveError, NewtonError, UsageError
+from idcos.harness import write_field_snapshot
 from idcos.idc import ErrorProblem, IDCConfig, correct_once, idc_solve, predict
 from idcos.pde2d import (NEWTON_MAX_ITERS, NEWTON_TOL, CoefficientField,
                          DirectionalDiffusionOperator, Grid2D, PointwiseSourceOperator,
-                         SemiDiscreteSystem, adi_pde_step, write_field_snapshot)
+                         SemiDiscreteSystem, adi_pde_step)
 from idcos.polyint import UniformNodeSet
 from idcos.problems import example1, example2, example3, fhn, schnakenberg
 from idcos.stencils import build_stencil
