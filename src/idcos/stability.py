@@ -7,10 +7,15 @@ field; its unit level set bounds the stability region.
 
 The scalar problem is solved by DiagonalLinearOperator's direct division,
 so a grid of lambda values is scanned as vectorized runs over fixed blocks
-of cells, and the scan's memory does not grow with the grid; in its lenient
-mode a pole gives inf in its own cell only.  Unstable and pole cells are
-non-finite by design, which ``idc_march`` would fail, so the map takes its
-single step with ``solve_macro_interval`` on the nodes the march would build.
+of cells; in its lenient mode a pole gives inf in its own cell only.
+Unstable and pole cells are non-finite by design, which ``idc_march`` would
+fail, so the map takes its single step with ``solve_macro_interval`` on the
+nodes the march would build.
+
+A scan holds its returned |amp| field and one block's stage values, whatever
+its resolution: each block forms its own lambda from the open mesh
+``np.ix_(re, im)``, the contours select crossed cells from 1-byte sign planes
+of the field, and the field CSV is formatted one row at a time.
 """
 
 from dataclasses import dataclass, replace
@@ -50,27 +55,44 @@ def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDU
 
 def amplification_field(lams, scheme, corrections, M=None,
                         residual_mode=DEFAULT_RESIDUAL_MODE):
-    """Vectorized |amplification| over an array of lambda values.
+    """Vectorized |amplification| over an array of lambda values, or over the
+    open mesh ``np.ix_(re, im)`` of a grid's axes.
 
     The flattened cells are marched in blocks of ``_BLOCK``, each its own
     problem and IDC step, into one output of the grid's shape.  No cell
     couples to another, so each runs the arithmetic of a one-pass run and
     the field is the same bit for bit; the order-saturation warning is
-    given once per field.  Pole and overflowing cells come back as inf,
-    without a floating-point warning, and each stays in its own cell.
+    given once per field.  Given the open mesh, each block forms its own
+    lambda as ``re[i] + 1j * im[j]``, the expression of the materialised
+    grid ``re[:, None] + 1j * im[None, :]``, so the field keeps its bits
+    and no grid of lambda is built.  Pole and overflowing cells come back
+    as inf, without a floating-point warning, and each stays in its own cell.
     """
-    lams = np.asarray(lams, dtype=complex)
     cfg = IDCConfig(corrections=corrections, predictor=scheme, M=M,
                     residual_mode=residual_mode)
     cfg.warn_if_saturated()
-    flat = lams.ravel()
-    amp = np.empty(flat.shape)
+    if isinstance(lams, tuple):
+        re, im = (np.ravel(axis) for axis in lams)
+        shape = (re.size, im.size)
+
+        def block_lams(start, stop):
+            i, j = np.divmod(np.arange(start, stop), im.size)
+            return re[i] + 1j * im[j]
+    else:
+        lams = np.asarray(lams, dtype=complex)
+        shape, flat = lams.shape, lams.ravel()
+
+        def block_lams(start, stop):
+            return flat[start:stop]
+    amp = np.empty(shape)
+    out = amp.reshape(-1)
     with np.errstate(invalid="ignore", over="ignore"):  # inf by design: poles, overflow
-        for start in range(0, flat.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            amp[block] = np.abs(_dahlquist_step(flat[block], cfg, strict=False))
-    amp[~np.isfinite(amp)] = np.inf
-    return amp.reshape(lams.shape)
+        for start in range(0, out.size, _BLOCK):
+            stop = min(start + _BLOCK, out.size)
+            block = np.abs(_dahlquist_step(block_lams(start, stop), cfg, strict=False))
+            block[~np.isfinite(block)] = np.inf
+            out[start:stop] = block
+    return amp
 
 
 @dataclass(frozen=True)
@@ -107,8 +129,7 @@ class StabilityScan:
 def scan_region(spec):
     """Fill the scan's amplification field and extract its |amp| = 1 contours."""
     re, im = spec.axes()
-    lam = re[:, None] + 1j * im[None, :]
-    amp = amplification_field(lam, spec.scheme, spec.corrections,
+    amp = amplification_field(np.ix_(re, im), spec.scheme, spec.corrections,
                               M=spec.M, residual_mode=spec.residual_mode)
     contours = marching_squares(re, im, amp, 1.0)
     return replace(spec, amp=amp, contours=tuple(contours))
@@ -118,9 +139,16 @@ def marching_squares(xs, ys, field, level):
     """Level-set polylines of a scalar field on a rectangular grid.
 
     Returns a list of polylines, each an (n, 2) array of (x, y) points.
-    Crossings are linearly interpolated along cell edges; saddle cells are
-    disambiguated by the cell-center average.  Cells touching non-finite
-    values are skipped (reported as gaps, not failures).
+    ``field`` has shape ``(len(xs), len(ys))``; any other shape raises
+    UsageError.  Crossings are linearly interpolated along cell edges;
+    saddle cells are disambiguated by the cell-center average.  Cells
+    touching non-finite values are skipped (reported as gaps, not failures).
+
+    Cells are selected from 1-byte planes of the grid: the sign plane
+    ``field > level`` (the test ``field - level > 0`` for every IEEE value),
+    ``isfinite(field)`` and a uint8 corner-sign case.  Only the crossed
+    cells' corners are then gathered as ``field - level``, so the extraction
+    holds a few bytes per grid cell beside its output.
 
     Output order: cells in (i, j) order, i outer; within a cell, segments
     join crossed edges in ascending edge index, edge k running from corner k
@@ -129,14 +157,25 @@ def marching_squares(xs, ys, field, level):
     two cells is computed twice, from opposite ends.  Stitching reads the
     segments in this order, which fixes the polylines point for point.
     """
-    F = np.asarray(field) - level
+    field = np.asarray(field)
     xs, ys = np.asarray(xs), np.asarray(ys)
-    f = np.stack((F[:-1, :-1], F[1:, :-1], F[1:, 1:], F[:-1, 1:]))
-    case = ((f > 0) * np.array([1, 2, 4, 8])[:, None, None]).sum(axis=0)
-    i, j = np.nonzero(np.isfinite(f).all(axis=0) & (case != 0) & (case != 15))
-    f, case = f[:, i, j], case[i, j]
-    x = np.stack((xs[i], xs[i + 1], xs[i + 1], xs[i]))
-    y = np.stack((ys[j], ys[j], ys[j + 1], ys[j + 1]))
+    if xs.ndim != 1 or ys.ndim != 1 or field.shape != (xs.size, ys.size):
+        raise UsageError(f"field of shape {field.shape} does not match "
+                         f"{xs.shape} x values by {ys.shape} y values")
+    nx, ny = field.shape
+    corners = ((0, 0), (1, 0), (1, 1), (0, 1))  # corner k of cell (i, j) is (i + di, j + dj)
+    above, finite = (field > level).view(np.uint8), np.isfinite(field)
+    case = np.zeros((max(nx - 1, 0), max(ny - 1, 0)), dtype=np.uint8)
+    live = np.ones(case.shape, dtype=bool)
+    for k, (di, dj) in enumerate(corners):
+        shifted = (slice(di, nx - 1 + di), slice(dj, ny - 1 + dj))
+        case |= above[shifted] << np.uint8(k)
+        live &= finite[shifted]
+    i, j = np.nonzero(live & (case != 0) & (case != 15))
+    case = case[i, j]
+    f = np.stack([field[i + di, j + dj] - level for di, dj in corners])
+    x = np.stack([xs[i + di] for di, _ in corners])
+    y = np.stack([ys[j + dj] for _, dj in corners])
     nxt = [1, 2, 3, 0]
     with np.errstate(all="ignore"):  # t is inf or nan on uncrossed edges, never read
         t = f / (f - f[nxt])
@@ -160,10 +199,16 @@ def _cell_segments(case, center_positive):
 
 
 def _stitch_segments(segments):
-    """Chain raw cell segments into polylines by matching endpoints."""
+    """Chain raw cell segments into polylines by matching endpoints.
+
+    A segment whose two ends share a key is dropped: a corner on the level
+    gives a crossing at t = 0 on both of its edges, a segment from a point
+    to itself.
+    """
     def key(p):
         return (round(p[0], 12), round(p[1], 12))
 
+    segments = [(a, b) for a, b in segments if key(a) != key(b)]
     adjacency = {}
     for s, (a, b) in enumerate(segments):
         adjacency.setdefault(key(a), []).append((s, 0))
@@ -236,8 +281,8 @@ def write_field_csv(path, scan):
     re_text = [repr(x) for x in re.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("re,im,abs_amp\n")
-        for y, amps in zip(im.tolist(), scan.amp.T.tolist()):
-            row_im = repr(y)
+        for k, y in enumerate(im.tolist()):
+            row_im, amps = repr(y), scan.amp[:, k].tolist()
             fh.write("".join(f"{x},{row_im},{a!r}\n" for x, a in zip(re_text, amps)))
 
 

@@ -9,7 +9,7 @@ from idcos.idc import IDCConfig, idc_solve
 from idcos.ode import DiagonalLinearOperator, SplitIVP
 from idcos.stability import (_BLOCK, StabilityScan, _dahlquist_step, _stitch_segments,
                              amplification, amplification_field, marching_squares,
-                             stability_boundary_real_axis, write_contour_csv,
+                             scan_region, stability_boundary_real_axis, write_contour_csv,
                              write_field_csv)
 
 
@@ -37,15 +37,20 @@ def scan_grid(n_re, n_im):
     return np.linspace(-20, 4, n_re)[:, None] + 1j * np.linspace(-12, 12, n_im)[None, :]
 
 
-def field_peak(lam):
-    """The traced heap peak of a Strang cs=2 field, and the field."""
+def traced_peak(run):
+    """The traced heap peak of ``run()``, and its result."""
     tracemalloc.start()
     try:
-        amp = amplification_field(lam, "strang", 2)
+        result = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak, amp
+    return peak, result
+
+
+def field_peak(lam):
+    """The traced heap peak of a Strang cs=2 field, and the field."""
+    return traced_peak(lambda: amplification_field(lam, "strang", 2))
 
 
 def test_field_peak_memory():
@@ -62,6 +67,15 @@ def test_field_peak_memory_is_per_block():
     # the output field
     peak, amp = field_peak(scan_grid(301, 301))
     assert peak < 60 * np.zeros(_BLOCK, dtype=complex).nbytes + amp.nbytes
+
+
+def test_scan_peak_memory_does_not_grow_with_its_grid():
+    # the scan's lambda, contour cells and rows of text are formed per block,
+    # cell or row: beside its output field a 401x401 Strang cs=2 scan peaks
+    # at one block's stage values, as its field does
+    spec = StabilityScan(scheme="strang", corrections=2, resolution=(401, 401))
+    peak, scan = traced_peak(lambda: scan_region(spec))
+    assert peak - scan.amp.nbytes < 60 * np.zeros(_BLOCK, dtype=complex).nbytes
 
 
 class TestFieldBlocks:
@@ -94,6 +108,20 @@ class TestFieldBlocks:
         assert np.array_equal(amplification_field(self.GRID, "strang", corrections,
                                                   residual_mode="oversampled(13)"),
                               self.one_pass(self.GRID, cfg))
+
+    @pytest.mark.parametrize("corrections", [0, 1, 2])
+    def test_open_mesh_equals_grid_bitwise(self, corrections):
+        cfg = IDCConfig(corrections=corrections, predictor="strang",
+                        residual_mode="oversampled(13)")
+        re, im = np.linspace(-20, 4, 161), np.linspace(-12, 12, 128)
+        re[self.POLE[0]], im[self.POLE[1]] = 8.0 * cfg.resolved_M(), 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amp = amplification_field(np.ix_(re, im), "strang", corrections)
+        assert amp.shape == (161, 128)
+        assert amp[self.POLE] == np.inf
+        assert np.array_equal(amp, amplification_field(re[:, None] + 1j * im[None, :],
+                                                       "strang", corrections))
 
     def test_order_saturation_warns_once_per_field(self):
         # Strang cs=2 targets order 6 on M+1 = 4 nodes
@@ -238,6 +266,21 @@ class TestMarchingSquares:
         assert len(line) > 40
         assert np.allclose(line[0], line[-1], rtol=0.0, atol=1e-12)
         assert np.abs(np.hypot(line[:, 0], line[:, 1]) - 1.0).max() <= h ** 2
+
+    def test_corner_on_the_level_gives_no_zero_length_piece(self):
+        # the circle of radius 0.9 passes through grid points, where a cell
+        # corner equals the level and both of its edges cross at t = 0
+        xs = ys = np.linspace(-1.0, 1.0, 101)
+        field = np.hypot(xs[:, None], ys[None, :]) / 0.9
+        (line,) = marching_squares(xs, ys, field, 1.0)
+        assert np.array_equal(line[0], line[-1])
+        assert not (line[1:] == line[:-1]).all(axis=1).any()
+
+    @pytest.mark.parametrize("n_x", [6, 4], ids=["longer-xs", "shorter-xs"])
+    def test_field_shape_must_match_the_axes(self, n_x):
+        field = np.arange(25.0).reshape(5, 5)
+        with pytest.raises(UsageError, match=r"field of shape \(5, 5\)"):
+            marching_squares(np.linspace(0.0, 1.0, n_x), np.linspace(0.0, 1.0, 5), field, 12.5)
 
     def test_no_crossing_gives_no_polyline(self):
         xs = ys = np.linspace(0.0, 1.0, 4)
