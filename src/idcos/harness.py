@@ -328,11 +328,17 @@ def run_stability(cfg):
     return scans
 
 
+def _snapshot_file(cfg, t_snap):
+    return f"{cfg.name}_t{t_snap:.6g}.csv"
+
+
 def _snapshot_steps(cfg):
-    """Map each snapshot's macro-step index round(t/dt) to its time."""
+    """Map each snapshot's macro-step index round(t/dt) to its time.  Two
+    times on one step, or with one file name, raise UsageError."""
     if not 0 < cfg.dt < np.inf:
         raise UsageError(f"simulation step must be finite and positive, got dt={cfg.dt}")
     steps = {}
+    files = {}
     for t_snap in sorted(cfg.snap_times):
         if not 0 <= t_snap < np.inf:
             raise UsageError(f"snapshot time {t_snap} is negative or not finite")
@@ -343,7 +349,11 @@ def _snapshot_steps(cfg):
             raise UsageError(f"snapshot time {t_snap} is not a multiple of dt={cfg.dt}")
         if n in steps:
             raise UsageError(f"snapshot times {steps[n]} and {t_snap} fall on one step")
-        steps[n] = t_snap
+        name = _snapshot_file(cfg, t_snap)
+        if name in files:
+            raise UsageError(f"snapshot times {files[name]} and {t_snap} would both be "
+                             f"written to {name}")
+        steps[n] = files[name] = t_snap
     return steps
 
 
@@ -352,8 +362,9 @@ def run_simulation(cfg):
 
     dt is the macro step: one pass of ``idc_march`` runs up to the last
     snapshot, and a snapshot at time t is written after step round(t/dt)
-    (t = 0 writes the initial field).  Snapshot times must be distinct,
-    non-negative multiples of dt no later than end_time.  A simulation runs
+    (t = 0 writes the initial field) to ``{name}_t{t:.6g}.csv``.  Snapshot
+    times must be non-negative multiples of dt no later than end_time, on
+    distinct steps and with distinct file names.  A simulation runs
     exactly one correction count, (2,) unless set; more than one raises
     UsageError.  Every input is checked, and the problem, its split IVP and
     the IDC configuration are built, before the output directory is made.
@@ -380,7 +391,7 @@ def run_simulation(cfg):
     summaries = []
 
     def snapshot(t_snap, u):
-        path = os.path.join(cfg.out_dir, f"{cfg.name}_t{t_snap:.6g}.csv")
+        path = os.path.join(cfg.out_dir, _snapshot_file(cfg, t_snap))
         write_field_snapshot(path, prob.grid, u)
         comp = u if u.ndim == 3 else u[None]
         summaries.append({"time": t_snap,

@@ -7,11 +7,13 @@ y-direction terms and the pointwise source become the split operators.  Each
 direction operator builds its line operator L once, coefficients folded in:
 one shared line for constant coefficients, one line per grid line otherwise.
 Application, wall terms and implicit sub-steps all read that L; an implicit
-sub-step is independent line solves, one ``BandedMatrix`` of I - alpha*L per
-direction and step size.  A shared line is solved by its precomputed
-inverse, one matrix product over the whole field; stacked lines by their
-banded LU, as two triangular band sweeps over the whole stack when no line
-swapped rows (LAPACK gbtrs otherwise).
+sub-step is independent line solves with the ``BandedMatrix`` of I - alpha*L.
+Each direction keeps only the factor of the step size in use: a scheme asks
+an operator for one alpha per step size, and a ladder takes its step sizes
+one after another.  A shared line is solved by its precomputed inverse, one
+matrix product over the whole field; stacked lines by their banded LU, as
+two triangular band sweeps over the whole stack when no line swapped rows
+(LAPACK gbtrs otherwise).
 
 Fields are stored row-major with y as the outer index, shape (N_y, N_x);
 multi-component states (periodic grids only) prepend the component axis.
@@ -125,8 +127,9 @@ class DirectionalDiffusionOperator:
     stencil rows, as lines stacked into an (n_lines * n, n) CSR: one shared
     line when ``constant`` is set, else one per grid line of this direction.
     It is applied as one multi-vector product with the shared line or one
-    block-diagonal matvec over the stack.  (I - alpha*L) is built once per
-    alpha: the shared line as its inverse, applied to the whole field as one
+    block-diagonal matvec over the stack.  Only the factor of (I - alpha*L)
+    for the step size in use is kept, and a solve with a new alpha drops the
+    others: the shared line as its inverse, applied to the whole field as one
     matrix product, stacked lines as their banded LU (two triangular band
     sweeps per solve when no row was swapped).  On Dirichlet grids
     ``wall_weights`` holds the folded weights of each line's two wall values,
@@ -225,7 +228,12 @@ class DirectionalDiffusionOperator:
     # -- implicit solves ---------------------------------------------------
 
     def _solver(self, alpha):
-        """The line solver of (I - alpha*L), one line per line of the stack."""
+        """The line solver of (I - alpha*L), one line per line of the stack.
+
+        A new alpha is factored and added to ``_solvers`` beside the factors
+        already kept (``perfbench`` counts a factorisation by that growth);
+        ``solve_homogeneous`` then keeps only the one in use.
+        """
         key = float(alpha)
         solver = self._solvers.get(key)
         if solver is None:
@@ -236,8 +244,11 @@ class DirectionalDiffusionOperator:
         return solver
 
     def solve_homogeneous(self, t, alpha, rhs):
-        """Solve (I - alpha*L) X = rhs with no boundary terms."""
+        """Solve (I - alpha*L) X = rhs with no boundary terms, keeping only
+        this alpha's factor."""
         solver = self._solver(alpha)
+        if len(self._solvers) > 1:
+            self._solvers = {float(alpha): solver}
         if self.axis == "x":
             return solver.solve(rhs.T).T
         return solver.solve(rhs)

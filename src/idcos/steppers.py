@@ -42,19 +42,21 @@ def lie_trotter_step(problem, t, dt, u):
     return x
 
 
-def _trapezoid_substep(problem, nu, t_a, t_b, u):
-    # one implicit-trapezoid sub-solve of u' = f_nu over [t_a, t_b]
-    half = 0.5 * (t_b - t_a)
+def _trapezoid_substep(problem, nu, t_a, t_b, alpha, u):
+    # one implicit-trapezoid sub-solve of u' = f_nu over [t_a, t_b], with
+    # alpha = (t_b - t_a)/2 given from dt, not from the rounded times
     op = problem.operators[nu]
-    rhs = u + half * np.asarray(op(t_a, u))
-    return op.solve_implicit(t_b, half, rhs, guess=u)
+    rhs = u + alpha * np.asarray(op(t_a, u))
+    return op.solve_implicit(t_b, alpha, rhs, guess=u)
 
 
 def strang_step(problem, t, dt, u):
     """Palindromic trapezoidal splitting (second order) for 2 or 3 operators.
 
     Three operators: f_1 and f_2 take half-interval sub-steps around a full
-    f_3 sub-step; two operators drop the middle stage.
+    f_3 sub-step; two operators drop the middle stage.  Each sub-step's
+    alpha comes from dt, dt/4 for a half interval and dt/2 for the full one,
+    so every sub-step of an operator asks its solver for the same alpha.
     """
     if not dt > 0:
         raise UsageError(f"step size must be positive, got dt={dt}")
@@ -62,13 +64,14 @@ def strang_step(problem, t, dt, u):
     check_operator_count("strang", L)
     th = t + 0.5 * dt
     t1 = t + dt
+    quarter = 0.25 * dt
     x = np.asarray(u)
-    x = _trapezoid_substep(problem, 0, t, th, x)
-    x = _trapezoid_substep(problem, 1, th, t1, x)
+    x = _trapezoid_substep(problem, 0, t, th, quarter, x)
+    x = _trapezoid_substep(problem, 1, th, t1, quarter, x)
     if L == 3:
-        x = _trapezoid_substep(problem, 2, t, t1, x)
-    x = _trapezoid_substep(problem, 1, t, th, x)
-    x = _trapezoid_substep(problem, 0, th, t1, x)
+        x = _trapezoid_substep(problem, 2, t, t1, 0.5 * dt, x)
+    x = _trapezoid_substep(problem, 1, t, th, quarter, x)
+    x = _trapezoid_substep(problem, 0, th, t1, quarter, x)
     return x
 
 

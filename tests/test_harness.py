@@ -588,6 +588,18 @@ class TestCli:
                      "--snap-times", snaps, "--out", str(tmp_path)]) == 2
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_snapshot_times_with_one_file_name(self, tmp_path, monkeypatch, capsys):
+        # two steps of dt apart, but both print as 123.456 in the file name
+        marches = []
+        monkeypatch.setattr(harness, "idc_march",
+                            lambda *args: marches.append(args) or iter(()))
+        out = tmp_path / "out"
+        assert main(["simulate", "--problem", "fhn", "--grid", "8", "--corrections", "0",
+                     "--dt", "0.0001", "--snap-times", "123.4561,123.4562",
+                     "--end-time", "123.4562", "--out", str(out)]) == 2
+        assert "123.4561 and 123.4562" in capsys.readouterr().err
+        assert marches == [] and not out.exists()
+
     def test_removed_residual_split_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["convergence", "--residual-split", "argument",

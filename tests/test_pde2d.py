@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
+from idcos.banded import BandedMatrix
 from idcos.errors import LinearSolveError, NewtonError, UsageError
 from idcos.harness import write_field_snapshot
 from idcos.idc import ErrorProblem, IDCConfig, correct_once, idc_solve, predict
@@ -13,6 +14,7 @@ from idcos.pde2d import (NEWTON_MAX_ITERS, NEWTON_TOL, CoefficientField,
 from idcos.polyint import UniformNodeSet
 from idcos.problems import example1, example2, example3, fhn, schnakenberg
 from idcos.stencils import build_stencil
+from idcos.steppers import strang_step
 
 QUAD_ROOT = (-1.0 + np.sqrt(1.4)) / 0.2
 
@@ -223,6 +225,35 @@ class TestDirectionalOperator:
         a = op.solve_implicit(0.1, 0.02, rhs)
         b = op.solve_implicit(0.1, 0.02, rhs)
         assert np.array_equal(a, b)
+
+
+class TestOneFactorPerStepSize:
+    """A direction operator keeps the factor of the step size in use alone."""
+
+    @pytest.mark.parametrize("build", [example1, example2], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_new_alpha_drops_the_old_factor(self, build, axis):
+        op = getattr(build(N=12).system, "op_" + axis)
+        rhs = np.random.default_rng(3).normal(size=op.grid.shape)
+        for alpha in (0.01, 0.0025, 0.01):
+            x = op.solve_homogeneous(0.0, alpha, rhs)
+            assert list(op._solvers) == [alpha]
+            fresh = getattr(build(N=12).system, "op_" + axis)
+            assert x.tobytes() == fresh.solve_homogeneous(0.0, alpha, rhs).tobytes()
+
+    def test_strang_step_factors_once_per_direction(self, monkeypatch):
+        # 0.5*(th - t) and 0.5*(t1 - th) differ in the last bit at this t and dt
+        t, dt = 0.1, 0.01
+        assert 0.5 * ((t + 0.5 * dt) - t) != 0.5 * ((t + dt) - (t + 0.5 * dt))
+        prob = example1(N=8)
+        ivp = prob.system.split_ivp(prob.exact(0.0), (0.0, 1.0))
+        built = []
+        init = BandedMatrix.__init__
+        monkeypatch.setattr(BandedMatrix, "__init__",
+                            lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+        strang_step(ivp, t, dt, prob.exact(t))
+        assert len(built) == 2
+        assert [len(op._solvers) for op in (prob.system.op_x, prob.system.op_y)] == [1, 1]
 
 
 def ladder_alphas(end_time, nts, Ms=(1, 3, 5)):
