@@ -228,8 +228,10 @@ def run_convergence(cfg):
     every rung.  A rung that is no positive whole number of macro steps is
     rejected.  The problem, its split IVP, every rung, references included,
     and every correction count's IDC configuration are built and checked
-    before the output directory is made.  A failed rung, a non-finite state
-    included, is named in ``failures`` with the macro step and time of its
+    before the output directory is made.  Each rung runs every correction
+    count before the next rung, so counts on one step size share its line
+    factors.  A failed rung, a non-finite state included, is named in
+    ``failures`` (by count, then rung) with the macro step and time of its
     failure, and every error and order that reads it is nan.
     """
     if not cfg.nt_list:
@@ -263,19 +265,30 @@ def run_convergence(cfg):
         plan.append((unit, idc_cfg))
     os.makedirs(cfg.out_dir, exist_ok=True)
     exact = prob.exact(cfg.end_time) if metric == "exact" else None
-    rows = []
-    failures = []
-    for unit, idc_cfg in plan:
-        cs = idc_cfg.corrections
-        finals = {}
-        for nt in run_nts:
+    # a self-metric final is kept only until the rung that reads it
+    errors = {}
+    finals = {}
+    failed = {}
+    for nt in run_nts:
+        for unit, idc_cfg in plan:
+            cs = idc_cfg.corrections
+            final = None
             try:
-                finals[nt] = idc_solve(ivp, nt // unit, idc_cfg)
+                final = idc_solve(ivp, nt // unit, idc_cfg)
             except SolverError as exc:
-                failures.append(f"cs={cs} Nt={nt}: {exc}")
-        refs = {nt: exact if metric == "exact" else finals.get(nt // 2) for nt in nts}
-        errs = [float(np.max(np.abs(finals[nt] - refs[nt])))
-                if nt in finals and refs[nt] is not None else float("nan") for nt in nts]
+                failed[cs, nt] = f"cs={cs} Nt={nt}: {exc}"
+            if metric == "self" and 2 * nt in nts:
+                finals[cs, nt] = final
+            if nt in nts:
+                ref = exact if metric == "exact" else finals.pop((cs, nt // 2))
+                errors[cs, nt] = (float(np.max(np.abs(final - ref)))
+                                  if final is not None and ref is not None else float("nan"))
+    rows = []
+    failures = [failed[c.corrections, nt] for _, c in plan for nt in run_nts
+                if (c.corrections, nt) in failed]
+    for _, idc_cfg in plan:
+        cs = idc_cfg.corrections
+        errs = [errors[cs, nt] for nt in nts]
         orders = [float("nan")] + [
             float(np.log(e0 / e1) / np.log(n1 / n0)) if 0 < e0 < np.inf and 0 < e1 < np.inf
             else float("nan") for n0, n1, e0, e1 in zip(nts, nts[1:], errs, errs[1:])]

@@ -9,8 +9,8 @@ one shared line for constant coefficients, one line per grid line otherwise.
 Application, wall terms and implicit sub-steps all read that L; an implicit
 sub-step is independent line solves with the ``BandedMatrix`` of I - alpha*L.
 Each direction keeps only the factor of the step size in use: a scheme asks
-an operator for one alpha per step size, and a ladder takes its step sizes
-one after another.  A shared line is solved by its precomputed inverse, one
+an operator for one alpha per step size, and a ladder runs every correction
+count of a rung before the next rung.  A shared line is solved by its precomputed inverse, one
 matrix product over the whole field; stacked lines by their banded LU, as
 two triangular band sweeps over the whole stack when no line swapped rows
 (LAPACK gbtrs otherwise).

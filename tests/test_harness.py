@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from idcos import harness, pde2d, problems
+from idcos.banded import BandedMatrix
 from idcos.cli import main
 from idcos.errors import SolverError, StepperError, UsageError
 from idcos.harness import (RunConfig, run_convergence, run_simulation, run_stability,
@@ -125,6 +126,35 @@ class TestLadderPlan:
         assert len(rows) == 3 * 4
         assert all(float(row[2]) == 0.0 and row[3] == "nan" for row in rows)
         assert manifest(tmp_path, cfg.name)["failures"] == []
+
+    def test_counts_on_one_step_size_share_its_factors(self, tmp_path, monkeypatch):
+        # Lie-Trotter's M is 1, 1, 2 and every rung is counted in sub-steps, so
+        # each count steps a rung with T/N_t: one factor per direction and rung
+        builds = []
+        init = BandedMatrix.__init__
+        monkeypatch.setattr(BandedMatrix, "__init__",
+                            lambda self, *args, **kw: builds.append(1) or init(self, *args, **kw))
+        cfg = RunConfig(problem="example1", scheme="lie-trotter", grid_n=8,
+                        out_dir=str(tmp_path))
+        run_convergence(cfg)
+        assert len(builds) == 2 * len(cfg.nt_list)
+
+    def test_failures_are_listed_by_count_then_rung(self, tmp_path, monkeypatch):
+        def failing(ivp, n, cfg):
+            raise SolverError(f"stalled at {n} macro steps")
+
+        monkeypatch.setattr(harness, "idc_solve", failing)
+        cfg = RunConfig(problem="example2", scheme="strang", grid_n=8, nt_list=(8, 16),
+                        corrections=(1, 0), end_time=0.01, out_dir=str(tmp_path))
+        with pytest.raises(SolverError, match="6 ladder cells failed"):
+            run_convergence(cfg)
+        assert manifest(tmp_path, cfg.name)["failures"] == [
+            "cs=1 Nt=4: stalled at 1 macro steps", "cs=1 Nt=8: stalled at 2 macro steps",
+            "cs=1 Nt=16: stalled at 4 macro steps", "cs=0 Nt=4: stalled at 4 macro steps",
+            "cs=0 Nt=8: stalled at 8 macro steps", "cs=0 Nt=16: stalled at 16 macro steps"]
+        rows = read_rows(tmp_path / "example2_strang_convergence.csv")[1:]
+        assert [row[:2] for row in rows] == [["1", "8"], ["1", "16"], ["0", "8"], ["0", "16"]]
+        assert all(row[2] == row[3] == "nan" for row in rows)
 
     # past the node cap the message names the ladder's M, max(target - 1, 1)
     @pytest.mark.parametrize("flags,message", [
