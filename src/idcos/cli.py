@@ -30,9 +30,15 @@ def _coerce(key, value):
 
 def load_config_file(path):
     """Read a [run] section of key = value pairs into RunConfig kwargs; a key
-    matches its field in any case, since configparser lowercases keys."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    matches its field in any case, since configparser lowercases keys.  Values
+    are taken literally (no % interpolation); a file configparser cannot
+    parse, or that is not UTF-8, is a UsageError naming the file."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        why = "; ".join(str(exc).splitlines())
+        raise UsageError(f"cannot parse config file {path}: {why}") from None
     if not read:
         raise UsageError(f"cannot read config file {path}")
     if parser.has_section("run"):

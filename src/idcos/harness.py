@@ -119,7 +119,11 @@ class RunConfig:
 # N_t as macro steps (their corrections need the shorter macro intervals to
 # stay inside the scheme's stiff stability envelope); the differential
 # splittings read N_t as base-stepper sub-steps, which also reproduces the
-# published error magnitudes.
+# published error magnitudes.  The Lie-Trotter rungs are pre-asymptotic: their
+# cs=1 and cs=2 orders approach 2 and 3 only on finer rungs (example2 at N=45:
+# 1.98 and 2.95 at N_t=2560), not because of a spatial floor.  example1 is
+# linear in y, so ADI's splitting error vanishes there and its cs >= 1 rows
+# are roundoff (time errors of 1e-14 to 1e-15): they show no order.
 TABLE_DEFAULTS = {
     ("example1", "lie-trotter"): dict(grid_n=45, end_time=0.025,
                                       nt_list=(60, 80, 100, 120)),

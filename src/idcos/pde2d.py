@@ -10,10 +10,12 @@ Application, wall terms and implicit sub-steps all read that L; an implicit
 sub-step is independent line solves with the ``BandedMatrix`` of I - alpha*L.
 Each direction keeps only the factor of the step size in use: a scheme asks
 an operator for one alpha per step size, and a ladder runs every correction
-count of a rung before the next rung.  A shared line is solved by its precomputed inverse, one
-matrix product over the whole field; stacked lines by their banded LU, as
-two triangular band sweeps over the whole stack when no line swapped rows
-(LAPACK gbtrs otherwise).
+count of a rung before the next rung.  A shared line is solved by its
+precomputed inverse, one matrix product over the whole field; stacked lines
+by their banded LU: when no line swapped rows, two unit-diagonal band sweeps
+over the whole stack with one scaling by the reciprocal pivots between them,
+LAPACK gbtrs otherwise.  An ADI step takes its explicit x half-step from the
+x-sweep's own solve, so it makes one explicit operator application, not two.
 
 Fields are stored row-major with y as the outer index, shape (N_y, N_x);
 multi-component states (periodic grids only) prepend the component axis.
@@ -130,8 +132,8 @@ class DirectionalDiffusionOperator:
     block-diagonal matvec over the stack.  Only the factor of (I - alpha*L)
     for the step size in use is kept, and a solve with a new alpha drops the
     others: the shared line as its inverse, applied to the whole field as one
-    matrix product, stacked lines as their banded LU (two triangular band
-    sweeps per solve when no row was swapped).  On Dirichlet grids
+    matrix product, stacked lines as their banded LU (two unit-diagonal
+    band sweeps per solve when no row was swapped).  On Dirichlet grids
     ``wall_weights`` holds the folded weights of each line's two wall values,
     one row per line, for the boundary contribution: the only time-dependent
     piece.  Those weights are nonzero only within the first and last
@@ -459,16 +461,19 @@ class SemiDiscreteSystem:
         equal split makes the pair algebraically identical to the factored
         one-step scheme.  Only node values of the residual integral enter,
         which keeps stiff modes from amplifying off-node interpolation error.
+        The x-sweep's explicit term comes from its own solve: (I - J1) mid =
+        rhs1 gives (I + J1) mid = 2 mid - rhs1, exact up to the banded solve's
+        roundoff, so a step applies L three times, twice for R.
         """
         opx, opy = self.op_x, self.op_y
         half = 0.5 * h
         I_sum = ep.shift(t) + ep.shift(t + h)
-        R = -half * (opx.apply_homogeneous(t, I_sum)
-                     + opy.apply_homogeneous(t, I_sum))
-        mid = opx.solve_homogeneous(t, half,
-                                    w + half * opy.apply_homogeneous(t, w) + 0.5 * R)
-        return opy.solve_homogeneous(t, half,
-                                     mid + half * opx.apply_homogeneous(t, mid) + 0.5 * R)
+        half_R = -0.5 * half * (opx.apply_homogeneous(t, I_sum)
+                                + opy.apply_homogeneous(t, I_sum))
+        rhs1 = w + half * opy.apply_homogeneous(t, w) + half_R
+        mid = opx.solve_homogeneous(t, half, rhs1)
+        rhs2 = 2.0 * mid - rhs1 + half_R
+        return opy.solve_homogeneous(t, half, rhs2)
 
 
 def adi_pde_step(system, t, dt, field):
@@ -484,7 +489,9 @@ def adi_pde_step(system, t, dt, field):
     1967):  g* = 1/2 (I + (dt/2) L_y) g(t) + 1/2 (I - (dt/2) L_y) g(t + dt),
     with L_y applied along each x-wall and the corner values as its walls.
     Wall values taken at the step endpoints instead leave an error next to
-    the walls that grows as the grid is refined.
+    the walls that grows as the grid is refined.  The y-sweep's (I + J1) U*
+    is 2 U* - rhs1, rhs1 the whole x-sweep right-hand side, walls included:
+    no second operator call, exact up to the banded solve's roundoff.
 
     On Dirichlet grids the coefficient must be constant: the correction
     needs L_y on the walls themselves, where no coefficient is stored.
@@ -502,7 +509,7 @@ def adi_pde_step(system, t, dt, field):
         S1 = half * opx.wall_contribution(*_intermediate_x_walls(system, t, dt))
         rhs1 = rhs1 + S1 + half * opy.boundary_contribution(t)
     mid = opx.solve_homogeneous(t, half, rhs1)
-    rhs2 = mid + half * opx.apply_homogeneous(t, mid)
+    rhs2 = 2.0 * mid - rhs1    # (I + J1) U*, since (I - J1) U* = rhs1
     if dirichlet:
         rhs2 = rhs2 + S1 + half * opy.boundary_contribution(t + dt)
     return opy.solve_homogeneous(t, half, rhs2)

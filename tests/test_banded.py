@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 from idcos.banded import BandedMatrix
 from idcos.errors import LinearSolveError, UsageError
-from idcos.pde2d import Grid2D
+from idcos.pde2d import CoefficientField, DirectionalDiffusionOperator, Grid2D
 from idcos.stencils import build_stencil
 
 
@@ -228,3 +228,41 @@ class TestStackedLines:
         for k, A in enumerate(mats):
             assert np.max(np.abs(X[:, k] - np.linalg.solve(A.toarray(), B[:, k]))) \
                 <= 1e-12 * np.max(np.abs(X[:, k]))
+
+
+def variable_coefficient_lines(bc, n, axis, ratio):
+    """I - alpha*L for example2's coefficient on an n x n grid, one line per
+    grid line of ``axis``, with alpha = ratio * dx**2."""
+    grid = Grid2D((-1.0, 1.0), (-1.0, 1.0), n, n, bc=bc)
+    coeff = CoefficientField.from_callables(
+        grid, a=lambda x, y: 2.0 + 0.5 * np.sin(np.pi * (4 * x + y)),
+        a_x=lambda x, y: 2.0 * np.pi * np.cos(np.pi * (4 * x + y)),
+        a_y=lambda x, y: 0.5 * np.pi * np.cos(np.pi * (4 * x + y)))
+    op = DirectionalDiffusionOperator(grid, axis, coeff, boundary=lambda x, y, t: 0.0 * x)
+    eye = sp.vstack([sp.eye(n, format="csr")] * n, format="csr")
+    return eye - ratio * grid.dx ** 2 * op.L
+
+
+class TestUnitDiagonalSweeps:
+    """Stacked lines whose LU swapped no row solve by two unit-diagonal band
+    sweeps with U's pivots divided out; a stack that swapped rows keeps gbtrs."""
+
+    @pytest.mark.parametrize("bc,ratio,sweeps", [
+        ("dirichlet", 0.1, True), ("periodic", 5.0, True), ("dirichlet", 5.0, False),
+    ], ids=["dirichlet", "periodic", "dirichlet-row-swaps"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_matches_per_line_dense_solve(self, n, axis, bc, ratio, sweeps):
+        # the sixth-order Dirichlet closures make gbtrf swap rows once
+        # alpha*a/dx^2 passes about 0.2; periodic lines swap none here
+        A = variable_coefficient_lines(bc, n, axis, ratio)
+        bm = BandedMatrix.from_sparse(A)
+        assert bm.lines == n
+        assert (bm._bands is not None) == sweeps
+        B = np.random.default_rng(n).normal(size=(n, n))
+        before = B.copy()
+        X = bm.solve(B)
+        assert np.array_equal(B, before)
+        ref = np.stack([np.linalg.solve(A[k * n:(k + 1) * n].toarray(), B[:, k])
+                        for k in range(n)], axis=1)
+        assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from idcos import harness, pde2d, problems
+from idcos import cli, harness, pde2d, problems
 from idcos.banded import BandedMatrix
 from idcos.cli import main
 from idcos.errors import SolverError, StepperError, UsageError
@@ -470,6 +470,33 @@ class TestManifest:
         ini.write_text("[run]\nresolution = 5,x\n")
         assert main(["stability", "--config", str(ini),
                      "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,why", [
+        (b"problem = example1\n", "no section headers"),
+        (b"[run]\nproblem = example1\nproblem = example2\n", "already exists"),
+        (b"[run]\nproblem = \xff\n", "can't decode"),
+    ], ids=["no-section", "duplicate-key", "not-utf8"])
+    def test_malformed_config_file(self, tmp_path, capsys, text, why):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text)
+        assert main(["convergence", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot parse config file {ini}" in err and why in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_percent_in_config_value_is_literal(self, tmp_path, monkeypatch):
+        # configparser's default interpolation rejects a lone %
+        runs = []
+        monkeypatch.setattr(cli, "run_convergence", lambda cfg: runs.append(cfg) or
+                            harness.ConvergenceReport(metric="exact", rows=()))
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nproblem = example1\nrun_name = a%b\ncorrections = 0\n")
+        assert main(["convergence", "--config", str(ini),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert [cfg.run_name for cfg in runs] == ["a%b"]
         assert not (tmp_path / "out").exists()
 
 

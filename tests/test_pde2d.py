@@ -10,7 +10,7 @@ from idcos.harness import write_field_snapshot
 from idcos.idc import ErrorProblem, IDCConfig, correct_once, idc_solve, predict
 from idcos.pde2d import (NEWTON_MAX_ITERS, NEWTON_TOL, CoefficientField,
                          DirectionalDiffusionOperator, Grid2D, PointwiseSourceOperator,
-                         SemiDiscreteSystem, adi_pde_step)
+                         SemiDiscreteSystem, _intermediate_x_walls, adi_pde_step)
 from idcos.polyint import UniformNodeSet
 from idcos.problems import example1, example2, example3, fhn, schnakenberg
 from idcos.stencils import build_stencil
@@ -381,6 +381,61 @@ class TestADIStep:
         prob = example3(N=12)
         with pytest.raises(UsageError):
             adi_pde_step(prob.system, 0.0, 0.1, prob.initial)
+
+
+def count_applies(monkeypatch, system):
+    """Record each direction operator's apply_homogeneous calls, by axis."""
+    calls = []
+    for op in (system.op_x, system.op_y):
+        def counted(t, U, op=op, apply=op.apply_homogeneous):
+            calls.append(op.axis)
+            return apply(t, U)
+        monkeypatch.setattr(op, "apply_homogeneous", counted)
+    return calls
+
+
+class TestExplicitHalfStepFromSolve:
+    """(I - J1) mid = rhs1 gives (I + J1) mid = 2 mid - rhs1: an ADI step
+    makes no explicit x-operator call on its intermediate mid."""
+
+    def test_adi_pde_step(self, monkeypatch):
+        prob = example1(N=20)
+        system, t, dt = prob.system, 0.1, 0.01
+        u = prob.exact(t)
+        opx, opy = system.op_x, system.op_y
+        # the two-evaluation form
+        half = 0.5 * dt
+        S1 = half * opx.wall_contribution(*_intermediate_x_walls(system, t, dt))
+        rhs1 = (u + half * opy.apply_homogeneous(t, u) + S1
+                + half * opy.boundary_contribution(t))
+        mid = opx.solve_homogeneous(t, half, rhs1)
+        rhs2 = (mid + half * opx.apply_homogeneous(t, mid) + S1
+                + half * opy.boundary_contribution(t + dt))
+        ref = opy.solve_homogeneous(t, half, rhs2)
+        calls = count_applies(monkeypatch, system)
+        out = adi_pde_step(system, t, dt, u)
+        assert calls == ["y"]
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_factored_correction(self, monkeypatch):
+        prob = example2(N=16)
+        ep = adi_error_problem(prob)
+        system, nodes = prob.system, ep.level.nodes
+        t, h = nodes.times[1], nodes.h
+        w = 1e-3 * np.random.default_rng(6).normal(size=prob.grid.shape)
+        opx, opy = system.op_x, system.op_y
+        # the two-evaluation form
+        half = 0.5 * h
+        I_sum = ep.shift(t) + ep.shift(t + h)
+        R = -half * (opx.apply_homogeneous(t, I_sum) + opy.apply_homogeneous(t, I_sum))
+        mid = opx.solve_homogeneous(t, half, w + half * opy.apply_homogeneous(t, w) + 0.5 * R)
+        ref = opy.solve_homogeneous(t, half,
+                                    mid + half * opx.apply_homogeneous(t, mid) + 0.5 * R)
+        calls = count_applies(monkeypatch, system)
+        out = system._factored_adi_correction(ep, t, h, w)
+        # R takes one call per direction; the explicit half-steps take one
+        assert sorted(calls) == ["x", "y", "y"]
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def adi_error_problem(prob, T=0.1, M=3):

@@ -114,6 +114,30 @@ class TestADI:
         with pytest.raises(UnsupportedSchemeError):
             adi_step(zero_problem(3), 0.0, 0.1, np.zeros(3))
 
+    def test_one_explicit_call_per_step(self):
+        # the x-sweep's solve gives mid + (dt/2) f_1(mid) as 2 mid - rhs1
+        rng = np.random.default_rng(8)
+        A1 = rng.normal(size=(6, 6)) - 6.0 * np.eye(6)
+        A2 = rng.normal(size=(6, 6)) - 6.0 * np.eye(6)
+        assert np.max(np.abs(A1 @ A2 - A2 @ A1)) > 1.0
+        calls = []
+
+        class Counted(MatrixLinearOperator):
+            def __call__(self, t, u):
+                calls.append(self)
+                return super().__call__(t, u)
+
+        op1, op2 = Counted(A1), Counted(A2)
+        p = SplitIVP(operators=(op1, op2), initial_state=np.zeros(6), t_span=(0.0, 1.0))
+        t, dt, u = 0.3, 0.2, rng.normal(size=6)
+        out = adi_step(p, t, dt, u)
+        assert calls == [op2]
+        # the two-evaluation form
+        I, half = np.eye(6), 0.5 * dt
+        mid = np.linalg.solve(I - half * A1, u + half * A2 @ u)
+        ref = np.linalg.solve(I - half * A2, mid + half * A1 @ mid)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 @pytest.mark.parametrize("scheme", sorted(STEPPER_ORDERS))
 def test_steppers_take_the_declared_operator_counts(scheme):
