@@ -8,7 +8,7 @@ from idcos.banded import BandedMatrix
 from idcos.errors import LinearSolveError, NewtonError, UsageError
 from idcos.harness import write_field_snapshot
 from idcos.idc import ErrorProblem, IDCConfig, correct_once, idc_solve, predict
-from idcos.pde2d import (NEWTON_MAX_ITERS, NEWTON_TOL, CoefficientField,
+from idcos.pde2d import (NEWTON_MAX_ITERS, NEWTON_TOL, WALL_MEMO_TIMES, CoefficientField,
                          DirectionalDiffusionOperator, Grid2D, PointwiseSourceOperator,
                          SemiDiscreteSystem, _intermediate_x_walls, adi_pde_step)
 from idcos.polyint import UniformNodeSet
@@ -254,6 +254,85 @@ class TestOneFactorPerStepSize:
         strang_step(ivp, t, dt, prob.exact(t))
         assert len(built) == 2
         assert [len(op._solvers) for op in (prob.system.op_x, prob.system.op_y)] == [1, 1]
+
+
+class TestWallMemo:
+    """Wall values and wall strips are kept per exact time t, shared and
+    read-only; every boundary field is a fresh array."""
+
+    # a node time, a stage time t + dt and the next float after the node time
+    TIMES = (0.1, 0.1 + 0.01, np.nextafter(0.1, np.inf))
+
+    @staticmethod
+    def time_walls(axis):
+        # wall values equal to t itself, so each time's are told apart
+        return DirectionalDiffusionOperator(Grid2D((-1, 1), (0, 2), 7, 9), axis, 1.0,
+                                            boundary=lambda x, y, t: t + 0.0 * (x + y))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_warm_equals_fresh(self, axis):
+        warm = getattr(example1(N=12).system, "op_" + axis)
+        for t in self.TIMES:
+            warm.boundary_contribution(t)
+        for t in self.TIMES:
+            fresh = getattr(example1(N=12).system, "op_" + axis)
+            assert warm.boundary_contribution(t).tobytes() == \
+                fresh.boundary_contribution(t).tobytes()
+            for a, b in zip(warm.wall_values(t), fresh.wall_values(t)):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_key_is_the_exact_time(self, axis):
+        op = self.time_walls(axis)
+        dense = TestDirectionalOperator.dense_walls
+        fields = []
+        for t in self.TIMES + (0.1,):
+            g_lo, g_hi = op.wall_values(t)
+            assert np.all(g_lo == t) and np.all(g_hi == t)
+            fields.append(op.boundary_contribution(t))
+            assert np.array_equal(fields[-1], dense(op, g_lo, g_hi))
+        # a g that changes with t gives each time its own field, and the
+        # repeated time is read from the table
+        assert not np.array_equal(fields[0], fields[1])
+        assert not np.array_equal(fields[0], fields[2])
+        assert list(op._strips) == list(op._walls) == list(self.TIMES)
+        assert fields[3].tobytes() == fields[0].tobytes()
+
+    def test_kept_strips_are_read_only_and_fields_fresh(self):
+        op = example1(N=12).system.op_x
+        t = 0.1
+        kept = op.boundary_contribution(t).copy()
+        for part in op._strips[t]:
+            with pytest.raises(ValueError):
+                part += 1.0
+        field = op.boundary_contribution(t)
+        assert field.flags.writeable
+        field += 1.0
+        assert op.boundary_contribution(t).tobytes() == kept.tobytes()
+        U = np.random.default_rng(4).normal(size=op.grid.shape)
+        first = op(t, U)
+        assert first.flags.writeable
+        assert first.tobytes() == (op.apply_homogeneous(t, U) + kept).tobytes()
+        expected = first.copy()
+        second = op(t, U)
+        assert not np.shares_memory(first, second)
+        second += 1.0
+        assert first.tobytes() == expected.tobytes()
+        assert op(t, U).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_bounded(self, axis):
+        op = self.time_walls(axis)
+        times = [0.01 * k for k in range(WALL_MEMO_TIMES + 5)]
+        for t in times:
+            op.boundary_contribution(t)
+            assert len(op._strips) <= WALL_MEMO_TIMES
+            assert len(op._walls) <= WALL_MEMO_TIMES
+        # the oldest times were dropped, and read again as before
+        assert list(op._strips) == times[-WALL_MEMO_TIMES:]
+        fresh = self.time_walls(axis)
+        assert op.boundary_contribution(times[0]).tobytes() == \
+            fresh.boundary_contribution(times[0]).tobytes()
 
 
 def ladder_alphas(end_time, nts, Ms=(1, 3, 5)):
@@ -951,6 +1030,31 @@ class TestIdcOnPde:
                 for n in (2, 4, 8)]
         orders = np.log2(np.divide(errs[:-1], errs[1:]))
         assert orders.min() >= 3.7
+
+    @pytest.mark.parametrize("build,predictor,M,macro_steps", [
+        (example1, "adi", 5, 1),
+        (example1, "strang", 5, 1),   # stage times t + dt/2
+        (example3, "lie-trotter", 2, 2),   # walls and the Newton source
+    ], ids=["example1-adi", "example1-strang", "example3-lie-trotter"])
+    def test_warm_wall_memo_changes_no_result(self, monkeypatch, build, predictor, M,
+                                              macro_steps):
+        builds = []
+        form_strips = DirectionalDiffusionOperator._wall_strips
+
+        def counted(op, g_lo, g_hi):
+            builds.append(op.axis)
+            return form_strips(op, g_lo, g_hi)
+
+        monkeypatch.setattr(DirectionalDiffusionOperator, "_wall_strips", counted)
+        cfg = IDCConfig(corrections=2, predictor=predictor, M=M)
+        ivp = build(N=12).split_ivp(0.02)
+        first = idc_solve(ivp, macro_steps, cfg)
+        cold = len(builds)
+        # the second run starts from the first run's memo and forms fewer strips
+        second = idc_solve(ivp, macro_steps, cfg)
+        assert len(builds) - cold < cold
+        fresh = idc_solve(build(N=12).split_ivp(0.02), macro_steps, cfg)
+        assert second.tobytes() == fresh.tobytes() == first.tobytes()
 
 
 class TestFieldSnapshot:
