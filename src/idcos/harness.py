@@ -8,9 +8,10 @@ round-trip repr formatting so identical configurations produce byte-identical
 artifacts when each runs in a fresh process; after other runs in the same
 process a few stability-scan cells can differ in their last digits.
 
-The artifact writers live here, the field snapshot's too
-(``write_field_snapshot``, which reads only a grid's axes and shape).  The
-PDE backend (``problems`` and the scipy layers under it) is imported only
+The ladder CSV, the field snapshot (``write_field_snapshot``, which reads
+only a grid's axes and shape) and the run manifest are written here; a
+scan's field and contour CSVs by ``stability`` (``write_field_csv``,
+``write_contour_csv``), which ``run_stability`` calls.  The PDE backend (``problems`` and the scipy layers under it) is imported only
 when a run builds a problem, so a stability map loads no scipy.
 """
 

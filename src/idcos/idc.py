@@ -29,7 +29,7 @@ import numpy as np
 
 from . import polyint
 from .errors import SolverError, StepperError, UnsupportedSchemeError, UsageError
-from .polyint import NODE_TOL, UniformNodeSet, lagrange_eval, node_index, partial_integral
+from .polyint import UniformNodeSet, lagrange_eval, partial_integral
 from .steppers import STEPPER_ORDERS, get_stepper
 
 _OVERSAMPLED_RE = re.compile(r"oversampled\((\d+)\)$")
@@ -211,9 +211,10 @@ class ErrorProblem:
     ('oversampled(N)'), evaluated here: this sweep is the only reader.
     Either way every integral is a row of ``polyint.integral_weights`` over
     that data.  The M+1 node shifts are one product, made here; a read at a
-    node time (``polyint.node_index``) is a row of it, and the interpolant
-    there is the node value itself.  A time between nodes interpolates the
-    level and builds its own weight row.
+    node time is a row of it, and the interpolant there is the node value
+    itself.  Whether a time is a node is ``UniformNodeSet.local``'s to say:
+    node m reads as the whole number m.  A time between nodes interpolates
+    the level and builds its own weight row.
 
     The four per-time reads (ups, shift, nodal shift, f at ups) are memoised
     for one sub-interval.  A read at node t_m ends sub-interval m-1, and one
@@ -244,24 +245,24 @@ class ErrorProblem:
         self.operators = tuple(_CorrectionOperator(self, nu)
                                for nu in range(self.num_operators))
 
-    def _node(self, t):
-        """Index of the node at time t, or None between nodes; a read in a
+    def _local(self, t):
+        """The local coordinate of time t, a node's a whole number; a read in a
         later sub-interval first drops the memo entries before its start."""
         nodes = self.level.nodes
         tau = nodes.local(t)
-        m = node_index(nodes.M, tau)
-        sub = int(np.floor(tau)) if m is None else m - 1
+        m = int(tau)
+        sub = m - 1 if tau == m else m
         if sub > self._sub:
             self._sub = sub
-            start = nodes.t0 + nodes.h * (sub - NODE_TOL)
             for memo in (self._ups, self._shift, self._nodal_shift, self._feval):
-                for old in [k for k in memo if k < start]:
+                for old in [k for k in memo if nodes.local(k) < sub]:
                     del memo[old]
-        return m
+        return tau
 
     def interpolant(self, t):
-        m = self._node(t)
-        if m is not None:
+        tau = self._local(t)
+        m = int(tau)
+        if tau == m:
             return self.level.values[m]
         if t not in self._ups:
             self._ups[t] = lagrange_eval(self.level.nodes, self.level.values, t)
@@ -269,8 +270,9 @@ class ErrorProblem:
 
     def shift(self, t):
         """Integral of the residual from t0 to t."""
-        m = self._node(t)
-        if m is not None:
+        tau = self._local(t)
+        m = int(tau)
+        if tau == m:
             return self.node_shifts[m]
         if t not in self._shift:
             self._shift[t] = (self.interpolant(t) - self.level.values[0]
@@ -286,20 +288,18 @@ class ErrorProblem:
         values keep the corrector's order and its practical stability on
         semi-discrete diffusion.
         """
-        if self._node(t) is not None:
+        tau = self._local(t)
+        m = int(tau)
+        if tau == m:
             return self.shift(t)
         if t not in self._nodal_shift:
-            nodes = self.level.nodes
-            tau = nodes.local(t)
-            m = int(np.floor(tau))
-            t_m = nodes.t0 + nodes.h * m
             theta = tau - m
-            self._nodal_shift[t] = ((1.0 - theta) * self.shift(t_m)
-                                    + theta * self.shift(t_m + nodes.h))
+            self._nodal_shift[t] = ((1.0 - theta) * self.node_shifts[m]
+                                    + theta * self.node_shifts[m + 1])
         return self._nodal_shift[t]
 
     def f_at_interpolant(self, nu, t):
-        self._node(t)
+        self._local(t)
         at_t = self._feval.setdefault(t, {})
         if nu not in at_t:
             at_t[nu] = np.asarray(self.base.operators[nu](t, self.interpolant(t)))

@@ -15,6 +15,11 @@ interpolant (``partial_integral``, to a node or to any time between nodes)
 is exact on polynomials up to degree M.  Uniform-node interpolation degrades
 quickly beyond moderate M (Runge phenomenon), so M is capped at
 MAX_SUBINTERVALS.
+
+One rule decides whether a time is a node (``UniformNodeSet.local``): a
+time within rounding of t_m reads as the whole number m, with a tolerance
+that scales with |t|/h, as does the error of a node time reached by
+repeated ``t + dt``.
 """
 
 from dataclasses import dataclass
@@ -29,6 +34,7 @@ from .errors import UsageError
 
 MAX_SUBINTERVALS = 16
 NODE_TOL = 1e-12
+NODE_ROUNDING = 8 * np.finfo(float).eps  # per unit of max(|t|, |t0|)/h
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,32 @@ class UniformNodeSet:
         return self.t0 + self.M * self.h
 
     def local(self, t):
-        """Map a time to the unit-spacing coordinate tau = (t - t0)/h."""
-        return (t - self.t0) / self.h
+        """tau = (t - t0)/h, a node's an exact whole number; an array of times
+        maps elementwise.
+
+        The one node rule: tau within max(NODE_TOL, NODE_ROUNDING *
+        max(|t|, |t0|)/h) of m in 0..M is m.  A node time reached by repeated
+        ``t + dt`` is off by about eps*|t|, so in tau by eps times the global
+        sub-step index.  A time outside [t0, t_end] raises UsageError.
+        """
+        if isinstance(t, np.ndarray):
+            if t.ndim:
+                return np.array([self.local(x) for x in t.flat]).reshape(t.shape)
+            t = t[()]
+        if isinstance(t, float):
+            t = float(t)  # exact for np.float64, and Python floats are faster
+        # plain float arithmetic: every read of the error equation comes here
+        t0, h, M = self.t0, self.h, self.M
+        tau = (t - t0) / h
+        if -1 < tau < M + 1:  # not nan or inf
+            m = round(tau)
+            d = abs(tau - m)
+            if d and 0 <= m <= M and (
+                    d <= NODE_TOL or d * h <= NODE_ROUNDING * max(abs(t), abs(t0))):
+                tau = float(m)
+        if not 0 <= tau <= M:
+            raise UsageError(f"t={t} outside the node range [{t0}, {self.t_end}]")
+        return tau
 
 
 def check_subintervals(M):
@@ -157,20 +187,12 @@ def _stack_values(nodes, values):
 def node_index(M, tau):
     """Index of the node at local coordinate tau, or None between nodes.
 
-    A tau within NODE_TOL of 0..M is that node: node times computed by
-    repeated ``t + dt`` drift from t0 + m*h by several 1e-13 in tau over
-    long runs, and must still read as nodes.
+    A node is an exact whole number 0..M: ``UniformNodeSet.local`` has
+    already snapped a time within rounding of a node to it, with a
+    tolerance that scales with |t|/h.
     """
     tau = float(tau)
-    m = round(tau)
-    return m if abs(tau - m) <= NODE_TOL and 0 <= m <= M else None
-
-
-def _local(nodes, t, name):
-    tau = nodes.local(t)
-    if not np.all((tau >= -NODE_TOL) & (tau <= nodes.M + NODE_TOL)):
-        raise UsageError(f"{name}={t} outside the node range [{nodes.t0}, {nodes.t_end}]")
-    return tau
+    return int(tau) if tau.is_integer() and 0 <= tau <= M else None
 
 
 def lagrange_eval(nodes, values, t):
@@ -182,7 +204,7 @@ def lagrange_eval(nodes, values, t):
     node values weighted by the exact cardinals at tau, each rounded once.
     """
     vals = _stack_values(nodes, values)
-    tau = _local(nodes, t, "t")
+    tau = nodes.local(t)
     m = node_index(nodes.M, tau)
     if m is not None:
         return np.array(vals[m])
@@ -196,7 +218,7 @@ def partial_integral(nodes, values, t_upper):
     the result.  Each integral is h times a row of ``integral_weights``.
     """
     vals = _stack_values(nodes, values)
-    taus = _local(nodes, np.asarray(t_upper), "t_upper")
+    taus = np.asarray(nodes.local(np.asarray(t_upper)))
     W = np.array([integral_weights(nodes.M, tau) for tau in taus.flat])
     out = nodes.h * (W @ vals.reshape(len(vals), -1))
     return out.reshape(taus.shape + vals.shape[1:])

@@ -470,7 +470,9 @@ class TestBoundedMemo:
         checked = self.check_each_step(monkeypatch)
         correct_once(ivp, level, 1, cfg)
         assert len(checked) == 5
-        assert counts == {"lagrange_eval": 0, "partial_integral": 1, "shift": 30,
+        # shift is read at node times only: between nodes nodal_shift reads
+        # the node rows by index
+        assert counts == {"lagrange_eval": 0, "partial_integral": 1, "shift": 20,
                           "__call__": 12, "apply_homogeneous": 32, "solve_homogeneous": 20}
 
 
@@ -594,10 +596,39 @@ class TestErrorProblem:
         t = nodes.t0
         for m in range(1, nodes.M + 1):
             t = t + nodes.h
-            assert abs(nodes.local(t) - m) > 1e-14 * m
+            assert abs((t - nodes.t0) / nodes.h - m) > 1e-14 * m
             assert ep.shift(t) == node_shifts[m]
             assert ep.nodal_shift(t) == node_shifts[m]
             assert ep.interpolant(t) == level.values[m]
+
+    def test_long_run_node_times_read_as_nodes(self, monkeypatch):
+        # a 10,240-sub-step ladder to t=0.025, sub-intervals from t=0.015625:
+        # node 2 reached by t + h is 1.02e-12 off in tau, past NODE_TOL
+        p = scalar_problem(lams=(np.array([-0.5, -3.0]), np.array([-2.0, -0.1])),
+                           u0=np.array([1.0, 2.0]))
+        cfg = IDCConfig(corrections=1, M=2)
+        nodes = UniformNodeSet(t0=0.015625, h=0.025 / 10240, M=2)
+        level = predict(p, nodes, p.initial_state, cfg)
+        ep = ErrorProblem(p, level)
+        lo, hi = ep.node_shifts[1], ep.node_shifts[2]
+        mid = nodes.times[1] + 0.5 * nodes.h
+        assert np.allclose(ep.nodal_shift(mid), 0.5 * (lo + hi), rtol=0, atol=1e-20)
+        t = nodes.t0 + nodes.h + nodes.h
+        assert (t - nodes.t0) / nodes.h - nodes.M > polyint.NODE_TOL
+
+        def no_interpolation(*args):
+            raise AssertionError("a node time was interpolated")
+
+        monkeypatch.setattr(idc, "lagrange_eval", no_interpolation)
+        assert np.array_equal(ep.shift(t), hi)
+        assert np.array_equal(ep.nodal_shift(t), hi)
+        assert np.array_equal(ep.interpolant(t), level.values[2])
+        # the operators do not depend on t: the sweep equals the same sweep
+        # from t=0, bit for bit
+        near = UniformNodeSet(t0=0.0, h=nodes.h, M=2)
+        assert np.array_equal(correct_once(p, level, 1, cfg).values,
+                              correct_once(p, predict(p, near, p.initial_state, cfg), 1,
+                                           cfg).values)
 
     @staticmethod
     def two_sources(shape):

@@ -27,6 +27,72 @@ class TestNodeSet:
             UniformNodeSet(t0=0.0, h=-1.0, M=2)
 
 
+def long_run_nodes():
+    """The sub-intervals of a 10,240-sub-step ladder to t=0.025 that start at
+    t=0.015625 (M=2), and their node times reached by repeated t + h, which
+    drift from t0 + m*h by 5.1e-13 and 1.02e-12 in tau."""
+    nodes = UniformNodeSet(t0=0.015625, h=0.025 / 10240, M=2)
+    drifted = [nodes.t0]
+    for _ in range(nodes.M):
+        drifted.append(drifted[-1] + nodes.h)
+    return nodes, drifted
+
+
+class TestNodeRule:
+    """``UniformNodeSet.local`` alone decides whether a time is a node."""
+
+    def test_drifted_node_times_are_nodes(self):
+        nodes, drifted = long_run_nodes()
+        assert (drifted[-1] - nodes.t0) / nodes.h - nodes.M > polyint.NODE_TOL
+        vals = np.random.default_rng(12).normal(size=(nodes.M + 1, 3))
+        for m, t in enumerate(drifted):
+            assert nodes.local(t) == m
+            assert polyint.node_index(nodes.M, nodes.local(t)) == m
+            assert np.array_equal(lagrange_eval(nodes, vals, t), vals[m])
+            assert np.array_equal(partial_integral(nodes, vals, t),
+                                  partial_integral(nodes, vals, nodes.times[m]))
+
+    def test_tolerance_scales_with_t_over_h(self):
+        # 8e-12 off node 1 in tau is rounding near t=0.0156 with h=2.4e-6
+        # (within 1.1e-11), and a time between nodes near t=0 (1e-12)
+        h = 0.025 / 10240
+        for t0, snapped in ((0.015625, True), (0.0, False)):
+            nodes = UniformNodeSet(t0=t0, h=h, M=2)
+            assert (nodes.local(t0 + (1 + 8e-12) * h) == 1.0) is snapped
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_off_range_times_raise(self, side):
+        # past either end by more than rounding, even on a long run's nodes
+        nodes, _ = long_run_nodes()
+        t = nodes.t0 - 1e-9 * nodes.h if side == "before" else nodes.t_end + 1e-9 * nodes.h
+        vals = np.zeros((nodes.M + 1, 2))
+        for read in (nodes.local, lambda t: lagrange_eval(nodes, vals, t),
+                     lambda t: partial_integral(nodes, vals, t)):
+            with pytest.raises(UsageError, match="outside the node range"):
+                read(t)
+        with pytest.raises(UsageError, match="outside the node range"):
+            nodes.local(np.array([nodes.t0, t]))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_raise(self, t):
+        nodes, _ = long_run_nodes()
+        for read in (t, np.float64(t), np.array(t), np.array([t])):
+            with pytest.raises(UsageError, match="outside the node range"):
+                nodes.local(read)
+
+    def test_array_reads_each_time(self):
+        nodes, drifted = long_run_nodes()
+        times = np.array([drifted + [nodes.t0 + 0.3 * nodes.h],
+                          [nodes.t0 + 0.5 * nodes.h, nodes.times[1], nodes.t_end,
+                           np.nextafter(drifted[-1], 0)]])
+        taus = nodes.local(times)
+        assert taus.shape == times.shape
+        for idx in np.ndindex(times.shape):
+            assert taus[idx] == nodes.local(float(times[idx]))
+        assert list(taus[0, :3]) == [0.0, 1.0, 2.0]
+        assert nodes.local(np.asarray(drifted[2])) == 2.0
+
+
 class TestIntegrationMatrix:
     """Rows of the one weight generator: w_j = integral_0^tau of cardinal j."""
 
