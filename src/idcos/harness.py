@@ -3,16 +3,17 @@
 Each driver consumes a RunConfig, builds and checks its whole run, then writes
 deterministic CSV artifacts plus a run manifest (the resolved config, wall
 time, artifact checksums) into the output directory, and returns its
-in-memory result.  Floats are written with
-round-trip repr formatting so identical configurations produce byte-identical
-artifacts when each runs in a fresh process; after other runs in the same
-process a few stability-scan cells can differ in their last digits.
+in-memory result.  Floats are written with round-trip repr formatting so
+identical configurations produce byte-identical artifacts when each runs in
+a fresh process; after other runs in the same process a few stability-scan
+cells can differ in their last digits.
 
 The ladder CSV, the field snapshot (``write_field_snapshot``, which reads
 only a grid's axes and shape) and the run manifest are written here; a
 scan's field and contour CSVs by ``stability`` (``write_field_csv``,
-``write_contour_csv``), which ``run_stability`` calls.  The PDE backend (``problems`` and the scipy layers under it) is imported only
-when a run builds a problem, so a stability map loads no scipy.
+``write_contour_csv``), which ``run_stability`` calls.  The PDE backend
+(``problems`` and the scipy layers under it) is imported only when a run
+builds a problem, so a stability map loads no scipy.
 """
 
 from dataclasses import dataclass, asdict
@@ -27,8 +28,7 @@ import numpy as np
 from .errors import SolverError, UsageError
 from .idc import IDCConfig, idc_march, idc_solve
 from .polyint import MAX_SUBINTERVALS
-from .stability import (DEFAULT_RESIDUAL_MODE, StabilityScan, scan_region,
-                        write_contour_csv, write_field_csv)
+from .stability import StabilityScan, scan_region, write_contour_csv, write_field_csv
 from .steppers import STEPPER_ORDERS, check_operator_count
 
 
@@ -41,10 +41,10 @@ class RunConfig:
     ('example1'), ``order_space`` (6) and the ``TABLE_DEFAULTS`` fields it
     reads (not ``UNREAD_TABLE_KEYS``); ``corrections``, (0, 1, 2)
     or a simulation's one count (2,); a convergence run's ``nt_unit``,
-    'macro' under ADI and 'substep' otherwise; ``residual_mode``, a stability
-    map's ``DEFAULT_RESIDUAL_MODE`` and 'interpolant' otherwise; and a
-    stability map's window, ``StabilityScan``'s.  Fields a run does not read
-    stay as set.  Correction counts and N_t rungs must not repeat.
+    'macro' under ADI and 'substep' otherwise; and a stability map's
+    window, ``StabilityScan``'s.  Every experiment's ``residual_mode``
+    defaults to ``IDCConfig``'s.  Fields a run does not read stay as set.
+    Correction counts and N_t rungs must not repeat.
     """
 
     experiment: str = "convergence"
@@ -59,7 +59,7 @@ class RunConfig:
     end_time: float = None
     dt: float = None             # simulation macro step
     snap_times: tuple[float, ...] = ()
-    residual_mode: str = None    # 'interpolant' or 'oversampled(N)'
+    residual_mode: str = IDCConfig.residual_mode  # or 'oversampled(N)'
     out_dir: str = "out"
     run_name: str = None
     # stability scan window
@@ -81,7 +81,6 @@ class RunConfig:
             "corrections": (2,) if self.experiment == "simulate" else (0, 1, 2),
             "nt_unit": ("macro" if self.scheme == "adi" else "substep")
             if self.experiment == "convergence" else None,
-            "residual_mode": DEFAULT_RESIDUAL_MODE if scan else "interpolant",
             **{key: getattr(StabilityScan, key) if scan else None
                for key in ("re_range", "im_range", "resolution")}}
         for key, value in resolved.items():

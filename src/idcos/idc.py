@@ -39,7 +39,7 @@ def parse_residual_mode(mode):
     """Normalize a residual mode string: 'interpolant' or 'oversampled(N)'."""
     if mode == "interpolant":
         return ("interpolant", None)
-    m = _OVERSAMPLED_RE.match(mode)
+    m = _OVERSAMPLED_RE.match(mode) if isinstance(mode, str) else None
     if m:
         n = int(m.group(1))
         if not 1 <= n <= polyint.MAX_SUBINTERVALS - 1:
@@ -223,7 +223,7 @@ class ErrorProblem:
     sweep holds a few stage fields, not O(M).
     """
 
-    def __init__(self, problem, level, residual_mode="interpolant"):
+    def __init__(self, problem, level, residual_mode=IDCConfig.residual_mode):
         kind, n_over = parse_residual_mode(residual_mode)
         self.base = problem
         self.level = level
@@ -291,7 +291,7 @@ class ErrorProblem:
         tau = self._local(t)
         m = int(tau)
         if tau == m:
-            return self.shift(t)
+            return self.node_shifts[m]
         if t not in self._nodal_shift:
             theta = tau - m
             self._nodal_shift[t] = ((1.0 - theta) * self.node_shifts[m]

@@ -21,10 +21,8 @@ wall terms of its last ``WALL_MEMO_TIMES`` (8) distinct times, keyed by the
 exact float t and shared by every caller: a macro step's predictor,
 correction sweeps and Peaceman-Rachford intermediate walls read the same node
 times, and each node time's terms are formed once per macro step.  The terms
-are kept as the two wall strips, not as whole fields: per operator 48 N
-doubles at the sixth order, 23 KB at N=60 and 77 KB at N=200, plus 16 N
-doubles of wall values.  Each boundary field is a fresh array with the kept
-strips written in.
+are kept as the two wall strips, not as whole fields, and each boundary
+field is a fresh array with the kept strips written in.
 
 Fields are stored row-major with y as the outer index, shape (N_y, N_x);
 multi-component states (periodic grids only) prepend the component axis.
@@ -158,10 +156,11 @@ class DirectionalDiffusionOperator:
     values and the two strips' terms of the last ``WALL_MEMO_TIMES`` (8)
     distinct times are kept in two insertion-ordered tables, keyed by the
     exact float t with no rounding, the oldest dropped first, and shared by
-    every caller; the strips are read-only.  The strips take 2 * strip * N
-    doubles a time: at the sixth order 23 KB at N=60 and 77 KB at N=200 for
-    all 8 times.  Whole fields are not kept: held between a macro step's
-    reads, 8 of them raised the heat ladder's peak RSS by 0.47-0.63 MB.
+    every caller; the strips are read-only.  A time takes 2 * strip * N
+    doubles of strips and 2 N of wall values: for all 8 times at the sixth
+    order 23 KB and 7.7 KB at N=60, 77 KB and 26 KB at N=200.  Whole fields
+    are not kept: held between a macro step's reads, 8 of them raised the
+    heat ladder's peak RSS by 0.47-0.63 MB.
     """
 
     def __init__(self, grid, axis, coeff, order=6, boundary=None):
@@ -222,8 +221,8 @@ class DirectionalDiffusionOperator:
         end at, one per line.
 
         Both are kept for the last ``WALL_MEMO_TIMES`` (8) distinct t,
-        keyed by the exact float t: 16 N doubles, 7.7 KB at N=60 and 26 KB at
-        N=200.  Every caller shares them, so none may write into them.
+        keyed by the exact float t.  Every caller shares them, so none may
+        write into them.
         """
         values = self._walls.get(t)
         if values is None:
@@ -265,8 +264,7 @@ class DirectionalDiffusionOperator:
 
         A fresh array each call.  On Dirichlet grids its two wall strips come
         from a table of the last ``WALL_MEMO_TIMES`` (8) distinct t, keyed by
-        the exact float t: 2 * strip * N doubles a time, and all 8 take 23 KB
-        at N=60 and 77 KB at N=200 at the sixth order.
+        the exact float t.
         """
         if self.grid.bc == "periodic":
             return np.zeros(self.grid.shape)

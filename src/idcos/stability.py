@@ -12,6 +12,14 @@ Unstable and pole cells are non-finite by design, which ``idc_march`` would
 fail, so the map takes its single step with ``solve_macro_interval`` on the
 nodes the march would build.
 
+The map integrates the residual as every ladder and simulation does, by
+``IDCConfig``'s default quadrature of f at the level's nodes
+('interpolant'); ``oversampled(N)`` is taken only when asked for.  It is
+not yet a map of the PDE's Strang corrector: ``DiagonalLinearOperator``
+has no linear branch, so the map's correction reads the interpolated shift
+at the half-stage times, where a PDE correction reads the node shifts
+joined linearly (``ErrorProblem.nodal_shift``).
+
 A scan holds its returned |amp| field and one block's stage values, whatever
 its resolution: each block forms its own lambda from the open mesh
 ``np.ix_(re, im)``, the contours select crossed cells from 1-byte sign planes
@@ -27,7 +35,6 @@ from .idc import IDCConfig, solve_macro_interval
 from .ode import DiagonalLinearOperator, SplitIVP
 from .polyint import UniformNodeSet
 
-DEFAULT_RESIDUAL_MODE = "oversampled(13)"
 _BLOCK = 8192  # cells per vectorized run: a stage value of a block is 128 KiB
 
 
@@ -41,7 +48,7 @@ def _dahlquist_step(lam, cfg, strict=True):
     return solve_macro_interval(problem, nodes, problem.initial_state, cfg).final_state
 
 
-def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDUAL_MODE):
+def amplification(lam, scheme, corrections, M=None, residual_mode=IDCConfig.residual_mode):
     """u(1) after one macro step on the split test problem u' = lambda*u.
 
     Raises StepperError, caused by a PoleError, when an implicit stage
@@ -54,7 +61,7 @@ def amplification(lam, scheme, corrections, M=None, residual_mode=DEFAULT_RESIDU
 
 
 def amplification_field(lams, scheme, corrections, M=None,
-                        residual_mode=DEFAULT_RESIDUAL_MODE):
+                        residual_mode=IDCConfig.residual_mode):
     """Vectorized |amplification| over an array of lambda values, or over the
     open mesh ``np.ix_(re, im)`` of a grid's axes.
 
@@ -105,7 +112,7 @@ class StabilityScan:
     im_range: tuple = (-12.0, 12.0)
     resolution: tuple = (601, 601)
     M: int = None
-    residual_mode: str = DEFAULT_RESIDUAL_MODE
+    residual_mode: str = IDCConfig.residual_mode
     amp: np.ndarray = None
     contours: tuple = None
 
@@ -240,7 +247,7 @@ def _stitch_segments(segments):
 
 
 def stability_boundary_real_axis(scheme, corrections, M=None,
-                                 residual_mode=DEFAULT_RESIDUAL_MODE,
+                                 residual_mode=IDCConfig.residual_mode,
                                  max_magnitude=2.0**24, tol=1e-6):
     """Crossing of |amp| = 1 on the negative real axis, or None if stable throughout.
 

@@ -15,6 +15,7 @@ from idcos.errors import SolverError, StepperError, UsageError
 from idcos.harness import (RunConfig, run_convergence, run_simulation, run_stability,
                            write_field_snapshot)
 from idcos.problems import fhn
+from idcos.stability import amplification_field
 
 
 def read_rows(path):
@@ -361,6 +362,51 @@ class TestRunStability:
             for kind in ("field", "contour")}
 
 
+class TestResidualDefault:
+    """A scan integrates the residual as the ladders and simulations do,
+    unless it asks for the oversampled grid."""
+
+    SCAN = ["stability", "--scheme", "strang", "--corrections", "1,2",
+            "--resolution", "9,7"]
+
+    def scan(self, out, *flags):
+        assert main(self.SCAN + ["--out", str(out), *flags]) == 0
+        return manifest(out, "strang")
+
+    def field(self, out, cs):
+        """The field CSV's |amp| as the (re, im) grid; rows run im outer."""
+        rows = read_rows(out / f"strang_cs{cs}_field.csv")[1:]
+        return np.array([float(r[2]) for r in rows]).reshape(7, 9).T
+
+    def test_default_is_interpolant(self, tmp_path):
+        default = self.scan(tmp_path / "default")
+        explicit = self.scan(tmp_path / "explicit", "--residual-mode", "interpolant")
+        assert default["config"]["residual_mode"] == "interpolant"
+        assert default["artifacts"] == explicit["artifacts"]
+        for name in default["artifacts"]:
+            assert (tmp_path / "default" / name).read_bytes() \
+                == (tmp_path / "explicit" / name).read_bytes()
+
+    def test_oversampled_is_honoured(self, tmp_path):
+        out = tmp_path / "oversampled"
+        info = self.scan(out, "--residual-mode", "oversampled(13)")
+        assert info["config"]["residual_mode"] == "oversampled(13)"
+        re, im = np.linspace(-20.0, 4.0, 9), np.linspace(-12.0, 12.0, 7)
+        for cs in (1, 2):
+            field = self.field(out, cs)
+            assert np.array_equal(field, amplification_field(
+                np.ix_(re, im), "strang", cs, residual_mode="oversampled(13)"))
+            # the two quadratures differ at roundoff, so the mode was read
+            assert not np.array_equal(field, amplification_field(np.ix_(re, im), "strang", cs))
+
+    def test_no_mode_is_rejected(self, tmp_path):
+        # the default is the field's own: None is no mode, not "unset"
+        cfg = RunConfig(experiment="stability", residual_mode=None, out_dir=str(tmp_path))
+        with pytest.raises(UsageError, match="unknown residual mode None"):
+            run_stability(cfg)
+        assert not os.listdir(tmp_path)
+
+
 class TestManifest:
     """The manifest's config echo holds the resolved defaults, and ladders,
     scans and simulations record the M each correction count ran."""
@@ -371,7 +417,7 @@ class TestManifest:
         assert (cfg.nt_unit, cfg.residual_mode) == ("macro", "interpolant")
         assert RunConfig(scheme="strang").nt_unit == "substep"
         scan = RunConfig(experiment="stability", problem="example2", scheme="adi")
-        assert (scan.residual_mode, scan.nt_unit, scan.grid_n) == ("oversampled(13)", None, None)
+        assert (scan.residual_mode, scan.nt_unit, scan.grid_n) == ("interpolant", None, None)
         sim = RunConfig(experiment="simulate", problem="fhn")
         assert (sim.dt, sim.snap_times, sim.nt_unit) == (0.005, (2.0, 5.0, 10.0), None)
         # set fields win over the table and the defaults
@@ -411,7 +457,7 @@ class TestManifest:
         assert main(["stability", "--scheme", "strang", "--corrections", "0",
                      "--resolution", "5,5", "--out", str(tmp_path)]) == 0
         config = manifest(tmp_path, "strang")["config"]
-        assert config["residual_mode"] == "oversampled(13)"
+        assert config["residual_mode"] == "interpolant"
 
     @pytest.mark.parametrize("flags,sub_intervals", [
         ([], {"0": 3, "1": 4, "2": 6}), (["--sub-intervals", "5"], {"0": 5, "1": 5, "2": 5})])

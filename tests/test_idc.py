@@ -470,9 +470,9 @@ class TestBoundedMemo:
         checked = self.check_each_step(monkeypatch)
         correct_once(ivp, level, 1, cfg)
         assert len(checked) == 5
-        # shift is read at node times only: between nodes nodal_shift reads
-        # the node rows by index
-        assert counts == {"lagrange_eval": 0, "partial_integral": 1, "shift": 20,
+        # shift is never read: nodal_shift reads the node rows by index, at
+        # node times and between them
+        assert counts == {"lagrange_eval": 0, "partial_integral": 1, "shift": 0,
                           "__call__": 12, "apply_homogeneous": 32, "solve_homogeneous": 20}
 
 

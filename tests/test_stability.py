@@ -170,8 +170,7 @@ class TestMarchBoundary:
     @pytest.mark.parametrize("corrections", [0, 2])
     def test_finite_field_equals_one_marched_step_bitwise(self, corrections):
         lam = scan_grid(21, 17).ravel()
-        cfg = IDCConfig(corrections=corrections, predictor="strang",
-                        residual_mode="oversampled(13)")
+        cfg = IDCConfig(corrections=corrections, predictor="strang")
         op = DiagonalLinearOperator(0.5 * lam)
         ivp = SplitIVP(operators=(op, op), initial_state=np.ones_like(lam), t_span=(0.0, 1.0))
         assert np.array_equal(amplification_field(lam, "strang", corrections),
