@@ -304,7 +304,7 @@ def run_convergence(cfg):
                 for cs, nt, e, o in rows])
     _write_manifest(cfg, t_start, [csv_path],
                     extra={"failures": failures, "metric": metric,
-                           "sub_intervals": {c.corrections: c.resolved_M() for _, c in plan}})
+                           "sub_intervals": {c.corrections: c.M for _, c in plan}})
     if failures:
         raise SolverError(
             f"{len(failures)} ladder cells failed; see the run manifest "
@@ -329,7 +329,7 @@ def run_stability(cfg):
         spec.axes()
         sub_intervals[spec.corrections] = IDCConfig(
             corrections=spec.corrections, predictor=spec.scheme, M=spec.M,
-            residual_mode=spec.residual_mode).resolved_M()
+            residual_mode=spec.residual_mode).M
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = []
     scans = []
@@ -418,7 +418,7 @@ def run_simulation(cfg):
 
     if 0 in steps:
         snapshot(steps[0], prob.initial)
-    extra = {"snapshots": summaries, "sub_intervals": {cs: idc_cfg.resolved_M()}}
+    extra = {"snapshots": summaries, "sub_intervals": {cs: idc_cfg.M}}
     try:
         if last:
             for n, (_, level) in enumerate(idc_march(ivp, last, idc_cfg), start=1):

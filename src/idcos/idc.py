@@ -21,6 +21,7 @@ sweep memoises its stage-time reads, and each entry lives for one sub-interval.
 """
 
 from dataclasses import dataclass
+import numbers
 import re
 import warnings
 import weakref
@@ -52,57 +53,52 @@ def parse_residual_mode(mode):
 class IDCConfig:
     """Configuration of one prediction + corrections pipeline.
 
-    M is the number of sub-intervals per macro step; when omitted it defaults
-    to max(sum of scheme orders, 3), which keeps the quadrature accurate
-    enough for the requested number of corrections.  Construction checks it
-    against the uniform-node range, so a run can reject it before any output.
+    Construction checks every field and resolves what a run executes, once:
+    ``correctors``, given as None (the predictor), one name, or one name per
+    sweep, becomes the tuple of one scheme name per correction sweep, and an
+    unset M, the number of sub-intervals per macro step, becomes max(sum of
+    scheme orders, 3), which keeps the quadrature accurate enough for the
+    requested number of corrections.  Both counts are whole numbers, and M is
+    checked against the uniform-node range, so a run can reject it before any
+    output.  A resolved config is rebuilt, not ``dataclasses.replace``d: a
+    replaced one would keep the old sweeps and M.
     """
 
     corrections: int = 0
     predictor: str = "lie-trotter"
-    correctors: object = None  # None (= predictor), a name, or one name per sweep
+    correctors: tuple = None  # given as None (= predictor), a name, or one name per sweep
     M: int = None
     residual_mode: str = "interpolant"
 
     def __post_init__(self):
+        if not isinstance(self.corrections, numbers.Integral):
+            raise UsageError(f"number of corrections must be a whole number, "
+                             f"got {self.corrections!r}")
         if self.corrections < 0:
             raise UsageError("number of corrections cannot be negative")
         parse_residual_mode(self.residual_mode)
-        if isinstance(self.correctors, (list, tuple)):
-            if len(self.correctors) != self.corrections:
-                raise UsageError("need one corrector name per correction sweep")
-        named = [self.correctors] if isinstance(self.correctors, str) else self.correctors or ()
+        given = self.predictor if self.correctors is None else self.correctors
+        one = isinstance(given, str)
+        named = (given,) if one else tuple(given)
+        if not one and len(named) != self.corrections:
+            raise UsageError("need one corrector name per correction sweep")
         for name in (self.predictor, *named):
             if name not in STEPPER_ORDERS:
                 raise UnsupportedSchemeError(
                     f"unknown scheme {name!r}; choose from {sorted(STEPPER_ORDERS)}")
-        polyint.check_subintervals(self.resolved_M())
-
-    def corrector_name(self, k):
-        """Scheme used in sweep k (1-based)."""
-        if self.correctors is None:
-            return self.predictor
-        if isinstance(self.correctors, str):
-            return self.correctors
-        return self.correctors[k - 1]
-
-    def scheme_orders(self):
-        orders = [STEPPER_ORDERS[self.predictor]]
-        for k in range(1, self.corrections + 1):
-            orders.append(STEPPER_ORDERS[self.corrector_name(k)])
-        return orders
+        object.__setattr__(self, "correctors", named * self.corrections if one else named)
+        if self.M is None:
+            object.__setattr__(self, "M", max(self.target_order(), 3))
+        polyint.check_subintervals(self.M)
 
     def target_order(self):
-        return sum(self.scheme_orders())
-
-    def resolved_M(self):
-        return self.M if self.M is not None else max(self.target_order(), 3)
+        return sum(STEPPER_ORDERS[name] for name in (self.predictor, *self.correctors))
 
     def warn_if_saturated(self):
         """Warn, at the caller's caller, when the target order exceeds M+1."""
-        if self.target_order() > self.resolved_M() + 1:
+        if self.target_order() > self.M + 1:
             warnings.warn(f"requested order {self.target_order()} exceeds M+1="
-                          f"{self.resolved_M() + 1}; the order will saturate at the "
+                          f"{self.M + 1}; the order will saturate at the "
                           "quadrature accuracy", stacklevel=3)
 
 
@@ -308,10 +304,10 @@ class ErrorProblem:
 
 def correct_once(problem, level, sweep_index, cfg):
     """One correction sweep: march the error equation, add the recovered error."""
-    if sweep_index < 1:
-        raise UsageError("sweep index is 1-based")
+    if not 1 <= sweep_index <= cfg.corrections:
+        raise UsageError(f"sweep index {sweep_index} outside 1..{cfg.corrections} (1-based)")
     ep = ErrorProblem(problem, level, residual_mode=cfg.residual_mode)
-    name = cfg.corrector_name(sweep_index)
+    name = cfg.correctors[sweep_index - 1]
     stepper = problem.corrector_overrides.get(name) or get_stepper(name)
     Q = _march_sub_intervals(ep, stepper, level.nodes, np.zeros_like(level.values[0]),
                              sweep_index)
@@ -352,7 +348,7 @@ def _march(problem, macro_steps, cfg):
     a step ending non-finite fails with its step, end time and first
     non-finite node, and a sweep's failure gets ``macro step n at t=...: ``."""
     t0, t1 = problem.t_span
-    M = cfg.resolved_M()
+    M = cfg.M
     H = (t1 - t0) / macro_steps
     u = np.asarray(problem.initial_state)
     for n in range(macro_steps):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -88,7 +89,9 @@ class UniformNodeSet:
 
 
 def check_subintervals(M):
-    """Raise UsageError unless 1 <= M <= MAX_SUBINTERVALS."""
+    """Raise UsageError unless M is a whole number in 1..MAX_SUBINTERVALS."""
+    if not isinstance(M, numbers.Integral):
+        raise UsageError(f"the sub-interval count must be a whole number, got M={M!r}")
     if M < 1:
         raise UsageError(f"need at least one sub-interval, got M={M}")
     if M > MAX_SUBINTERVALS:

@@ -44,7 +44,7 @@ def _dahlquist_step(lam, cfg, strict=True):
     lam = np.asarray(lam, dtype=complex)
     op = DiagonalLinearOperator(0.5 * lam, strict=strict)
     problem = SplitIVP(operators=(op, op), initial_state=np.ones_like(lam), t_span=(0.0, 1.0))
-    nodes = UniformNodeSet(t0=0.0, h=1.0 / cfg.resolved_M(), M=cfg.resolved_M())
+    nodes = UniformNodeSet(t0=0.0, h=1.0 / cfg.M, M=cfg.M)
     return solve_macro_interval(problem, nodes, problem.initial_state, cfg).final_state
 
 

@@ -64,12 +64,36 @@ class TestConfig:
     def test_defaults(self):
         cfg = IDCConfig(corrections=2, predictor="strang")
         assert cfg.target_order() == 6
-        assert cfg.resolved_M() == 6
+        assert cfg.M == 6
 
     def test_mixed_correctors(self):
         cfg = IDCConfig(corrections=2, predictor="lie-trotter",
                         correctors=("strang", "lie-trotter"))
-        assert cfg.scheme_orders() == [1, 2, 1]
+        assert cfg.correctors == ("strang", "lie-trotter") and cfg.target_order() == 4
+
+    @pytest.mark.parametrize("correctors", [None, "strang", ("strang", "strang")])
+    def test_resolved_once(self, correctors):
+        cfg = IDCConfig(corrections=2, predictor="strang", correctors=correctors)
+        assert cfg.correctors == ("strang", "strang") and cfg.M == 6
+        assert IDCConfig(**vars(cfg)) == cfg
+        assert IDCConfig(corrections=0, correctors="adi").correctors == ()
+        assert IDCConfig(M=5).M == 5
+
+    @pytest.mark.parametrize("kwargs", [dict(M=2.5), dict(M=3.0), dict(corrections=1.5),
+                                        dict(corrections=1.0)])
+    def test_whole_counts_only(self, kwargs):
+        # at M=2.5 the march failed with a TypeError in range(M) after building
+        # nodes past the macro step's end
+        with pytest.raises(UsageError, match="whole number"):
+            IDCConfig(**kwargs)
+
+    def test_sweep_index_in_range(self):
+        p = scalar_problem()
+        cfg = IDCConfig(corrections=1)
+        level = predict(p, UniformNodeSet(t0=0.0, h=0.1, M=3), np.array(1.0), cfg)
+        for k in (0, 2):
+            with pytest.raises(UsageError, match="1-based"):
+                correct_once(p, level, k, cfg)
 
     def test_corrector_count_mismatch(self):
         with pytest.raises(UsageError):

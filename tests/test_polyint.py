@@ -26,6 +26,15 @@ class TestNodeSet:
         with pytest.raises(UsageError):
             UniformNodeSet(t0=0.0, h=-1.0, M=2)
 
+    @pytest.mark.parametrize("M", [2.5, 3.0, "3"])
+    def test_whole_counts_only(self, M):
+        # M=2.5 would build four node times past t_end = t0 + 2.5h
+        with pytest.raises(UsageError, match="whole number"):
+            UniformNodeSet(t0=0.0, h=0.1, M=M)
+        with pytest.raises(UsageError, match="whole number"):
+            polyint.check_subintervals(M)
+        assert nodes_for(np.int64(3)).times.shape == (4,)
+
 
 def long_run_nodes():
     """The sub-intervals of a 10,240-sub-step ladder to t=0.025 that start at

@@ -94,7 +94,7 @@ class TestFieldBlocks:
                         residual_mode="oversampled(13)")
         # Strang's first trapezoid factor 1 - (h/4)(lambda/2) vanishes at 8M
         lam = self.GRID.copy()
-        lam[self.POLE] = 8.0 * cfg.resolved_M()
+        lam[self.POLE] = 8.0 * cfg.M
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             amp = amplification_field(lam, "strang", corrections,
@@ -114,7 +114,7 @@ class TestFieldBlocks:
         cfg = IDCConfig(corrections=corrections, predictor="strang",
                         residual_mode="oversampled(13)")
         re, im = np.linspace(-20, 4, 161), np.linspace(-12, 12, 128)
-        re[self.POLE[0]], im[self.POLE[1]] = 8.0 * cfg.resolved_M(), 0.0
+        re[self.POLE[0]], im[self.POLE[1]] = 8.0 * cfg.M, 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             amp = amplification_field(np.ix_(re, im), "strang", corrections)
