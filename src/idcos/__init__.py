@@ -1,10 +1,12 @@
 """High order time integration: integral deferred correction over operator splitting.
 
 The time layers (``idc``, ``ode``, ``polyint``, ``steppers``, ``stability``)
-and the ``harness`` need only numpy and load with the package.  The PDE
-backend (``banded``, ``stencils``, ``pde2d``, ``problems``) is the only code
-that needs scipy, so its names here load on first access (PEP 562): a
-stability scan, which discretises no PDE, never imports scipy.
+and the ``harness`` load with the package.  The PDE backend (``banded``,
+``stencils``, ``pde2d``, ``problems``) loads on first access (PEP 562), so a
+stability scan, which discretises no PDE, loads none of it.  Only ``banded``
+needs scipy, and only a variable coefficient's stacked lines load it, when
+their operator is built: a constant-coefficient problem (example1, example3,
+FitzHugh-Nagumo, Schnakenberg) runs on numpy alone.
 """
 
 import importlib

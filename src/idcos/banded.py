@@ -2,26 +2,25 @@
 
 Grid-line operators from the finite-difference stencils are banded with
 bandwidths at most six.  A ``BandedMatrix`` holds L independent lines of
-length n: L = 1 is one matrix shared by every right-hand side (constant
-coefficients), L > 1 gives each line its own matrix (variable
-coefficients).  The L lines are factored as one band of length L*n by a
-single LAPACK gbtrf; no entry couples two lines, so partial pivoting stays
-inside each line and every line gets the factor it would get on its own.
-Periodic lines carry a handful of wrap entries in the corners; each line is
-handled as a banded core plus a low-rank correction (Woodbury identity).
+length n, each with its own matrix: the variable-coefficient lines of a
+direction, one per grid line.  (A constant coefficient gives one line shared
+by every grid line; ``pde2d`` keeps that as a dense numpy inverse and never
+loads this module, nor scipy.)  The L lines are factored as one band of
+length L*n by a single LAPACK gbtrf; no entry couples two lines, so partial
+pivoting stays inside each line and every line gets the factor it would get
+on its own.  Periodic lines carry a handful of wrap entries in the corners;
+each line is handled as a banded core plus a low-rank correction (Woodbury
+identity).
 
-Stacked lines are solved through that banded LU and Woodbury correction,
-O(n) per line.  When gbtrf swapped no row, L and U are plain bands, and a
-solve of the whole stack is two BLAS tbsv sweeps over one vector of length
-L*n; gbtrs would make one rank-1 update per column.  Each row of U is
-divided by its pivot at factor time, so both sweeps run with a unit
-diagonal, which OpenBLAS sweeps about twice as fast, and a solve scales by
-the kept reciprocal pivots once between them.  gbtrs still serves stacks in
-which some line swapped rows and the multi-column solves made at
-construction (the Woodbury factors, a shared line's inverse).  A shared line
-is solved once against the identity at construction: its n x n inverse then
-solves every batch as one dense matrix product, which at grid-line sizes
-outruns the column-by-column banded solve.
+Lines are solved through that banded LU and Woodbury correction, O(n) per
+line.  When gbtrf swapped no row, L and U are plain bands, and a solve of
+the whole stack is two BLAS tbsv sweeps over one vector of length L*n;
+gbtrs would make one rank-1 update per column.  Each row of U is divided by
+its pivot at factor time, so both sweeps run with a unit diagonal, which
+OpenBLAS sweeps about twice as fast, and a solve scales by the kept
+reciprocal pivots once between them.  gbtrs still serves stacks in which
+some line swapped rows and the multi-column solves of the Woodbury factors
+at construction.
 """
 
 import numpy as np
@@ -36,12 +35,10 @@ class BandedMatrix:
 
     ``ab`` holds the lines in LAPACK band storage, shape (L, kl + ku + 1, n);
     ``wrap_U`` holds the wrap entries of columns ``wrap_cols``, shape (L, n, r).
-    Stacked lines (L > 1) keep their Woodbury factors and either the two
-    triangular bands of an LU without row swaps, U with a unit diagonal and
-    its pivots kept as reciprocals, solved by two unit-diagonal tbsv sweeps
-    with one scaling between them, or gbtrf's pivoted factor, solved by
-    gbtrs; a shared line (L = 1) keeps only its inverse, built from those
-    factors, and applies it as one matrix product.
+    The lines keep their Woodbury factors and either the two triangular
+    bands of an LU without row swaps, U with a unit diagonal and its pivots
+    kept as reciprocals, solved by two unit-diagonal tbsv sweeps with one
+    scaling between them, or gbtrf's pivoted factor, solved by gbtrs.
     """
 
     def __init__(self, ab, kl, ku, wrap_cols=None, wrap_U=None):
@@ -74,11 +71,7 @@ class BandedMatrix:
             except np.linalg.LinAlgError as exc:
                 raise LinearSolveError("singular wrap correction") from exc
             self._wrap = (wrap_cols, W.transpose(0, 2, 1))
-        if self.lines == 1:
-            # a shared line keeps only its inverse: every solve is one GEMM
-            self._inv = self._solve_lines(np.eye(self.n, dtype=ab.dtype)[None])[0]
-            del self._gbtrs, self._lu, self._piv, self._wrap
-        elif np.array_equal(piv, np.arange(len(piv))):
+        if np.array_equal(piv, np.arange(len(piv))):
             # no row swapped: L and U are plain bands, each one triangular
             # sweep over the whole stack.  U = D V with D its diagonal and V
             # unit upper: V's band row r holds U[j - ku + r, j] / d[j - ku + r]
@@ -145,16 +138,8 @@ class BandedMatrix:
         return X
 
     def solve(self, b):
-        """Solve for one vector (n,) or a batch (n, k) against a shared line;
-        L stacked lines take an (n, L) batch, column k line k's right-hand side.
-        """
+        """Solve an (n, L) batch, column k line k's right-hand side."""
         b = np.asarray(b)
-        if self.lines == 1:
-            if b.ndim not in (1, 2) or b.shape[0] != self.n:
-                raise UsageError(f"a shared line of {self.n} unknowns needs a "
-                                 f"right-hand side ({self.n},) or ({self.n}, k), "
-                                 f"got shape {b.shape}")
-            return self._inv @ b
         if b.shape != (self.n, self.lines):
             raise UsageError(f"{self.lines} lines of {self.n} unknowns need one "
                              f"right-hand side each, shape ({self.n}, {self.lines}), "

@@ -12,8 +12,9 @@ The ladder CSV, the field snapshot (``write_field_snapshot``, which reads
 only a grid's axes and shape) and the run manifest are written here; a
 scan's field and contour CSVs by ``stability`` (``write_field_csv``,
 ``write_contour_csv``), which ``run_stability`` calls.  The PDE backend
-(``problems`` and the scipy layers under it) is imported only when a run
-builds a problem, so a stability map loads no scipy.
+(``problems`` and the layers under it) is imported only when a run builds a
+problem, so a stability map loads none of it and no scipy; of the problems,
+only a variable coefficient's stacked lines load scipy.
 """
 
 from dataclasses import dataclass, asdict

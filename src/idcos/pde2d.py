@@ -7,15 +7,18 @@ y-direction terms and the pointwise source become the split operators.  Each
 direction operator builds its line operator L once, coefficients folded in:
 one shared line for constant coefficients, one line per grid line otherwise.
 Application, wall terms and implicit sub-steps all read that L; an implicit
-sub-step is independent line solves with the ``BandedMatrix`` of I - alpha*L.
-Each direction keeps only the factor of the step size in use: a scheme asks
-an operator for one alpha per step size, and a ladder runs every correction
-count of a rung before the next rung.  A shared line is solved by its
-precomputed inverse, one matrix product over the whole field; stacked lines
-by their banded LU: when no line swapped rows, two unit-diagonal band sweeps
-over the whole stack with one scaling by the reciprocal pivots between them,
-LAPACK gbtrs otherwise.  An ADI step takes its explicit x half-step from the
-x-sweep's own solve, so it makes one explicit operator application, not two.
+sub-step is independent line solves with I - alpha*L.  Each direction keeps
+only the factor of the step size in use: a scheme asks an operator for one
+alpha per step size, and a ladder runs every correction count of a rung
+before the next rung.  A shared line is a dense n x n numpy array, solved by
+its inverse, one matrix product over the whole field, and applied by the
+band's blocks of rows: a constant-coefficient problem loads no scipy.
+Stacked lines are a CSR stack, solved by the ``BandedMatrix`` of their banded
+LU: when no line swapped rows, two unit-diagonal band sweeps over the whole
+stack with one scaling by the reciprocal pivots between them, LAPACK gbtrs
+otherwise.  They alone import scipy and ``banded``, as their operator is
+built.  An ADI step takes its explicit x half-step from the x-sweep's own
+solve, so it makes one explicit operator application, not two.
 On Dirichlet grids each direction operator keeps the wall values and the
 wall terms of its last ``WALL_MEMO_TIMES`` (8) distinct times, keyed by the
 exact float t and shared by every caller: a macro step's predictor,
@@ -33,9 +36,7 @@ from dataclasses import dataclass
 import numbers
 
 import numpy as np
-import scipy.sparse as sp
 
-from .banded import BandedMatrix
 from .errors import LinearSolveError, NewtonError, UsageError
 from .ode import SplitIVP
 from .stencils import build_stencil
@@ -51,6 +52,12 @@ NEWTON_MAX_ITERS = 50
 # heat ladder 8 keeps nearly every hit of 12 or 16: the wall terms of 3,660
 # times are formed where 9,000 were unmemoised, against 3,624 at 12 or 16
 WALL_MEMO_TIMES = 8
+
+# a shared line is applied this many rows at a time, each block times its
+# band's columns alone.  At N=200 one dense product over whole lines took
+# 2.3-3.9x as long per application (2-core Xeon, one OpenBLAS thread), and
+# blocks of 16 to 32 rows were fastest
+ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -140,14 +147,16 @@ class DirectionalDiffusionOperator:
 
     ``slope`` is the coefficient's own derivative along this axis (a_x for
     the x-direction).  ``L`` is built once with a and slope folded into the
-    stencil rows, as lines stacked into an (n_lines * n, n) CSR: one shared
-    line when ``constant`` is set, else one per grid line of this direction.
-    It is applied as one multi-vector product with the shared line or one
-    block-diagonal matvec over the stack.  Only the factor of (I - alpha*L)
-    for the step size in use is kept, and a solve with a new alpha drops the
-    others: the shared line as its inverse, applied to the whole field as one
-    matrix product, stacked lines as their banded LU (two unit-diagonal
-    band sweeps per solve when no row was swapped).  On Dirichlet grids
+    stencil rows.  When ``constant`` is set it is one shared (n, n) numpy
+    line, applied block by block: each ``ROW_BLOCK`` (32) rows multiply only
+    the columns of their band, plus the corner entries of a periodic line,
+    O(n * (32 + bandwidth)) per line.  Otherwise L stacks one line per grid
+    line of this direction into an (n_lines * n, n) CSR, applied as one
+    block-diagonal matvec.  Only the factor of (I - alpha*L) for the step size in use is
+    kept, and a solve with a new alpha drops the others: the shared line as
+    its inverse, applied to the whole field as one matrix product, stacked
+    lines as their banded LU (two unit-diagonal band sweeps per solve when
+    no row was swapped).  On Dirichlet grids
     ``wall_weights`` holds the folded weights of each line's two wall values,
     one row per line, for the boundary contribution: the only time-dependent
     piece.  Those weights are nonzero only within the first and last
@@ -176,19 +185,20 @@ class DirectionalDiffusionOperator:
         terms = [(a, 2)] + ([(slope, 1)] if np.any(np.asarray(slope) != 0) else [])
         self.constant = len(terms) == 1 and np.ptp(a) == 0
         n_lines = 1 if self.constant else grid.N_y if axis == "x" else grid.N_x
-        stacks, walls = [], []
+        lines, walls = [], []
         for coef, derivative in terms:
             stencil = build_stencil(grid, axis, derivative, order)
             coef = np.broadcast_to(coef, grid.shape)
             coef = (coef if axis == "x" else coef.T)[:n_lines]
-            # scaling each row's data keeps the stencil's entry order, so a
-            # unit coefficient folds exactly
-            stack = sp.vstack([stencil.matrix] * n_lines, format="csr")
-            stack.data *= np.repeat(coef.ravel(), np.diff(stack.indptr))
-            stacks.append(stack)
+            lines.append((coef, stencil.matrix))
             if grid.bc == "dirichlet":
                 walls.append((coef * stencil.wall_left, coef * stencil.wall_right))
-        self.L = sum(stacks[1:], stacks[0])
+        if self.constant:
+            (coef, matrix), = lines
+            self.L = coef.T * matrix    # row i scaled by its coefficient
+            self._row_blocks = _row_blocks(self.L)
+        else:
+            self.L, self._blocks = _stacked_lines(lines)
         self.wall_weights = tuple(sum(w[1:], w[0]) for w in zip(*walls)) or None
         # coordinates along the walls, one per line
         self._along = grid.ys if axis == "x" else grid.xs
@@ -197,11 +207,6 @@ class DirectionalDiffusionOperator:
             # nonzero columns, each counted from its own wall
             support = (w_lo != 0).any(axis=0) | (w_hi != 0).any(axis=0)[::-1]
             self.strip = int(np.flatnonzero(support)[-1]) + 1
-        if not self.constant:  # the stack as one block-diagonal matrix
-            L, n = self.L, self.L.shape[1]
-            line = np.repeat(np.arange(L.shape[0]) // n, np.diff(L.indptr))
-            self._blocks = sp.csr_matrix((L.data, L.indices + n * line, L.indptr),
-                                         shape=(L.shape[0],) * 2)
         self._solvers = {}
         self._walls = {}     # t -> (g_lo, g_hi), insertion-ordered
         self._strips = {}    # t -> the two wall strips' terms
@@ -211,7 +216,14 @@ class DirectionalDiffusionOperator:
     def apply_homogeneous(self, t, U):
         """L applied to a field, boundary terms dropped."""
         if self.constant:
-            return (self.L @ U.T).T if self.axis == "x" else self.L @ U
+            out = np.empty(np.shape(U), np.result_type(U, float))
+            lines, out_lines = (U.T, out.T) if self.axis == "x" else (U, out)
+            for rows, runs in self._row_blocks:
+                (cols, block), *rest = runs
+                np.matmul(block, lines[cols], out=out_lines[rows])
+                for cols, block in rest:
+                    out_lines[rows] += block @ lines[cols]
+            return out
         lines = U if self.axis == "x" else U.T
         out = (self._blocks @ lines.ravel()).reshape(lines.shape)
         return out if self.axis == "x" else out.T
@@ -285,18 +297,29 @@ class DirectionalDiffusionOperator:
     # -- implicit solves ---------------------------------------------------
 
     def _solver(self, alpha):
-        """The line solver of (I - alpha*L), one line per line of the stack.
+        """The factor of (I - alpha*L): a shared line's inverse, or the
+        ``BandedMatrix`` of the stacked lines.
 
         A new alpha is factored and added to ``_solvers`` beside the factors
         already kept (``perfbench`` counts a factorisation by that growth);
-        ``solve_homogeneous`` then keeps only the one in use.
+        ``solve_homogeneous`` then keeps only the one in use.  A singular
+        shared line raises ``LinearSolveError`` naming the axis and alpha.
         """
         key = float(alpha)
         solver = self._solvers.get(key)
         if solver is None:
             n = self.L.shape[1]
-            eye = sp.vstack([sp.eye(n, format="csr")] * (self.L.shape[0] // n))
-            solver = BandedMatrix.from_sparse(eye - alpha * self.L)
+            if self.constant:
+                try:
+                    solver = np.linalg.inv(np.eye(n) - alpha * self.L)
+                except np.linalg.LinAlgError as exc:
+                    raise LinearSolveError(f"the {self.axis} line of I - alpha*L is "
+                                           f"singular at alpha={alpha!r}") from exc
+            else:
+                import scipy.sparse as sp
+                from .banded import BandedMatrix
+                eye = sp.vstack([sp.eye(n, format="csr")] * (self.L.shape[0] // n))
+                solver = BandedMatrix.from_sparse(eye - alpha * self.L)
             self._solvers[key] = solver
         return solver
 
@@ -306,15 +329,53 @@ class DirectionalDiffusionOperator:
         solver = self._solver(alpha)
         if len(self._solvers) > 1:
             self._solvers = {float(alpha): solver}
-        if self.axis == "x":
-            return solver.solve(rhs.T).T
-        return solver.solve(rhs)
+        if self.constant:
+            return rhs @ solver.T if self.axis == "x" else solver @ rhs
+        return solver.solve(rhs.T).T if self.axis == "x" else solver.solve(rhs)
 
     def solve_implicit(self, t, alpha, rhs, guess=None):
         """Solve X - alpha*f(t, X) = rhs including the boundary contribution."""
         if self.grid.bc == "dirichlet":
             rhs = rhs + alpha * self.boundary_contribution(t)
         return self.solve_homogeneous(t, alpha, rhs)
+
+
+def _row_blocks(L, rows=ROW_BLOCK):
+    """A shared line's band as (row slice, runs) pairs, one per ``rows`` rows:
+    each run (column slice, block) is a range of columns that holds a nonzero
+    of those rows, and the runs cover every nonzero.  An interior block has
+    one run of rows + bandwidth columns; on a periodic line the first and the
+    last block also have a run for the corner (wrap) entries."""
+    n = L.shape[0]
+    out = []
+    for start in range(0, n, rows):
+        rows_k = slice(start, min(start + rows, n))
+        nonzero = np.concatenate(([0], L[rows_k].any(axis=0), [0])).astype(np.int8)
+        edges = np.flatnonzero(np.diff(nonzero))
+        out.append((rows_k, [(slice(lo, hi), L[rows_k, lo:hi])
+                             for lo, hi in zip(edges[::2], edges[1::2])]))
+    return out
+
+
+def _stacked_lines(lines):
+    """The lines of a variable coefficient as one (n_lines * n, n) CSR stack,
+    and that stack as one block-diagonal matrix; ``lines`` holds each term's
+    (coefficient per node, dense stencil).  Stacked lines alone load scipy
+    and ``banded``, here at construction, before any solve."""
+    import scipy.sparse as sp
+    from . import banded  # noqa: F401 -- loaded with the stack, not at a solve
+    stacks = []
+    for coef, matrix in lines:
+        # scaling each row's data keeps the stencil's entry order, so a unit
+        # coefficient folds exactly
+        stack = sp.vstack([sp.csr_matrix(matrix)] * len(coef), format="csr")
+        stack.data *= np.repeat(coef.ravel(), np.diff(stack.indptr))
+        stacks.append(stack)
+    L = sum(stacks[1:], stacks[0])
+    n = L.shape[1]
+    line = np.repeat(np.arange(L.shape[0]) // n, np.diff(L.indptr))
+    return L, sp.csr_matrix((L.data, L.indices + n * line, L.indptr),
+                            shape=(L.shape[0],) * 2)
 
 
 def _remember(table, t, value):

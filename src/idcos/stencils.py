@@ -9,6 +9,7 @@ Lagrange cardinals on its offsets (Fornberg 1988): d! times their d-th
 coefficients from ``polyint``'s one generator, each rounded once.  Rows
 therefore annihilate constants exactly and differentiate polynomials of
 degree below the stencil size without roundoff beyond that rounding.
+Each operator is a dense n x n numpy array, so the module needs no scipy.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ from functools import lru_cache
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import UsageError
 from .polyint import _cardinal_coefficients
@@ -56,7 +56,7 @@ class StencilOperator:
     n: int                    # nodes along the line
     spacing: float
     bc: str                   # "dirichlet" or "periodic"
-    matrix: object            # (n, n) sparse matrix
+    matrix: np.ndarray        # (n, n) dense array
     wall_left: np.ndarray = None
     wall_right: np.ndarray = None
 
@@ -75,8 +75,7 @@ def build_stencil(grid, axis, derivative, order):
     centered offsets modulo n.  Dirichlet lines have the walls as extended
     nodes -1 and n; rows whose centered stencil would leave them use a
     one-sided stencil of ``order + derivative`` points anchored at the wall,
-    which keeps the formal order and a bandwidth of at most six.  Zero
-    weights (the center of a first-derivative row) are not stored.
+    which keeps the formal order and a bandwidth of at most six.
 
     Periodic lines need n >= 2*reach nodes (reach = order/2).  At exactly
     n = 2*reach the offsets +reach and -reach land on the same node, and
@@ -112,8 +111,6 @@ def build_stencil(grid, axis, derivative, order):
         else:
             offs = tuple(range(n + 1 - biased_points - i, n + 1 - i))
         for o, w in zip(offs, (fd_weights(offs, derivative) * scale).tolist()):
-            if w == 0.0:
-                continue
             j = i + o
             if periodic or 0 <= j < n:
                 rows.append(i)
@@ -123,9 +120,10 @@ def build_stencil(grid, axis, derivative, order):
                 wall_left[i] = w
             else:
                 wall_right[i] = w
-    # the COO sum adds the two weights of an n = 2*reach periodic line that
+    # np.add.at sums the two weights of an n = 2*reach periodic line that
     # land on one node
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (rows, cols), vals)
     return StencilOperator(axis=axis, derivative=derivative, order=order,
                            n=n, spacing=spacing, bc=grid.bc, matrix=matrix,
                            wall_left=wall_left, wall_right=wall_right)

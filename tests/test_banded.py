@@ -5,7 +5,8 @@ import scipy.sparse as sp
 
 from idcos.banded import BandedMatrix
 from idcos.errors import LinearSolveError, UsageError
-from idcos.pde2d import CoefficientField, DirectionalDiffusionOperator, Grid2D
+from idcos.pde2d import (ROW_BLOCK, CoefficientField, DirectionalDiffusionOperator,
+                         Grid2D, _row_blocks)
 from idcos.stencils import build_stencil
 
 
@@ -30,14 +31,15 @@ class TestBandedMatrix:
         rng = np.random.default_rng(n)
         A = random_banded(rng, n, kl, ku)
         bm = BandedMatrix.from_sparse(A)
-        b = rng.normal(size=n)
+        b = rng.normal(size=(n, 1))
         x = bm.solve(b)
         assert np.max(np.abs(A @ x - b)) <= 1e-11 * np.max(np.abs(b))
 
     def test_batched_solve(self):
+        # six stacked copies of one line, one right-hand side each
         rng = np.random.default_rng(7)
         A = random_banded(rng, 30, 2, 4)
-        bm = BandedMatrix.from_sparse(A)
+        bm = BandedMatrix.from_sparse(sp.vstack([A] * 6))
         B = rng.normal(size=(30, 6))
         X = bm.solve(B)
         assert X.shape == (30, 6)
@@ -48,17 +50,18 @@ class TestBandedMatrix:
         rng = np.random.default_rng(n + w)
         A = random_periodic(rng, n, w)
         bm = BandedMatrix.from_sparse(A)
-        b = rng.normal(size=n)
+        b = rng.normal(size=(n, 1))
         x = bm.solve(b)
         assert np.max(np.abs(A @ x - b)) <= 1e-11 * np.max(np.abs(b))
+        stack = BandedMatrix.from_sparse(sp.vstack([A] * 3))
         B = rng.normal(size=(n, 3))
-        assert np.max(np.abs(A @ bm.solve(B) - B)) <= 1e-11 * np.max(np.abs(B))
+        assert np.max(np.abs(A @ stack.solve(B) - B)) <= 1e-11 * np.max(np.abs(B))
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(3)
         A = random_banded(rng, 15, 2, 2)
         bm = BandedMatrix.from_sparse(A)
-        b = rng.normal(size=15)
+        b = rng.normal(size=(15, 1))
         assert np.allclose(bm.solve(b), np.linalg.solve(A.toarray(), b))
 
     def test_singular_matrix(self):
@@ -93,54 +96,69 @@ def closure_line(n, alpha=1e-3):
     """I - alpha*d2 on a sixth-order Dirichlet line: kl = ku = 6 from the
     one-sided wall closures."""
     grid = Grid2D((0.0, 1.0), (0.0, 1.0), n, n)
-    return sp.eye(n, format="csr") - alpha * build_stencil(grid, "x", 2, 6).matrix
+    return np.eye(n) - alpha * build_stencil(grid, "x", 2, 6).matrix
+
+
+def shared_line_operator(bc, n, axis, order=6):
+    """A constant-coefficient direction operator on an n-node line, with 9
+    lines of it (a non-square grid, so a transposed sweep shows)."""
+    n_x, n_y = (n, 9) if axis == "x" else (9, n)
+    grid = Grid2D((0.0, 1.0), (0.0, 2.0), n_x, n_y, bc=bc)
+    op = DirectionalDiffusionOperator(grid, axis, 1.5, order=order,
+                                      boundary=lambda x, y, t: x + y + t)
+    assert op.constant and op.L.shape == (n, n)
+    return op
+
+
+def dense_apply(op, U):
+    """op's line applied to every line of the field U, as one dense product."""
+    return U @ op.L.T if op.axis == "x" else op.L @ U
 
 
 class TestSharedLine:
-    @pytest.mark.parametrize("build", [
-        lambda rng: closure_line(60),
-        lambda rng: random_banded(rng, 60, 6, 6),
-        lambda rng: random_periodic(rng, 64, 6),
-    ], ids=["closure", "banded", "periodic"])
-    def test_matches_dense_solve(self, build):
+    """A constant coefficient's one line is a dense numpy array: solved by its
+    inverse and applied by the band's row blocks, with no ``BandedMatrix``."""
+
+    @pytest.mark.parametrize("bc,n", [("dirichlet", 60), ("periodic", 64)],
+                             ids=["closure", "periodic"])
+    def test_matches_dense_solve(self, bc, n):
+        # the sixth-order closure rows (kl = ku = 6), and a periodic line
+        # whose corners hold the wrap entries
         rng = np.random.default_rng(21)
-        A = build(rng)
-        bm = BandedMatrix.from_sparse(A)
-        assert bm.lines == 1
-        n = A.shape[0]
-        for b in (rng.normal(size=n), rng.normal(size=(n, 7))):
-            x = bm.solve(b)
-            ref = np.linalg.solve(A.toarray(), b)
-            assert x.shape == b.shape
-            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for axis in ("x", "y"):
+            op = shared_line_operator(bc, n, axis)
+            A = np.eye(n) - 1e-3 * op.L
+            U = rng.normal(size=op.grid.shape)
+            X = op.solve_homogeneous(0.0, 1e-3, U)
+            ref = np.linalg.solve(A, U.T).T if axis == "x" else np.linalg.solve(A, U)
+            assert X.shape == U.shape
+            assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_closure_bandwidth(self):
         bm = BandedMatrix.from_sparse(closure_line(30))
         assert (bm.kl, bm.ku) == (6, 6)
+        op = shared_line_operator("dirichlet", 30, "x")
+        rows, cols = np.nonzero(op.L)
+        assert np.max(np.abs(cols - rows)) == 6
 
     def test_transposed_batch(self):
         # x-direction sweeps solve the rows of a field through its transpose
         rng = np.random.default_rng(22)
-        A = random_periodic(rng, 40, 3)
-        bm = BandedMatrix.from_sparse(A)
-        F = rng.normal(size=(9, 40))
-        ref = np.linalg.solve(A.toarray(), F.T)
-        assert np.max(np.abs(bm.solve(F.T) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        op = shared_line_operator("periodic", 40, "x", order=4)
+        F = rng.normal(size=op.grid.shape)
+        ref = np.linalg.solve(np.eye(40) - 0.02 * op.L, F.T).T
+        X = op.solve_homogeneous(0.0, 0.02, F)
+        assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_input_unchanged(self):
         rng = np.random.default_rng(23)
-        bm = BandedMatrix.from_sparse(random_periodic(rng, 30, 2))
-        B = rng.normal(size=(30, 4))
-        before = B.copy()
-        bm.solve(B)
-        bm.solve(B[:, 0])
-        assert np.array_equal(B, before)
-
-    @pytest.mark.parametrize("shape", [(4,), (6, 2), (5, 2, 2)])
-    def test_batch_needs_n_rows(self, shape):
-        bm = BandedMatrix.from_sparse(random_banded(np.random.default_rng(24), 5, 1, 1))
-        with pytest.raises(UsageError, match=r"shared line of 5 unknowns.*got shape"):
-            bm.solve(np.ones(shape))
+        for axis in ("x", "y"):
+            op = shared_line_operator("periodic", 30, axis, order=4)
+            B = rng.normal(size=op.grid.shape)
+            before = B.copy()
+            op.solve_homogeneous(0.0, 0.01, B)
+            op.apply_homogeneous(0.0, B)
+            assert np.array_equal(B, before)
 
     def test_singular_wrap_capacitance(self):
         # the banded core is the identity, but the wrap entries (0, 3) and
@@ -149,6 +167,37 @@ class TestSharedLine:
         A[0, 3] = A[3, 0] = 1.0
         with pytest.raises(LinearSolveError, match="singular wrap"):
             BandedMatrix.from_sparse(A.tocsr())
+
+    @pytest.mark.parametrize("bc,order,n", [
+        ("dirichlet", 6, 60), ("periodic", 6, 64),
+        ("dirichlet", 6, 8), ("dirichlet", 6, 10), ("dirichlet", 6, 12),
+        ("dirichlet", 4, 9), ("periodic", 2, 2), ("periodic", 4, 4), ("periodic", 6, 6),
+    ])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_apply_matches_dense_product(self, bc, order, n, axis):
+        # the closure rows and the periodic corners of long lines, and lines
+        # no longer than twice the bandwidth, where the wall closures or the
+        # wraps of the two ends reach the same rows (n = 2*reach periodic
+        # lines sum two weights on one node); blocks of 1 to 3 rows split the
+        # short lines as the default 32 splits the long ones
+        op = shared_line_operator(bc, n, axis, order=order)
+        U = np.random.default_rng(n).normal(size=op.grid.shape)
+        ref = dense_apply(op, U)
+        for rows in (1, 2, 3, ROW_BLOCK):
+            op._row_blocks = _row_blocks(op.L, rows)
+            assert np.max(np.abs(op.apply_homogeneous(0.0, U) - ref)) \
+                <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_singular_line_names_axis_and_alpha(self, axis):
+        # three nodes, spacing 1/4: I - alpha*L with alpha = -1/32 is the
+        # tridiagonal (1/2, 0, 1/2), whose first and last rows are equal
+        grid = Grid2D((0.0, 1.0), (0.0, 1.0), 3, 3)
+        op = DirectionalDiffusionOperator(grid, axis, 1.0, order=2,
+                                          boundary=lambda x, y, t: 0.0 * x)
+        with pytest.raises(LinearSolveError,
+                           match=rf"the {axis} line .* singular at alpha=-0\.03125"):
+            op.solve_homogeneous(0.0, -1 / 32, np.ones(grid.shape))
 
 
 class TestStackedLines:

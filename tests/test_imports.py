@@ -1,4 +1,5 @@
-"""The package boundary follows the layers: only a PDE run loads scipy."""
+"""The package boundary follows the layers: a scan loads no PDE module, and
+only the stacked lines of a variable coefficient load scipy."""
 
 import importlib
 import os
@@ -68,11 +69,37 @@ class TestImportClosure:
     def test_ladder_loads_pde_backend(self, tmp_path):
         loaded = loaded_after(
             "from idcos.harness import RunConfig, run_convergence\n"
-            "run_convergence(RunConfig(problem='example1', scheme='strang', grid_n=8,\n"
+            "run_convergence(RunConfig(problem='example2', scheme='strang', grid_n=8,\n"
             "                          nt_list=(4, 8), corrections=(0,), end_time=0.01,\n"
             "                          out_dir='ladder'))", tmp_path)
         assert set(PDE_MODULES) <= loaded
         assert {"scipy.sparse", "scipy.linalg"} <= loaded
+
+    def test_stacked_lines_load_scipy_as_the_problem_is_built(self, tmp_path):
+        # before any solve: the variable-coefficient operators import the
+        # banded solver in their constructor
+        loaded = loaded_after("from idcos.problems import example2\n"
+                              "example2(N=8)", tmp_path)
+        assert {"scipy.sparse", "scipy.linalg", "idcos.banded"} <= loaded
+
+    @pytest.mark.parametrize("args", [
+        "convergence --problem example1 --scheme adi --grid 8 --nt 4,8 --end-time 0.01",
+        "simulate --problem fhn --scheme lie-trotter --grid 16 --dt 0.005 "
+        "--snap-times 0.01 --end-time 0.01",
+        "simulate --problem schnakenberg --scheme lie-trotter --grid 16 --dt 0.001 "
+        "--snap-times 0.002 --end-time 0.002",
+    ], ids=["example1", "fhn", "schnakenberg"])
+    def test_constant_coefficient_run_loads_no_scipy(self, tmp_path, args):
+        # one shared line per direction: a dense numpy inverse, no banded solver
+        loaded = loaded_after(
+            "import contextlib, io\n"
+            "from idcos.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({args.split()!r} + ['--out', 'run'])\n"
+            "assert code == 0, code", tmp_path)
+        assert {"idcos.pde2d", "idcos.problems"} <= loaded
+        assert not {m for m in loaded if m.startswith("scipy")}
+        assert "idcos.banded" not in loaded
 
 
 class TestPublicNames:
